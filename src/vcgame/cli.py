@@ -94,7 +94,10 @@ def _parse_coalition(text: str, graph: Graph):
             raise ContractViolation(f"edge index {i} out of range")
     if not indices:
         raise ContractViolation("coalition list is empty")
-    return frozenset(indices)
+    s = frozenset(indices)
+    if len(s) != len(indices):
+        raise ContractViolation(f"bad coalition list {text!r}: repeated edge index")
+    return s
 
 
 def _load_prefs(graph: Graph, path: str) -> PreferenceSystem:

@@ -14,14 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ContractViolation, NotBalanced, OracleCapError
 from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, find_forbidden_subgraph,
                     is_bipartite, matching_number, vertex_cover_number)
 
 DEFAULT_EDGE_CAP = 16
-SUBMODULAR_EDGE_CAP = 12
 
 
 def coalition_mask(coalition) -> int:
@@ -127,26 +124,27 @@ def is_monotone_game(game: VertexCoverGame, *, max_edges: int = DEFAULT_EDGE_CAP
     return True, None
 
 
-def is_submodular_game(game: VertexCoverGame, *,
-                       max_edges: int = SUBMODULAR_EDGE_CAP, block: int = 256):
-    """Exhaustive submodularity check over all coalition pairs (S, T):
-    cost(S) + cost(T) >= cost(S | T) + cost(S & T).
+def is_submodular_game(game: VertexCoverGame, *, max_edges: int = DEFAULT_EDGE_CAP):
+    """Exhaustive submodularity check by the local test
+    cost(S + i) + cost(S + j) >= cost(S + i + j) + cost(S) for every coalition
+    S and players i < j outside it, which is equivalent to
+    cost(S) + cost(T) >= cost(S | T) + cost(S & T) for all pairs (S, T).
 
-    Pairs are scanned in row-major bitmask order, vectorized in blocks.
-    Returns (True, None) or (False, (S, T)) for the first violating pair.
+    S is scanned in ascending bitmask order, then i, then j, both ascending.
+    Returns (True, None) or (False, (S + i, S + j)) for the first violation.
     """
     table = game.cost_table(max_edges)
-    size = 1 << game.n
-    tau = np.asarray(table, dtype=np.int32)
-    masks = np.arange(size, dtype=np.int64)
-    for start in range(0, size, block):
-        rows = masks[start:start + block]
-        union = rows[:, None] | masks[None, :]
-        inter = rows[:, None] & masks[None, :]
-        bad = tau[rows][:, None] + tau[None, :] < tau[union] + tau[inter]
-        if bad.any():
-            r, c = (int(x) for x in np.argwhere(bad)[0])
-            return False, (mask_coalition(start + r), mask_coalition(c))
+    n = game.n
+    bits = [1 << k for k in range(n)]
+    for s in range(1 << n):
+        base = table[s]
+        outside = [b for b in bits if not s & b]
+        for pos, bi in enumerate(outside):
+            si = s | bi
+            gain_i = table[si] - base
+            for bj in outside[pos + 1:]:
+                if table[si | bj] - table[s | bj] > gain_i:
+                    return False, (mask_coalition(si), mask_coalition(s | bj))
     return True, None
 
 

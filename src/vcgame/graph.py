@@ -4,8 +4,9 @@ Players of the cost game live on edges, so every coalition-level question
 (cover number, matching number, connectivity, diameter) is asked about the
 edge-induced subgraph of a coalition.  The exact engines are deliberately
 small: branch-and-bound search below a configurable vertex cap, with a
-structural shortcut for forests whose components have diameter at most 3,
-where minimum covers can be read off the component centers directly.
+structural shortcut above it for star/pisces forests (trees of diameter at
+most 3), where minimum covers and maximum matchings are read off the shapes
+that ``decompose`` finds.
 """
 
 from __future__ import annotations
@@ -152,6 +153,60 @@ class SubgraphView:
                             queue.append(j)
             out.append(frozenset(comp))
         return out
+
+
+@dataclass(frozen=True)
+class ComponentClassification:
+    """Shape of one connected component of a star/pisces forest.
+
+    cover holds the single center of a star (or the designated endpoint of a
+    lone edge), or both bases of a pisces in label order; pendants maps each
+    cover vertex to its non-free-rider incident edges.
+    """
+
+    kind: str  # "star" | "pisces" | "single-edge"
+    edges: Coalition
+    cover: tuple[str, ...]
+    free_rider: int | None
+    pendants: dict[str, tuple[int, ...]]
+
+
+def decompose(graph: Graph, coalition) -> list[ComponentClassification] | None:
+    """Star/pisces shapes of the coalition subgraph's components, ordered by
+    smallest edge index; None when some component is neither (it has a cycle
+    or diameter above 3).
+
+    coalition is a set of edge indices or an already built SubgraphView.
+    """
+    view = coalition if isinstance(coalition, SubgraphView) else SubgraphView(graph, coalition)
+    incident = view.incident
+    shapes: list[ComponentClassification] = []
+    for comp in view.components():
+        if len(comp) == 1:
+            (i,) = comp
+            center = min(graph.edges[i])
+            shapes.append(ComponentClassification("single-edge", comp, (center,), None,
+                                                  {center: (i,)}))
+            continue
+        comp_vertices = sorted({w for i in comp for w in graph.edges[i]})
+        if len(comp) != len(comp_vertices) - 1:
+            return None  # has a cycle
+        non_pendant = [v for v in comp_vertices if len(incident[v]) > 1]
+        if len(non_pendant) == 1:
+            center = non_pendant[0]
+            shapes.append(ComponentClassification("star", comp, (center,), None,
+                                                  {center: tuple(sorted(comp))}))
+        elif len(non_pendant) == 2:
+            # in a tree, a vertex inside the path between two non-pendant
+            # vertices is non-pendant too, so these two are adjacent
+            b1, b2 = non_pendant
+            rider = next(i for i in incident[b1] if graph.other_end(i, b1) == b2)
+            pendants = {b: tuple(i for i in incident[b] if i != rider)
+                        for b in non_pendant}
+            shapes.append(ComponentClassification("pisces", comp, (b1, b2), rider, pendants))
+        else:
+            return None  # diameter exceeds 3
+    return shapes
 
 
 def parse_graph(text: str) -> Graph:
@@ -318,35 +373,32 @@ def _lex_min_cover(pairs, labels_sorted, size: int) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def _structural_cover(graph: Graph, view: SubgraphView) -> tuple[str, ...] | None:
-    """Minimum cover read off component centers when all components are trees
-    of diameter at most 3; None when the shape does not apply."""
-    cover: list[str] = []
-    for comp in view.components():
-        comp_vertices = sorted({w for i in comp for w in graph.edges[i]})
-        if len(comp) != len(comp_vertices) - 1:
-            return None  # has a cycle
-        non_pendant = [v for v in comp_vertices if view.degree(v) >= 2]
-        if len(comp) == 1:
-            u, v = graph.edges[next(iter(comp))]
-            cover.append(min(u, v))
-        elif len(non_pendant) == 1:
-            cover.append(non_pendant[0])
-        elif len(non_pendant) == 2:
-            cover.extend(non_pendant)
-        else:
-            return None  # diameter exceeds 3
-    return tuple(sorted(cover))
+def _shape_cover(graph: Graph, c: ComponentClassification) -> tuple[str, ...]:
+    """Lexicographically smallest minimum cover of one star/pisces component.
+
+    A pisces is covered by its two bases, or by one base and the far leaf when
+    the other base has exactly one pendant.
+    """
+    best = c.cover
+    if c.free_rider is not None:
+        b1, b2 = best
+        for base, other in ((b1, b2), (b2, b1)):
+            pendants = c.pendants[base]
+            if len(pendants) == 1:
+                leaf = graph.other_end(pendants[0], base)
+                best = min(best, (leaf, other) if leaf < other else (other, leaf))
+    return best
 
 
 def vertex_cover_number(graph: Graph, coalition, *,
                         max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[int, tuple[str, ...]]:
     """Exact cover number of the coalition subgraph, with a deterministic witness.
 
-    Below the vertex cap the witness is the lexicographically smallest minimum
-    cover (sorted label tuple).  Above the cap, forests whose components have
-    diameter at most 3 are solved structurally from their centers; anything
-    else raises OracleCapError.
+    At every size the witness is the lexicographically smallest minimum cover
+    (sorted label tuple).  Below the vertex cap it comes from branch and
+    bound; above it, star/pisces forests are solved structurally as the union
+    of each component's smallest cover, and anything else raises
+    OracleCapError.
     """
     view = SubgraphView(graph, coalition)
     if not view.coalition:
@@ -355,10 +407,14 @@ def vertex_cover_number(graph: Graph, coalition, *,
         pairs = [graph.edges[i] for i in sorted(view.coalition)]
         size = _min_cover_size(pairs)
         return size, _lex_min_cover(pairs, view.vertex_set, size)
-    structural = _structural_cover(graph, view)
-    if structural is not None:
-        return len(structural), structural
-    raise OracleCapError("instance too large for exact oracle")
+    shapes = decompose(graph, view)
+    if shapes is None:
+        raise OracleCapError("instance too large for exact oracle")
+    cover: list[str] = []
+    for c in shapes:
+        cover.extend(_shape_cover(graph, c))
+    cover.sort()
+    return len(cover), tuple(cover)
 
 
 # --- exact maximum matching -----------------------------------------------------
@@ -424,26 +480,6 @@ def _matching_size(pairs) -> int:
     return _matching_branch(pairs)
 
 
-def _structural_matching(graph: Graph, view: SubgraphView) -> tuple[int, ...] | None:
-    """Maximum matching for star/pisces forests: one pendant edge per cover vertex."""
-    witness: list[int] = []
-    for comp in view.components():
-        comp_vertices = sorted({w for i in comp for w in graph.edges[i]})
-        if len(comp) != len(comp_vertices) - 1:
-            return None
-        non_pendant = [v for v in comp_vertices if view.degree(v) >= 2]
-        if len(comp) == 1 or len(non_pendant) == 1:
-            witness.append(min(comp))
-        elif len(non_pendant) == 2:
-            pair = set(non_pendant)
-            rider = next(i for i in comp if set(graph.edges[i]) == pair)
-            for b in non_pendant:
-                witness.append(min(i for i in view.incident[b] if i != rider))
-        else:
-            return None
-    return tuple(sorted(witness))
-
-
 def matching_number(graph: Graph, coalition, *,
                     max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[int, tuple[int, ...]]:
     """Exact matching number with the lexicographically smallest witness
@@ -472,10 +508,12 @@ def matching_number(graph: Graph, coalition, *,
                 used.update((u, v))
                 need -= 1
         return size, tuple(witness)
-    structural = _structural_matching(graph, view)
-    if structural is not None:
-        return len(structural), structural
-    raise OracleCapError("instance too large for exact oracle")
+    # on star/pisces forests: the smallest pendant edge at each cover vertex
+    shapes = decompose(graph, view)
+    if shapes is None:
+        raise OracleCapError("instance too large for exact oracle")
+    witness = sorted(min(es) for c in shapes for es in c.pendants.values())
+    return len(witness), tuple(witness)
 
 
 # --- forbidden subgraph search ---------------------------------------------------

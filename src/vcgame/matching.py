@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                      NotIntegralScheme, UnsupportedInstance)
-from .graph import Coalition, Graph, SubgraphView
+from .graph import Coalition, Graph, _two_color
 from .pmas import ONE, ZERO, AllocationScheme, classify_components
 
 Matching = frozenset[int]
@@ -39,7 +39,11 @@ class PreferenceSystem:
             if not graph.has_vertex(v):
                 raise ContractViolation(f"unknown vertex {v!r} in preference orders")
             expected = set(graph.incident_edges(v))
-            seq = tuple(int(i) for i in seq)
+            seq = tuple(seq)
+            for i in seq:
+                if type(i) is not int:
+                    raise ContractViolation(
+                        f"order for vertex {v!r} ranks {i!r}, not an edge index")
             if len(seq) != len(expected) or set(seq) != expected:
                 raise ContractViolation(
                     f"order for vertex {v!r} must rank exactly its incident edges")
@@ -67,25 +71,6 @@ class PreferenceSystem:
         return tuple(mine)
 
 
-def _two_color_view(view: SubgraphView) -> dict[str, int] | None:
-    color: dict[str, int] = {}
-    for start in view.vertex_set:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for i in view.incident[x]:
-                y = view.graph.other_end(i, x)
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-    return color
-
-
 def gale_shapley(ps: PreferenceSystem, coalition) -> Matching:
     """Deferred acceptance on the coalition subgraph.
 
@@ -97,13 +82,16 @@ def gale_shapley(ps: PreferenceSystem, coalition) -> Matching:
     s = frozenset(coalition)
     if not s:
         return frozenset()
-    view = SubgraphView(graph, s)
-    color = _two_color_view(view)
+    for i in (min(s), max(s)):
+        if not 0 <= i < graph.n_edges:
+            raise ContractViolation(f"edge index out of range: {i}")
+    color = _two_color([graph.edges[i] for i in sorted(s)])
     if color is None:
         raise UnsupportedInstance("coalition subgraph is not bipartite")
-    orders = {v: ps.order_in(v, s) for v in view.vertex_set}
-    rank = {v: {e: p for p, e in enumerate(orders[v])} for v in view.vertex_set}
-    proposers = [v for v in view.vertex_set if color[v] == 0]
+    vertices = sorted(color)
+    orders = {v: ps.order_in(v, s) for v in vertices}
+    rank = {v: {e: p for p, e in enumerate(orders[v])} for v in vertices}
+    proposers = [v for v in vertices if color[v] == 0]
     pointer = {v: 0 for v in proposers}
     held: dict[str, int] = {}
     queue = deque(proposers)

@@ -26,7 +26,8 @@ from functools import lru_cache
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
 from .game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions
-from .graph import Coalition, Graph, SubgraphView, find_forbidden_subgraph
+from .graph import (ComponentClassification, Coalition, Graph, decompose,
+                    find_forbidden_subgraph)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,62 +44,16 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class ComponentClassification:
-    """Shape of one connected component of a population-monotonic graph.
-
-    cover holds the single center of a star (or the designated endpoint of a
-    lone edge), or both bases of a pisces in label order; pendants maps each
-    cover vertex to its non-free-rider incident edges.
-    """
-
-    kind: str  # "star" | "pisces" | "single-edge"
-    edges: Coalition
-    cover: tuple[str, ...]
-    free_rider: int | None
-    pendants: dict[str, tuple[int, ...]]
-
-
-def _component_shape(graph: Graph, view: SubgraphView, comp: Coalition):
-    """Classify one component as star/pisces/single edge, or None if neither."""
-    comp_vertices = sorted({w for i in comp for w in graph.edges[i]})
-    if len(comp) != len(comp_vertices) - 1:
-        return None  # has a cycle
-    non_pendant = [v for v in comp_vertices if view.degree(v) >= 2]
-    if len(comp) == 1:
-        i = next(iter(comp))
-        center = min(graph.edges[i])
-        return ComponentClassification("single-edge", comp, (center,), None, {center: (i,)})
-    if len(non_pendant) == 1:
-        center = non_pendant[0]
-        return ComponentClassification("star", comp, (center,), None,
-                                       {center: tuple(sorted(comp))})
-    if len(non_pendant) == 2:
-        pair = set(non_pendant)
-        riders = [i for i in comp if set(graph.edges[i]) == pair]
-        if not riders:
-            return None
-        rider = riders[0]
-        pendants = {b: tuple(i for i in view.incident[b] if i != rider)
-                    for b in non_pendant}
-        return ComponentClassification("pisces", comp, tuple(non_pendant), rider, pendants)
-    return None  # diameter exceeds 3
-
-
 def _classify(graph: Graph):
     """All component shapes, or a forbidden-subgraph witness."""
-    view = SubgraphView(graph, graph.players())
-    shapes = []
-    for comp in view.components():
-        shape = _component_shape(graph, view, comp)
-        if shape is None:
-            for pattern in FORBIDDEN:
-                witness = find_forbidden_subgraph(graph, pattern)
-                if witness is not None:
-                    return None, (pattern, witness)
-            raise AssertionError("unclassifiable component without a forbidden subgraph")
-        shapes.append(shape)
-    return shapes, None
+    shapes = decompose(graph, graph.players())
+    if shapes is not None:
+        return shapes, None
+    for pattern in FORBIDDEN:
+        witness = find_forbidden_subgraph(graph, pattern)
+        if witness is not None:
+            return None, (pattern, witness)
+    raise AssertionError("graph is not star/pisces but has no forbidden subgraph")
 
 
 def recognize_population_monotonic(graph: Graph):
@@ -123,36 +78,39 @@ class CoverSystem:
     """Global minimum cover made of centers and bases, with a deterministic
     per-coalition selector.
 
-    The selector picks, inside each component of the coalition subgraph, the
-    vertex that covers it (both bases when the component is itself a pisces);
-    a component that is a lone free rider gets the smaller endpoint label.
+    Every coalition is split once: its non-free-rider edges are grouped by
+    their anchor, the global cover vertex covering them, and each of its free
+    riders is accompanied when an edge of its own pisces is in the coalition
+    too, else lone.  The selector takes every anchor of a group and, for a
+    lone free rider, its smaller base.
     """
 
-    def __init__(self, graph: Graph, comps) -> None:
+    def __init__(self, graph: Graph, comps: list[ComponentClassification]) -> None:
         self.graph = graph
         self.components = list(comps)
         self.cover = tuple(sorted(v for c in self.components for v in c.cover))
-        self.free_riders = frozenset(
-            c.free_rider for c in self.components if c.free_rider is not None)
-        anchor: dict[int, str] = {}
-        comp_of: dict[int, int] = {}
-        sides: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
-        for pos, c in enumerate(self.components):
-            for i in c.edges:
-                comp_of[i] = pos
-            for v, es in c.pendants.items():
-                for i in es:
-                    anchor[i] = v
-            if c.kind == "pisces":
-                b1, b2 = c.cover
-                sides[pos] = (frozenset(c.pendants[b1]), frozenset(c.pendants[b2]))
-        self._anchor = anchor
-        self._comp_of = comp_of
-        self._sides = sides
-        self._cover_memo: dict[Coalition, tuple[str, ...]] = {}
+        self._anchor = {i: v for c in self.components
+                        for v, es in c.pendants.items() for i in es}
+        self._bases = {c.free_rider: c.cover for c in self.components
+                       if c.free_rider is not None}
+        self.free_riders = frozenset(self._bases)
 
-    def component_of(self, i: int) -> ComponentClassification:
-        return self.components[self._comp_of[i]]
+    def _split(self, coalition):
+        """(groups, riders): the coalition's non-free-rider edges grouped by
+        anchor, and its free riders mapped to whether they are accompanied."""
+        groups: dict[str, list[int]] = {}
+        riders: list[int] = []
+        anchor = self._anchor
+        for i in coalition:
+            v = anchor.get(i)
+            if v is None:
+                riders.append(i)
+            elif v in groups:
+                groups[v].append(i)
+            else:
+                groups[v] = [i]
+        bases = self._bases
+        return groups, {r: bases[r][0] in groups or bases[r][1] in groups for r in riders}
 
     def anchor(self, i: int) -> str:
         """The unique global-cover vertex covering a non-free-rider edge."""
@@ -166,38 +124,17 @@ class CoverSystem:
 
     def accompanied(self, coalition, i: int) -> bool:
         """Does free rider i share a vertex with another coalition edge?"""
-        c = self.component_of(i)
-        return any(j in coalition for j in c.edges if j != i)
+        if i not in self._bases:
+            raise ContractViolation(f"edge {i} is not a free rider")
+        return self._split(frozenset(coalition) | {i})[1][i]
 
     def cover_for(self, coalition) -> tuple[str, ...]:
         """Deterministic minimum cover of the coalition subgraph within the
         global cover, as a sorted label tuple."""
-        s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-        hit = self._cover_memo.get(s)
-        if hit is not None:
-            return hit
-        chosen: set[str] = set()
-        buckets: dict[int, list[int]] = {}
-        for i in s:
-            buckets.setdefault(self._comp_of[i], []).append(i)
-        for pos, edges_in in buckets.items():
-            c = self.components[pos]
-            if c.kind != "pisces":
-                chosen.add(c.cover[0])
-                continue
-            b1, b2 = c.cover
-            side1, side2 = self._sides[pos]
-            has1 = any(i in side1 for i in edges_in)
-            has2 = any(i in side2 for i in edges_in)
-            if has1:
-                chosen.add(b1)
-            if has2:
-                chosen.add(b2)
-            if not has1 and not has2:
-                chosen.add(min(b1, b2))  # lone free rider
-        result = tuple(sorted(chosen))
-        self._cover_memo[s] = result
-        return result
+        groups, riders = self._split(coalition)
+        chosen = set(groups)
+        chosen.update(self._bases[r][0] for r, accompanied in riders.items() if not accompanied)
+        return tuple(sorted(chosen))
 
     def split_count(self, coalition, i: int) -> int:
         """Number of non-free-rider coalition edges sharing i's covering vertex
@@ -205,9 +142,7 @@ class CoverSystem:
         s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
         if i not in s:
             raise ContractViolation(f"edge {i} is not in the coalition")
-        v = self.anchor(i)
-        return sum(1 for j in self.graph.incident_edges(v)
-                   if j in s and j not in self.free_riders)
+        return len(self._split(s)[0][self.anchor(i)])
 
 
 class AllocationScheme:
@@ -226,7 +161,7 @@ class AllocationScheme:
         self._cache: dict[Coalition, dict[int, Fraction]] = {}
         if table is not None:
             for s, vec in table.items():
-                self._cache[frozenset(s)] = {int(i): Fraction(v) for i, v in vec.items()}
+                self._cache[frozenset(s)] = _as_fractions({int(i): v for i, v in vec.items()})
 
     @property
     def lazy(self) -> bool:
@@ -270,39 +205,17 @@ def construct_pmas(graph: Graph) -> AllocationScheme:
     edges at its covering vertex.
     """
     _, cover = classify_components(graph)
-    comp_of = cover._comp_of
-    sides = cover._sides
-    classifications = cover.components
+    split = cover._split
 
     def rule(s: Coalition) -> dict[int, Fraction]:
+        groups, riders = split(s)
         alloc: dict[int, Fraction] = {}
-        buckets: dict[int, list[int]] = {}
-        for i in s:
-            buckets.setdefault(comp_of[i], []).append(i)
-        for pos, edges_in in buckets.items():
-            c = classifications[pos]
-            if c.kind != "pisces":
-                pay = unit_share(len(edges_in))
-                for i in edges_in:
-                    alloc[i] = pay
-                continue
-            side1, side2 = sides[pos]
-            at1 = [i for i in edges_in if i in side1]
-            at2 = [i for i in edges_in if i in side2]
-            has_rider = len(at1) + len(at2) < len(edges_in)
-            if has_rider and not at1 and not at2:
-                alloc[c.free_rider] = ONE
-                continue
-            if at1:
-                pay = unit_share(len(at1))
-                for i in at1:
-                    alloc[i] = pay
-            if at2:
-                pay = unit_share(len(at2))
-                for i in at2:
-                    alloc[i] = pay
-            if has_rider:
-                alloc[c.free_rider] = ZERO
+        for edges_in in groups.values():
+            pay = unit_share(len(edges_in))
+            for i in edges_in:
+                alloc[i] = pay
+        for rider, accompanied in riders.items():
+            alloc[rider] = ZERO if accompanied else ONE
         return alloc
 
     return AllocationScheme(graph, rule=rule)
@@ -363,20 +276,10 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
             raise MalformedScheme(
                 f"allocation for {sorted(s)} is not indexed by its members")
         a = _as_fractions(a)
-        # exact sum as an integer over the common denominator; Fraction's
-        # _numerator/_denominator slots skip the property descriptors
-        den = 1
+        den = _common_den(a)
         total = 0
         for value in a.values():
-            d = value._denominator
-            if den % d:
-                den = den * d // math.gcd(den, d)
-        if den == 1:
-            for value in a.values():
-                total += value._numerator
-        else:
-            for value in a.values():
-                total += value._numerator * (den // value._denominator)
+            total += value._numerator * (den // value._denominator)
         if total != table[m] * den:
             return False, Violation("efficiency", s, None, None,
                                     Fraction(total, den), Fraction(table[m]))
@@ -409,90 +312,81 @@ def _as_fractions(x):
     return x
 
 
-def _scaled_profile(graph: Graph, coalition, x):
-    """Exact per-vertex loads of an allocation as integers over a common
-    denominator; comparisons against 0/1 then reduce to integer arithmetic.
+def _common_den(x) -> int:
+    """Least common denominator of an allocation of true Fractions; each value
+    is then the integer value._numerator * (den // value._denominator) over it.
 
-    Returns (loads, den, total, negative) with loads[v]/den the true rational
-    load at v and total/den the payment sum.  Raises when x is not indexed by
-    the coalition.
+    Fraction's _numerator/_denominator slots skip the property descriptors.
     """
-    s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-    if x.keys() != s:
-        raise ContractViolation("allocation must be indexed by the coalition")
-    x = _as_fractions(x)
-    # Fraction's _numerator/_denominator slots skip the property descriptors
     den = 1
     for value in x.values():
         d = value._denominator
         if den % d:
             den = den * d // math.gcd(den, d)
+    return den
+
+
+def _scaled_profile(graph: Graph, coalition, x):
+    """Exact per-vertex loads of an allocation as integers over a common
+    denominator; comparisons against 0/1 then reduce to integer arithmetic.
+
+    Returns (loads, den, total, feasible) with loads[v]/den the true rational
+    load at v, total/den the payment sum, and feasible whether every payment
+    is nonnegative and every load at most one.  Raises when x is not indexed
+    by the coalition.
+    """
+    s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
+    if x.keys() != s:
+        raise ContractViolation("allocation must be indexed by the coalition")
+    x = _as_fractions(x)
+    den = _common_den(x)
     loads: dict[str, int] = {}
     total = 0
     negative = False
     edges = graph.edges
     get = loads.get
-    if den == 1:
-        for i, value in x.items():
-            num = value._numerator
-            if num < 0:
-                negative = True
-            total += num
-            u, w = edges[i]
-            loads[u] = get(u, 0) + num
-            loads[w] = get(w, 0) + num
-    else:
-        for i, value in x.items():
-            num = value._numerator * (den // value._denominator)
-            if num < 0:
-                negative = True
-            total += num
-            u, w = edges[i]
-            loads[u] = get(u, 0) + num
-            loads[w] = get(w, 0) + num
-    return loads, den, total, negative
+    for i, value in x.items():
+        num = value._numerator * (den // value._denominator)
+        if num < 0:
+            negative = True
+        total += num
+        u, w = edges[i]
+        loads[u] = get(u, 0) + num
+        loads[w] = get(w, 0) + num
+    feasible = not negative
+    for load in loads.values():
+        if load > den:
+            feasible = False
+            break
+    return loads, den, total, feasible
 
 
 def check_dual_feasible(graph: Graph, coalition, x) -> bool:
     """Feasibility for the fractional-cover dual on the coalition subgraph:
     nonnegative payments with per-vertex load at most one."""
-    loads, den, _, negative = _scaled_profile(graph, coalition, x)
-    if negative:
-        return False
-    for load in loads.values():
-        if load > den:
-            return False
-    return True
+    return _scaled_profile(graph, coalition, x)[3]
 
 
 def check_dual_optimal(game: VertexCoverGame, coalition, x) -> bool:
     """Dual feasibility plus total payment equal to the coalition cost
     (the dual optimum on the bipartite subgraphs in scope)."""
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-    loads, den, total, negative = _scaled_profile(game.graph, s, x)
-    if negative:
-        return False
-    for load in loads.values():
-        if load > den:
-            return False
-    return total == game.gamma(s) * den
+    _, den, total, feasible = _scaled_profile(game.graph, s, x)
+    return feasible and total == game.gamma(s) * den
 
 
 def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
     """Membership in the tight optimal face: dual feasible, unit load exactly
     at every selected cover vertex, zero on accompanied free riders."""
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-    loads, den, _, negative = _scaled_profile(graph, s, x)
-    if negative:
+    loads, den, _, feasible = _scaled_profile(graph, s, x)
+    if not feasible:
         return False
-    for load in loads.values():
-        if load > den:
-            return False
     for vertex in cover.cover_for(s):
         if loads[vertex] != den:
             return False
-    for i in s:
-        if i in cover.free_riders and x[i] != 0 and cover.accompanied(s, i):
+    for i in s & cover.free_riders:
+        if x[i] != 0 and cover.accompanied(s, i):
             return False
     return True
 
@@ -519,19 +413,50 @@ def scheme_to_json(scheme: AllocationScheme, *, max_edges: int = DEFAULT_EDGE_CA
                       indent=2)
 
 
+def _unique_keys(pairs) -> dict:
+    """json object_pairs_hook: the object as a dict, refusing a repeated key."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise MalformedScheme(f"repeated key {key!r} in scheme JSON")
+            seen.add(key)
+    return out
+
+
 def scheme_from_json(graph: Graph, text: str) -> AllocationScheme:
-    """Parse the JSON scheme format back into a table-backed scheme."""
+    """Parse the JSON scheme format back into a table-backed scheme.
+
+    Keys must be canonical: each coalition key its in-range edge indices in
+    ascending order, comma-joined, and no key repeated.  Payments must be
+    rational strings such as "1/2".  Anything else raises MalformedScheme
+    naming the key.
+    """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise MalformedScheme(f"scheme file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedScheme("scheme JSON must be an object keyed by coalitions")
+    players = graph.players()
     table: dict[Coalition, dict[int, Fraction]] = {}
     for key, vec in raw.items():
         try:
-            s = frozenset(int(p) for p in key.split(","))
-            entries = {int(i): Fraction(v) for i, v in vec.items()}
+            s = frozenset(map(int, key.split(",")))
+            if ",".join(map(str, sorted(s))) != key or not s <= players:
+                raise MalformedScheme(
+                    f"coalition key {key!r} is not its distinct edge indices below "
+                    f"{graph.n_edges} in ascending order")
+            entries: dict[int, Fraction] = {}
+            for i, v in vec.items():
+                edge = int(i)
+                if str(edge) != i:
+                    raise MalformedScheme(f"edge key {i!r} in coalition {key!r} is not canonical")
+                if type(v) is not str:
+                    raise MalformedScheme(
+                        f"payment of edge {i} in coalition {key!r} is {v!r}, not a \"p/q\" string")
+                entries[edge] = Fraction(v)
         except (ValueError, TypeError, ZeroDivisionError, AttributeError) as exc:
             raise MalformedScheme(f"bad scheme entry for coalition {key!r}: {exc}") from exc
         table[s] = entries

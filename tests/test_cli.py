@@ -225,6 +225,12 @@ def test_bad_coalition_errors(graph_file, capsys):
     assert code == 2 and "out of range" in err
 
 
+def test_repeated_coalition_index_errors(graph_file, capsys):
+    code, out, err = run(capsys, "construct", "--input", graph_file("g.txt", P4),
+                         "--coalition", "0,0")
+    assert code == 2 and out == "" and "repeated edge index" in err
+
+
 def test_output_file_writing(graph_file, capsys, tmp_path):
     out_path = tmp_path / "result.json"
     code, out, _ = run(capsys, "count", "--input", graph_file("g.txt", STAR2),

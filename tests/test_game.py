@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -114,12 +116,44 @@ def test_submodular_examples():
     assert is_submodular_game(VertexCoverGame(Graph.from_edges([("a", "b")])))[0]
 
 
+def naive_local_scan(game: VertexCoverGame):
+    """The documented witness: first (S + i, S + j) with S in ascending
+    bitmask order, then i < j outside S, breaking the local inequality."""
+    n = game.n
+    for mask in range(1 << n):
+        s = mask_coalition(mask)
+        outside = [k for k in range(n) if k not in s]
+        for i, j in itertools.combinations(outside, 2):
+            si, sj = s | {i}, s | {j}
+            if game.gamma(si) + game.gamma(sj) < game.gamma(si | sj) + game.gamma(s):
+                return False, (si, sj)
+    return True, None
+
+
 def test_submodular_matches_naive_pair_scan():
     rng = random.Random(23)
     for _ in range(25):
-        g = random_graph(rng, max_edges=5)
+        g = random_graph(rng, max_edges=7)
         game = VertexCoverGame(g)
-        assert is_submodular_game(game)[0] == naive_submodular(game)
+        verdict = is_submodular_game(game)
+        assert verdict[0] == naive_submodular(game)
+        assert verdict == naive_local_scan(game)
+        if not verdict[0]:
+            s, t = verdict[1]
+            assert game.gamma(s) + game.gamma(t) < game.gamma(s | t) + game.gamma(s & t)
+
+
+def test_submodular_game_shares_the_edge_cap():
+    assert is_submodular_game(VertexCoverGame(star(14))) == (True, None)
+    with pytest.raises(OracleCapError):
+        is_submodular_game(VertexCoverGame(star(17)))
+
+
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, vcgame; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_submodular_graph_examples():

@@ -9,7 +9,8 @@ from vcgame.graph import (Graph, SubgraphView, components, diameter,
                           find_forbidden_subgraph, is_bipartite, matching_number,
                           parse_graph, vertex_cover_number)
 
-from oracles import brute_cover_number, brute_matching_number, random_bipartite_graph, random_graph
+from oracles import (all_pm_graphs_up_to, brute_cover_number, brute_matching_number,
+                     random_bipartite_graph, random_graph)
 
 
 def k3() -> Graph:
@@ -209,6 +210,23 @@ def test_structural_path_beyond_cap():
     assert vertex_cover_number(pisces, pisces.players()) == (2, ("b1", "b2"))
     nu, witness = matching_number(pisces, pisces.players())
     assert nu == 2 and witness == (1, 15)
+
+
+def test_structural_witnesses_equal_exact_witnesses():
+    path = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
+    assert vertex_cover_number(path, path.players(), max_vertices=2) == (2, ("a", "c"))
+    for g in all_pm_graphs_up_to(6):
+        # the generator labels every base below its leaves; reversed labels
+        # put the leaves first, where a lone pendant's leaf beats its base
+        labels = sorted(g.vertices)
+        flip = dict(zip(labels, reversed(labels)))
+        flipped = Graph.from_edges([(flip[u], flip[v]) for u, v in g.edges])
+        for h in (g, flipped):
+            for mask in range(1, 1 << h.n_edges):
+                s = frozenset(i for i in range(h.n_edges) if mask >> i & 1)
+                assert (vertex_cover_number(h, s, max_vertices=0)
+                        == vertex_cover_number(h, s))
+                assert matching_number(h, s, max_vertices=0) == matching_number(h, s)
 
 
 def test_cap_error_on_long_path():

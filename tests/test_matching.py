@@ -61,6 +61,12 @@ def test_orders_must_match_incident_edges():
         PreferenceSystem(star(2), {"hub": (0, 1), "ghost": (0,)})
 
 
+def test_orders_reject_ranks_that_are_not_ints():
+    for ranks in ((1.9, 0.2), (True, 0), ("1", "0")):
+        with pytest.raises(ContractViolation, match="not an edge index"):
+            PreferenceSystem(star(2), {"hub": ranks})
+
+
 def test_pendant_orders_are_optional_and_restrictable():
     ps = PreferenceSystem(star(2), {"hub": (1, 0)})
     assert ps.order_in("hub", {0}) == (0,)
@@ -104,6 +110,12 @@ def test_gale_shapley_general_bipartite():
 
 def test_gale_shapley_empty_coalition():
     assert gale_shapley(p4_prefs(), frozenset()) == frozenset()
+
+
+def test_gale_shapley_rejects_unknown_edges():
+    for bad in ({0, 3}, {-1, 0}):
+        with pytest.raises(ContractViolation, match="out of range"):
+            gale_shapley(p4_prefs(), bad)
 
 
 # --- stability -----------------------------------------------------------------------------

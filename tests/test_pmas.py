@@ -1,7 +1,9 @@
 """Recognition, classification, the constructive scheme, the exhaustive
 verifier, and the dual-side certificates."""
 
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -383,6 +385,34 @@ def test_scheme_json_is_deterministically_ordered():
     jsonable = scheme_table_to_jsonable(construct_pmas(g).materialize())
     assert list(jsonable) == ["0", "0,1", "1"]
     assert jsonable["0,1"] == {"0": "1/2", "1": "1/2"}
+
+
+def test_scheme_json_rejects_numbers():
+    with pytest.raises(MalformedScheme, match="'0'.*not a \"p/q\" string"):
+        scheme_from_json(star(2), '{"0": {"0": 0.1}}')
+    with pytest.raises(MalformedScheme, match="'0'"):
+        scheme_from_json(star(2), '{"0": {"0": 1}}')
+
+
+def test_scheme_json_rejects_noncanonical_keys():
+    for key in ("1,0", "0,0", "00", " 0", "+0"):
+        with pytest.raises(MalformedScheme, match=re.escape(f"coalition key '{key}'")):
+            scheme_from_json(star(2), json.dumps({key: {"0": "1/1"}}))
+    with pytest.raises(MalformedScheme, match="edge key '00' in coalition '0'"):
+        scheme_from_json(star(2), '{"0": {"00": "1/1"}}')
+
+
+def test_scheme_json_rejects_repeated_keys():
+    with pytest.raises(MalformedScheme, match="repeated key '0'"):
+        scheme_from_json(star(2), '{"0": {"0": "1/1"}, "0": {"0": "0/1"}}')
+    with pytest.raises(MalformedScheme, match="repeated key '1'"):
+        scheme_from_json(star(2), '{"0,1": {"1": "1/2", "1": "1/2"}}')
+
+
+def test_scheme_json_rejects_out_of_range_coalitions():
+    for key in ("2", "0,7", "-1"):
+        with pytest.raises(MalformedScheme, match=re.escape(f"coalition key '{key}'")):
+            scheme_from_json(star(2), json.dumps({key: {"0": "1/1"}}))
 
 
 def test_scheme_json_rejects_garbage():

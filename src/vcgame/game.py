@@ -69,29 +69,30 @@ def _full_cost_table(graph: Graph) -> list[int]:
 
 
 class VertexCoverGame:
-    """Characteristic function wrapper with memoized coalition costs."""
+    """Characteristic function wrapper: coalition costs are read from the
+    cost table once it is built, else from the memoized cover oracle."""
 
     def __init__(self, graph: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
         self.graph = graph
         self.n = graph.n_edges
         self.max_vertices = max_vertices
+        self._players = graph.players()
         self._memo: dict[Coalition, int] = {frozenset(): 0}
         self._table: list[int] | None = None
 
     def players(self) -> Coalition:
-        return self.graph.players()
+        return self._players
 
     def gamma(self, coalition) -> int:
         s = frozenset(coalition)
+        if self._table is not None and s <= self._players:
+            return self._table[coalition_mask(s)]
         hit = self._memo.get(s)
         if hit is not None:
             return hit
-        if not s <= self.players():
+        if not s <= self._players:
             raise ContractViolation("coalition contains unknown players")
-        if self._table is not None:
-            value = self._table[coalition_mask(s)]
-        else:
-            value, _ = vertex_cover_number(self.graph, s, max_vertices=self.max_vertices)
+        value, _ = vertex_cover_number(self.graph, s, max_vertices=self.max_vertices)
         self._memo[s] = value
         return value
 

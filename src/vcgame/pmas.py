@@ -144,12 +144,56 @@ class CoverSystem:
             raise ContractViolation(f"edge {i} is not in the coalition")
         return len(self._split(s)[0][self.anchor(i)])
 
+    def _rule(self, s: Coalition) -> dict[int, Fraction]:
+        """The constructive rule on one coalition."""
+        groups, riders = self._split(s)
+        alloc: dict[int, Fraction] = {}
+        for edges_in in groups.values():
+            pay = unit_share(len(edges_in))
+            for i in edges_in:
+                alloc[i] = pay
+        for rider, accompanied in riders.items():
+            alloc[rider] = ZERO if accompanied else ONE
+        return alloc
+
+    def _rule_rows(self):
+        """The constructive rule on every coalition at once, by bitmask.
+
+        With den = lcm(1..largest pendant group), an edge at anchor v pays
+        den // (coalition edges at v) and a free rider pays 0 when the
+        coalition has a pendant edge of one of its bases, else den.  Returns
+        (rows, den): rows[mask] maps each member edge to its numerator over
+        den.
+        """
+        n = self.graph.n_edges
+        group: dict[str, int] = {}
+        for i, v in self._anchor.items():
+            group[v] = group.get(v, 0) | 1 << i
+        widest = max((m.bit_count() for m in group.values()), default=1)
+        den = math.lcm(*range(1, widest + 1))
+        # payments indexed by the number of watched edges in the coalition
+        shares = [0] + [den // k for k in range(1, widest + 1)]
+        rider_pays = [den] + [0] * (2 * widest)
+        watch = [0] * n
+        pays = [shares] * n
+        for i, v in self._anchor.items():
+            watch[i] = group[v]
+        for r, (b1, b2) in self._bases.items():
+            watch[r] = group[b1] | group[b2]
+            pays[r] = rider_pays
+        coalitions = all_coalitions(n)
+        rows = [{i: pays[i][(m & watch[i]).bit_count()] for i in coalitions[m]}
+                for m in range(1 << n)]
+        return rows, den
+
 
 class AllocationScheme:
     """Per-coalition payment vectors, backed by a rule (lazy) or a full table.
 
-    Vectors are cached per coalition and returned by reference; callers must
-    treat them as read-only.
+    A rule-backed scheme evaluates its rule on every allocation() query and
+    caches nothing, so single queries stay cheap on forests of any size.  A
+    table-backed scheme returns its stored vectors by reference.  Callers
+    must treat every returned vector as read-only.
     """
 
     def __init__(self, graph: Graph, *, rule=None, table=None) -> None:
@@ -158,10 +202,12 @@ class AllocationScheme:
         self.graph = graph
         self._players = graph.players()
         self._rule = rule
-        self._cache: dict[Coalition, dict[int, Fraction]] = {}
+        self._table: dict[Coalition, dict[int, Fraction]] | None = None
         if table is not None:
-            for s, vec in table.items():
-                self._cache[frozenset(s)] = _as_fractions({int(i): v for i, v in vec.items()})
+            self._table = {
+                frozenset(s): {int(i): v if type(v) is Fraction else Fraction(v)
+                               for i, v in vec.items()}
+                for s, vec in table.items()}
 
     @property
     def lazy(self) -> bool:
@@ -169,19 +215,24 @@ class AllocationScheme:
 
     def allocation(self, coalition) -> dict[int, Fraction]:
         s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-        hit = self._cache.get(s)
-        if hit is not None:
-            return hit
+        if self._table is not None:
+            hit = self._table.get(s)
+            if hit is not None:
+                return hit
         if not s:
             raise ContractViolation("the empty coalition has no allocation")
         if not s <= self._players:
             raise ContractViolation("coalition contains unknown players")
-        if self._rule is None:
+        if self._table is not None:
             members = ",".join(str(i) for i in sorted(s))
             raise MalformedScheme(f"scheme is missing coalition {{{members}}}")
-        vec = self._rule(s)
-        self._cache[s] = vec
-        return vec
+        return self._rule(s)
+
+    def _integer_table(self) -> tuple[list[dict[int, int]], int] | None:
+        """(rows, den) with rows[mask] mapping each member edge to its payment's
+        numerator over den, when the scheme knows its allocations in that
+        form (callers check the edge cap); None otherwise."""
+        return None
 
     def materialize(self, *, max_edges: int = DEFAULT_EDGE_CAP):
         """Full table over every nonempty coalition (capped by edge count)."""
@@ -190,11 +241,37 @@ class AllocationScheme:
             raise OracleCapError(
                 f"materializing a scheme over {n} edges exceeds the {max_edges}-edge cap")
         coalitions = all_coalitions(n)
-        out: dict[Coalition, dict[int, Fraction]] = {}
-        for m in range(1, 1 << n):
-            s = coalitions[m]
-            out[s] = dict(self.allocation(s))
-        return out
+        integer = self._integer_table()
+        if integer is not None:
+            rows, den = integer
+            # one shared Fraction per distinct numerator
+            shared = {x: Fraction(x, den) for x in set().union(*map(dict.values, rows))}
+            fraction = shared.__getitem__
+            return {coalitions[m]: dict(zip(rows[m], map(fraction, rows[m].values())))
+                    for m in range(1, 1 << n)}
+        allocation = self.allocation
+        return {coalitions[m]: dict(allocation(coalitions[m])) for m in range(1, 1 << n)}
+
+
+class _ConstructedScheme(AllocationScheme):
+    """The constructive scheme.  Its rule is also known as one integer table
+    (CoverSystem._rule_rows), which materialize and verify_pmas build on
+    first use."""
+
+    def __init__(self, graph: Graph, cover: CoverSystem) -> None:
+        super().__init__(graph, rule=cover._rule)
+        self._cover = cover
+        self._rows: list[dict[int, int]] | None = None
+        self._den = 1
+
+    def _integer_table(self):
+        # the table describes the rule; an allocation() replaced on the
+        # instance is what the scheme answers, so it is read through that
+        if "allocation" in vars(self):
+            return None
+        if self._rows is None:
+            self._rows, self._den = self._cover._rule_rows()
+        return self._rows, self._den
 
 
 def construct_pmas(graph: Graph) -> AllocationScheme:
@@ -205,20 +282,7 @@ def construct_pmas(graph: Graph) -> AllocationScheme:
     edges at its covering vertex.
     """
     _, cover = classify_components(graph)
-    split = cover._split
-
-    def rule(s: Coalition) -> dict[int, Fraction]:
-        groups, riders = split(s)
-        alloc: dict[int, Fraction] = {}
-        for edges_in in groups.values():
-            pay = unit_share(len(edges_in))
-            for i in edges_in:
-                alloc[i] = pay
-        for rider, accompanied in riders.items():
-            alloc[rider] = ZERO if accompanied else ONE
-        return alloc
-
-    return AllocationScheme(graph, rule=rule)
+    return _ConstructedScheme(graph, cover)
 
 
 @dataclass(frozen=True)
@@ -260,7 +324,8 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     Returns (True, None) or (False, first Violation); efficiency is scanned
     in ascending coalition bitmask order, monotonicity in ascending (superset,
     dropped edge) order.  A missing or misindexed coalition raises
-    MalformedScheme.
+    MalformedScheme.  Both scans compare integer numerators over one common
+    denominator.
     """
     n = game.n
     if n > max_edges:
@@ -268,62 +333,52 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     table = game.cost_table(max_edges)
     size = 1 << n
     coalitions = all_coalitions(n)
-    vec: list[dict[int, Fraction] | None] = [None] * size
-    for m in range(1, size):
-        s = coalitions[m]
-        a = scheme.allocation(s)
-        if a.keys() != s:
-            raise MalformedScheme(
-                f"allocation for {sorted(s)} is not indexed by its members")
-        a = _as_fractions(a)
-        den = _common_den(a)
-        total = 0
-        for value in a.values():
-            total += value._numerator * (den // value._denominator)
-        if total != table[m] * den:
-            return False, Violation("efficiency", s, None, None,
-                                    Fraction(total, den), Fraction(table[m]))
-        vec[m] = a
+    integer = scheme._integer_table() if scheme.graph.n_edges == n else None
+    if integer is not None:
+        rows, den = integer
+        for m in range(1, size):
+            total = sum(rows[m].values())
+            if total != table[m] * den:
+                return False, Violation("efficiency", coalitions[m], None, None,
+                                        Fraction(total, den), Fraction(table[m]))
+    else:
+        rows = [{}] * size
+        dens = [1] * size
+        den = 1
+        for m in range(1, size):
+            s = coalitions[m]
+            a = scheme.allocation(s)
+            if a.keys() != s:
+                raise MalformedScheme(
+                    f"allocation for {sorted(s)} is not indexed by its members")
+            values = [v if type(v) is Fraction else Fraction(v) for v in a.values()]
+            d = math.lcm(*[v.denominator for v in values])
+            row = {i: v.numerator * (d // v.denominator) for i, v in zip(a, values)}
+            total = sum(row.values())
+            if total != table[m] * d:
+                return False, Violation("efficiency", s, None, None,
+                                        Fraction(total, d), Fraction(table[m]))
+            rows[m] = row
+            dens[m] = d
+            den = math.lcm(den, d)
+        for m in range(1, size):
+            if dens[m] != den:
+                scale = den // dens[m]
+                rows[m] = {i: x * scale for i, x in rows[m].items()}
     for t in range(1, size):
-        at = vec[t]
+        if not t & (t - 1):
+            continue  # a single edge covers only the empty coalition
+        rt = rows[t]
         rem = t
         while rem:
             bit = rem & -rem
             rem ^= bit
             sm = t ^ bit
-            if sm == 0:
-                continue
-            for i, x in vec[sm].items():
-                y = at[i]
-                if x is y:
-                    continue
-                if x < y:
-                    return False, Violation("monotonicity", coalitions[sm],
-                                            coalitions[t], i, x, y)
+            for i, x in rows[sm].items():
+                if x < rt[i]:
+                    return False, Violation("monotonicity", coalitions[sm], coalitions[t],
+                                            i, Fraction(x, den), Fraction(rt[i], den))
     return True, None
-
-
-def _as_fractions(x):
-    """The allocation with every value a true Fraction (no-op in the common
-    case; coerces ints or other exact rationals)."""
-    for value in x.values():
-        if type(value) is not Fraction:
-            return {i: Fraction(v) for i, v in x.items()}
-    return x
-
-
-def _common_den(x) -> int:
-    """Least common denominator of an allocation of true Fractions; each value
-    is then the integer value._numerator * (den // value._denominator) over it.
-
-    Fraction's _numerator/_denominator slots skip the property descriptors.
-    """
-    den = 1
-    for value in x.values():
-        d = value._denominator
-        if den % d:
-            den = den * d // math.gcd(den, d)
-    return den
 
 
 def _scaled_profile(graph: Graph, coalition, x):
@@ -338,8 +393,16 @@ def _scaled_profile(graph: Graph, coalition, x):
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
     if x.keys() != s:
         raise ContractViolation("allocation must be indexed by the coalition")
-    x = _as_fractions(x)
-    den = _common_den(x)
+    for value in x.values():
+        if type(value) is not Fraction:
+            x = {i: Fraction(v) for i, v in x.items()}
+            break
+    # Fraction's _numerator/_denominator slots skip the property descriptors
+    den = 1
+    for value in x.values():
+        d = value._denominator
+        if den % d:
+            den = den * d // math.gcd(den, d)
     loads: dict[str, int] = {}
     total = 0
     negative = False
@@ -382,11 +445,15 @@ def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
     loads, den, _, feasible = _scaled_profile(graph, s, x)
     if not feasible:
         return False
-    for vertex in cover.cover_for(s):
+    groups, riders = cover._split(s)
+    for vertex in groups:
         if loads[vertex] != den:
             return False
-    for i in s & cover.free_riders:
-        if x[i] != 0 and cover.accompanied(s, i):
+    for rider, accompanied in riders.items():
+        if accompanied:
+            if x[rider] != 0:
+                return False
+        elif loads[cover._bases[rider][0]] != den:
             return False
     return True
 

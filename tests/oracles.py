@@ -2,21 +2,25 @@
 
 Everything here is deliberately independent of the library's search engines:
 covers and matchings by subset enumeration, stability by a hand-rolled
-domination scan, component shapes by raw degree counting.  The only library
-pieces used are the data types and, for the integral-scheme search, the final
-verify_pmas filter that the search is defined against.
+domination scan, component shapes by raw degree counting, scheme verification
+by a Fraction scan and the constructive rule by one split per coalition.  The
+only library pieces used are the data types, the cover system's split and,
+for the integral-scheme search, the final verify_pmas filter that the search
+is defined against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from vcgame.game import VertexCoverGame, mask_coalition
+from vcgame.errors import MalformedScheme, OracleCapError
+from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions, mask_coalition
 from vcgame.graph import Graph, SubgraphView
 from vcgame.matching import PreferenceSystem
-from vcgame.pmas import AllocationScheme, verify_pmas
+from vcgame.pmas import AllocationScheme, CoverSystem, Violation, verify_pmas
 
 
 # --- exact numbers by subset enumeration -----------------------------------------
@@ -76,6 +80,57 @@ def all_matchings(graph: Graph, coalition):
             if ok:
                 out.append(frozenset(combo))
     return out
+
+
+# --- schemes, one coalition at a time on Fractions -------------------------------------
+
+
+def split_rule_allocation(cover: CoverSystem, coalition) -> dict[int, Fraction]:
+    """The constructive rule on one coalition from the cover system's split:
+    1/k at an anchor with k coalition edges, 0 or 1 on a free rider."""
+    groups, riders = cover._split(frozenset(coalition))
+    alloc: dict[int, Fraction] = {}
+    for edges_in in groups.values():
+        for i in edges_in:
+            alloc[i] = Fraction(1, len(edges_in))
+    for rider, accompanied in riders.items():
+        alloc[rider] = Fraction(0 if accompanied else 1)
+    return alloc
+
+
+def reference_verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
+                          max_edges: int = DEFAULT_EDGE_CAP):
+    """verify_pmas as a scan over Fraction allocations: efficiency by exact
+    sums in ascending bitmask order, then monotonicity in (superset, dropped
+    edge) order, each coalition's entries in its allocation's key order."""
+    n = game.n
+    if n > max_edges:
+        raise OracleCapError(f"verifying over {n} edges exceeds the {max_edges}-edge cap")
+    table = game.cost_table(max_edges)
+    coalitions = all_coalitions(n)
+    vec: list = [None] * (1 << n)
+    for m in range(1, 1 << n):
+        s = coalitions[m]
+        a = scheme.allocation(s)
+        if a.keys() != s:
+            raise MalformedScheme(f"allocation for {sorted(s)} is not indexed by its members")
+        a = {i: Fraction(v) for i, v in a.items()}
+        den = math.lcm(*[v.denominator for v in a.values()])
+        total = sum(v.numerator * (den // v.denominator) for v in a.values())
+        if total != table[m] * den:
+            return False, Violation("efficiency", s, None, None,
+                                    Fraction(total, den), Fraction(table[m]))
+        vec[m] = a
+    for t in range(1, 1 << n):
+        for k in range(n):
+            sm = t & ~(1 << k)
+            if sm == t or sm == 0:
+                continue
+            for i, x in vec[sm].items():
+                if x < vec[t][i]:
+                    return False, Violation("monotonicity", coalitions[sm], coalitions[t],
+                                            i, x, vec[t][i])
+    return True, None
 
 
 # --- stability by direct domination scan ------------------------------------------

@@ -4,6 +4,7 @@ verifier, and the dual-side certificates."""
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,14 @@ from vcgame.errors import (ContractViolation, MalformedScheme,
                            NotPopulationMonotonic, OracleCapError)
 from vcgame.game import VertexCoverGame, mask_coalition
 from vcgame.graph import Graph, find_forbidden_subgraph
+from vcgame.matching import enumerate_integral_pmas
 from vcgame.pmas import (AllocationScheme, check_dual_feasible, check_dual_optimal,
                          check_pi_star, classify_components, construct_pmas,
                          recognize_population_monotonic, scheme_from_json,
                          scheme_table_to_jsonable, scheme_to_json, verify_pmas)
 
-from oracles import atlas_graphs, random_star_pisces_forest
+from oracles import (all_pm_graphs_up_to, atlas_graphs, random_star_pisces_forest,
+                     reference_verify_pmas, split_rule_allocation)
 
 
 def k3() -> Graph:
@@ -343,6 +346,153 @@ def test_construct_restrictions_pass_all_dual_checks():
             assert check_dual_feasible(g, s, alloc)
             assert check_dual_optimal(game, s, alloc)
             assert check_pi_star(g, s, alloc, cover)
+
+
+def reference_pi_star(graph, s, x, cover) -> bool:
+    """check_pi_star through the public selector and accompanied()."""
+    if not check_dual_feasible(graph, s, x):
+        return False
+    for vertex in cover.cover_for(s):
+        if sum(x[i] for i in graph.incident_edges(vertex) if i in s) != 1:
+            return False
+    return all(x[i] == 0 or not cover.accompanied(s, i) for i in s & cover.free_riders)
+
+
+def test_pi_star_matches_selector_scan():
+    rng = random.Random(36)
+    half = Fraction(1, 2)
+    for g in all_pm_graphs_up_to(5):
+        scheme = construct_pmas(g)
+        _, cover = classify_components(g)
+        for mask in range(1, 1 << g.n_edges):
+            s = mask_coalition(mask)
+            good = scheme.allocation(s)
+            shifted = dict(good)
+            i = rng.choice(sorted(s))
+            shifted[i] = good[i] - half if good[i] >= half else good[i] + half
+            for x in (good, shifted, {i: Fraction(0) for i in s}):
+                assert check_pi_star(g, s, x, cover) == reference_pi_star(g, s, x, cover)
+
+
+# --- the integer scheme table against the per-coalition paths ------------------------
+
+
+def flipped(g: Graph) -> Graph:
+    """The same edges with vertex labels in reversed order."""
+    labels = sorted(g.vertices)
+    flip = dict(zip(labels, reversed(labels)))
+    return Graph.from_edges([(flip[u], flip[v]) for u, v in g.edges])
+
+
+def test_rule_table_matches_split_rule():
+    for g in all_pm_graphs_up_to(6):
+        for h in (g, flipped(g)):
+            _, cover = classify_components(h)
+            expected = {mask_coalition(m): split_rule_allocation(cover, mask_coalition(m))
+                        for m in range(1, 1 << h.n_edges)}
+            scheme = construct_pmas(h)
+            for s, alloc in expected.items():
+                assert scheme.allocation(s) == alloc
+            assert scheme._rows is None  # single queries build no table
+            assert scheme.materialize() == expected
+            for s, alloc in expected.items():
+                assert scheme.allocation(s) == alloc
+
+
+def verify_outcome(verify, game, scheme):
+    try:
+        return verify(game, scheme)
+    except MalformedScheme as exc:
+        return type(exc), str(exc)
+
+
+def corrupted_tables(rng: random.Random, table):
+    """Seeded broken copies of a materialized table: one raised entry (breaks
+    efficiency), a +d/-d pair inside one coalition (keeps efficiency, breaks
+    monotonicity) and a missing or misindexed coalition on either side of a
+    raised entry."""
+    order = sorted(table, key=lambda s: sum(1 << i for i in s))
+
+    def raised(s, delta):
+        i = rng.choice(sorted(s))
+        copy = dict(table)
+        copy[s] = {**table[s], i: table[s][i] + delta}
+        return copy
+
+    yield raised(rng.choice(order), rng.choice((Fraction(1), Fraction(1, 2), Fraction(-1, 3))))
+    pairs = [s for s in order if len(s) > 1]
+    if pairs:
+        s = rng.choice(pairs)
+        i, j = rng.sample(sorted(s), 2)
+        delta = Fraction(rng.choice((2, 5)), rng.choice((1, 2)))
+        copy = dict(table)
+        copy[s] = {**table[s], i: table[s][i] + delta, j: table[s][j] - delta}
+        yield copy
+    if len(order) > 1:
+        a, b = sorted(rng.sample(range(len(order)), 2))
+        for bad, broken in ((a, b), (b, a)):
+            s = order[broken]
+            missing = raised(order[bad], Fraction(1))
+            del missing[s]
+            yield missing
+            misindexed = raised(order[bad], Fraction(1))
+            misindexed[s] = {i + 1: v for i, v in table[s].items()}
+            yield misindexed
+
+
+def test_verify_matches_reference_scan():
+    rng = random.Random(37)
+    kinds = set()
+    for g in all_pm_graphs_up_to(5):
+        game = VertexCoverGame(g)
+        for scheme in (construct_pmas(g), *enumerate_integral_pmas(g, max_enumerate=10**6)):
+            expected = reference_verify_pmas(game, scheme)
+            assert expected == (True, None)
+            assert verify_pmas(game, scheme) == expected
+            for table in corrupted_tables(rng, scheme.materialize()):
+                bad = AllocationScheme(g, table=table)
+                expected = verify_outcome(reference_verify_pmas, game, bad)
+                assert verify_outcome(verify_pmas, game, bad) == expected
+                kinds.add(expected[1].kind if expected[0] is False else expected[0])
+    assert kinds == {"efficiency", "monotonicity", MalformedScheme}
+
+
+def test_replaced_allocation_is_what_gets_verified():
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e")])
+    game = VertexCoverGame(g)
+    scheme = construct_pmas(g)
+    assert verify_pmas(game, scheme) == (True, None)
+    rule = scheme.allocation
+    raised = frozenset({0, 2})
+    seen = []
+
+    def tampered(s):
+        seen.append(s)
+        vec = rule(s)
+        return {**vec, 0: vec[0] + 1} if s == raised else vec
+
+    scheme.allocation = tampered
+    ok, violation = verify_pmas(game, scheme)
+    assert not ok and violation.kind == "efficiency" and violation.coalition == raised
+    assert len(seen) == 5  # ascending masks 1..5, stopping at {0, 2}
+    assert scheme.materialize()[raised][0] == rule(raised)[0] + 1
+
+
+def test_allocation_queries_retain_no_memory():
+    g = Graph.from_edges([("b1", "b2")] + [("b1", f"p{k}") for k in range(1000)]
+                         + [("b2", f"q{k}") for k in range(1000)])
+    scheme = construct_pmas(g)
+    queries = [frozenset({k, k + 1, k + 2}) for k in range(1995)]
+    scheme.allocation(queries[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s in queries:
+            scheme.allocation(s)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.1 * 2**20
 
 
 # --- allocation scheme plumbing -----------------------------------------------------------

@@ -155,11 +155,11 @@ def is_submodular_graph(graph: Graph) -> bool:
             and find_forbidden_subgraph(graph, "P4") is None)
 
 
-def is_balanced(game: VertexCoverGame, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> bool:
+def is_balanced(game: VertexCoverGame) -> bool:
     """Nonempty core iff the matching number equals the cover number."""
     players = game.players()
-    nu, _ = matching_number(game.graph, players, max_vertices=max_vertices)
-    tau, _ = vertex_cover_number(game.graph, players, max_vertices=max_vertices)
+    nu, _ = matching_number(game.graph, players, max_vertices=game.max_vertices)
+    tau, _ = vertex_cover_number(game.graph, players, max_vertices=game.max_vertices)
     return nu == tau
 
 
@@ -194,13 +194,12 @@ def core_membership(game: VertexCoverGame, allocation, *, max_edges: int = DEFAU
     return True, None
 
 
-def core_element_from_matching(game: VertexCoverGame, *,
-                               max_vertices: int = DEFAULT_VERTEX_CAP) -> dict[int, Fraction]:
+def core_element_from_matching(game: VertexCoverGame) -> dict[int, Fraction]:
     """Incidence vector of a maximum matching: a core element whenever the
     matching number equals the cover number (raises NotBalanced otherwise)."""
     players = game.players()
-    nu, witness = matching_number(game.graph, players, max_vertices=max_vertices)
-    tau, _ = vertex_cover_number(game.graph, players, max_vertices=max_vertices)
+    nu, witness = matching_number(game.graph, players, max_vertices=game.max_vertices)
+    tau, _ = vertex_cover_number(game.graph, players, max_vertices=game.max_vertices)
     if nu != tau:
         raise NotBalanced("game is not balanced")
     matched = set(witness)

@@ -82,6 +82,11 @@ class Graph:
         return {v: tuple(es) for v, es in table.items()}
 
     @cached_property
+    def _ends(self) -> dict[int, tuple[str, str]]:
+        """Endpoints by edge index; unlike edges[i], looking up -1 fails."""
+        return dict(enumerate(self.edges))
+
+    @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
@@ -110,6 +115,14 @@ class Graph:
 
     def players(self) -> Coalition:
         return frozenset(range(len(self.edges)))
+
+
+def _require_edges(graph: Graph, s) -> None:
+    """Raise ContractViolation naming the smallest or largest index of s if not an edge."""
+    if s:
+        for i in (min(s), max(s)):
+            if not 0 <= i < len(graph.edges):
+                raise ContractViolation(f"edge index out of range: {i}")
 
 
 class SubgraphView:
@@ -216,8 +229,6 @@ def parse_graph(text: str) -> Graph:
     the order of appearance in the document.
     """
     edges: list[tuple[str, str]] = []
-    order: list[str] = []
-    seen_vertices: set[str] = set()
     seen_edges: set[frozenset[str]] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -233,14 +244,10 @@ def parse_graph(text: str) -> Graph:
         if key in seen_edges:
             raise GraphFormatError(f"duplicate edge {u} {v}", line=ln)
         seen_edges.add(key)
-        for w in (u, v):
-            if w not in seen_vertices:
-                seen_vertices.add(w)
-                order.append(w)
         edges.append((u, v))
     if not edges:
         raise GraphFormatError("empty graph has no players")
-    return Graph(vertices=tuple(order), edges=tuple(edges))
+    return Graph.from_edges(edges)
 
 
 def components(graph: Graph) -> list[Coalition]:
@@ -253,18 +260,14 @@ def diameter(graph: Graph, comp) -> int:
     view = SubgraphView(graph, comp)
     if not view.coalition:
         raise ContractViolation("diameter of an empty edge set is undefined")
-    adj: dict[str, list[str]] = {v: [] for v in view.vertex_set}
-    for i in sorted(view.coalition):
-        u, v = graph.edges[i]
-        adj[u].append(v)
-        adj[v].append(u)
     best = 0
     for source in view.vertex_set:
         dist = {source: 0}
         queue = deque([source])
         while queue:
             x = queue.popleft()
-            for y in adj[x]:
+            for i in view.incident[x]:
+                y = graph.other_end(i, x)
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     queue.append(y)
@@ -522,37 +525,18 @@ def matching_number(graph: Graph, coalition, *,
 def find_forbidden_subgraph(graph: Graph, pattern: str) -> tuple[str, ...] | None:
     """First (lexicographically smallest) subgraph occurrence of the pattern.
 
-    Paths and cycles count as subgraphs, not induced subgraphs.  Returns the
-    realizing vertex sequence, or None when the graph is pattern-free.
+    Paths and cycles count as subgraphs, not induced subgraphs.  One depth-first
+    search from each vertex in label order, along neighbors in label order and
+    without repeats, returns the first path of 3 (K3), 4 (C4, P4) or 5 (P5)
+    vertices whose ends, for K3 and C4, are adjacent; None when there is none.
     """
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
-    if pattern == "K3":
-        nbr = {v: set(graph.neighbors(v)) for v in graph.vertices}
-        for a in sorted(graph.vertices):
-            for b in graph.neighbors(a):
-                if b <= a:
-                    continue
-                for c in graph.neighbors(a):
-                    if c > b and c in nbr[b]:
-                        return (a, b, c)
-        return None
-    if pattern == "C4":
-        nbr = {v: set(graph.neighbors(v)) for v in graph.vertices}
-        for a in sorted(graph.vertices):
-            for b in graph.neighbors(a):
-                for c in graph.neighbors(b):
-                    if c == a:
-                        continue
-                    for d in graph.neighbors(c):
-                        if d != a and d != b and a in nbr[d]:
-                            return (a, b, c, d)
-        return None
-    length = 4 if pattern == "P4" else 5
+    length, closed = {"K3": (3, True), "C4": (4, True), "P4": (4, False), "P5": (5, False)}[pattern]
 
     def extend(seq: list[str]) -> tuple[str, ...] | None:
         if len(seq) == length:
-            return tuple(seq)
+            return None if closed and seq[0] not in graph.neighbors(seq[-1]) else tuple(seq)
         for w in graph.neighbors(seq[-1]):
             if w in seq:
                 continue

@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                      NotIntegralScheme, UnsupportedInstance)
-from .graph import Coalition, Graph, _two_color
+from .graph import Coalition, Graph, _require_edges, _two_color
 from .pmas import ONE, ZERO, AllocationScheme, classify_components
 
 Matching = frozenset[int]
@@ -82,9 +82,7 @@ def gale_shapley(ps: PreferenceSystem, coalition) -> Matching:
     s = frozenset(coalition)
     if not s:
         return frozenset()
-    for i in (min(s), max(s)):
-        if not 0 <= i < graph.n_edges:
-            raise ContractViolation(f"edge index out of range: {i}")
+    _require_edges(graph, s)
     color = _two_color([graph.edges[i] for i in sorted(s)])
     if color is None:
         raise UnsupportedInstance("coalition subgraph is not bipartite")
@@ -117,7 +115,7 @@ def gale_shapley(ps: PreferenceSystem, coalition) -> Matching:
 
 def is_stable(ps: PreferenceSystem, coalition, matching):
     """Domination scan: every coalition edge outside the matching must be
-    beaten by a matching edge at a shared vertex.
+    beaten at one of its endpoints by that vertex's partner, ranked earlier.
 
     Returns (True, None) or (False, first blocking edge by index).
     """
@@ -125,31 +123,22 @@ def is_stable(ps: PreferenceSystem, coalition, matching):
     m = frozenset(matching)
     if not m <= s:
         raise ContractViolation("matching must be a subset of the coalition")
-    used: set[str] = set()
+    _require_edges(ps.graph, s)
+    edges = ps.graph.edges
+    partner: dict[str, int] = {}
     for i in m:
-        for v in ps.graph.edges[i]:
-            if v in used:
+        for v in edges[i]:
+            if v in partner:
                 raise ContractViolation("matching edges share a vertex")
-            used.add(v)
-    ranks: dict[str, dict[int, int]] = {}
-
-    def rank_of(v: str, e: int) -> int:
-        table = ranks.get(v)
-        if table is None:
-            table = {edge: p for p, edge in enumerate(ps.order_in(v, s))}
-            ranks[v] = table
-        return table[e]
-
+            partner[v] = i
     for e in sorted(s - m):
-        dominated = False
-        for v in ps.graph.edges[e]:
-            for f in m:
-                if v in ps.graph.edges[f] and rank_of(v, f) < rank_of(v, e):
-                    dominated = True
+        for v in edges[e]:
+            f = partner.get(v)
+            if f is not None:
+                order = ps.order_in(v, s)
+                if order.index(f) < order.index(e):
                     break
-            if dominated:
-                break
-        if not dominated:
+        else:
             return False, e
     return True, None
 

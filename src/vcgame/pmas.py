@@ -21,11 +21,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
-from .game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions
+from .game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions, coalition_mask
 from .graph import (ComponentClassification, Coalition, Graph, decompose,
                     find_forbidden_subgraph)
 
@@ -33,11 +33,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 FORBIDDEN = ("K3", "C4", "P5")
-
-
-@lru_cache(maxsize=None)
-def unit_share(k: int) -> Fraction:
-    return Fraction(1, k)
 
 
 def fraction_str(value: Fraction) -> str:
@@ -76,13 +71,18 @@ def classify_components(graph: Graph):
 
 class CoverSystem:
     """Global minimum cover made of centers and bases, with a deterministic
-    per-coalition selector.
+    per-coalition selector and the constructive rule.
 
     Every coalition is split once: its non-free-rider edges are grouped by
     their anchor, the global cover vertex covering them, and each of its free
     riders is accompanied when an edge of its own pisces is in the coalition
     too, else lone.  The selector takes every anchor of a group and, for a
     lone free rider, its smaller base.
+
+    The rule gives each edge a watch mask and a payment indexed by the number
+    k of coalition edges in it: a non-free-rider edge watches its anchor's
+    group and pays 1/k, a free rider watches both its bases' groups and pays
+    1 when k = 0 (lone), else 0 (accompanied).
     """
 
     def __init__(self, graph: Graph, comps: list[ComponentClassification]) -> None:
@@ -101,15 +101,17 @@ class CoverSystem:
         groups: dict[str, list[int]] = {}
         riders: list[int] = []
         anchor = self._anchor
+        bases = self._bases
         for i in coalition:
             v = anchor.get(i)
             if v is None:
+                if i not in bases:
+                    raise ContractViolation(f"edge index out of range: {i}")
                 riders.append(i)
             elif v in groups:
                 groups[v].append(i)
             else:
                 groups[v] = [i]
-        bases = self._bases
         return groups, {r: bases[r][0] in groups or bases[r][1] in groups for r in riders}
 
     def anchor(self, i: int) -> str:
@@ -144,47 +146,41 @@ class CoverSystem:
             raise ContractViolation(f"edge {i} is not in the coalition")
         return len(self._split(s)[0][self.anchor(i)])
 
-    def _rule(self, s: Coalition) -> dict[int, Fraction]:
-        """The constructive rule on one coalition."""
-        groups, riders = self._split(s)
-        alloc: dict[int, Fraction] = {}
-        for edges_in in groups.values():
-            pay = unit_share(len(edges_in))
-            for i in edges_in:
-                alloc[i] = pay
-        for rider, accompanied in riders.items():
-            alloc[rider] = ZERO if accompanied else ONE
-        return alloc
-
-    def _rule_rows(self):
-        """The constructive rule on every coalition at once, by bitmask.
-
-        With den = lcm(1..largest pendant group), an edge at anchor v pays
-        den // (coalition edges at v) and a free rider pays 0 when the
-        coalition has a pendant edge of one of its bases, else den.  Returns
-        (rows, den): rows[mask] maps each member edge to its numerator over
-        den.
-        """
-        n = self.graph.n_edges
-        group: dict[str, int] = {}
-        for i, v in self._anchor.items():
-            group[v] = group.get(v, 0) | 1 << i
+    @cached_property
+    def _payments(self):
+        """(watch, pays): edge i pays pays[i][k] in a coalition with k edges
+        in the bitmask watch[i]; built once, on first use."""
+        group = {v: sum(1 << i for i in es) for c in self.components
+                 for v, es in c.pendants.items()}
         widest = max((m.bit_count() for m in group.values()), default=1)
-        den = math.lcm(*range(1, widest + 1))
-        # payments indexed by the number of watched edges in the coalition
-        shares = [0] + [den // k for k in range(1, widest + 1)]
-        rider_pays = [den] + [0] * (2 * widest)
-        watch = [0] * n
-        pays = [shares] * n
-        for i, v in self._anchor.items():
-            watch[i] = group[v]
+        shares = [ZERO] + [Fraction(1, k) for k in range(1, widest + 1)]
+        rider_pays = [ONE] + [ZERO] * (2 * widest)
+        watch = [group.get(self._anchor.get(i), 0) for i in range(self.graph.n_edges)]
+        pays = [shares] * len(watch)
         for r, (b1, b2) in self._bases.items():
             watch[r] = group[b1] | group[b2]
             pays[r] = rider_pays
+        return watch, pays
+
+    def _rule(self, s: Coalition) -> dict[int, Fraction]:
+        """The constructive rule on one coalition."""
+        watch, pays = self._payments
+        m = coalition_mask(s)
+        return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
+
+    def _rule_rows(self):
+        """The constructive rule on every coalition at once: (rows, den) with
+        rows[mask] mapping each member edge to its payment's numerator over
+        den = lcm(1..largest pendant group)."""
+        n = self.graph.n_edges
+        watch, pays = self._payments
+        den = math.lcm(*{p.denominator for row in pays for p in row})
+        # one int object per distinct payment keeps later scans over the rows fast
+        num = {p: p.numerator * (den // p.denominator) for row in pays for p in row}
+        nums = [[num[p] for p in row] for row in pays]
         coalitions = all_coalitions(n)
-        rows = [{i: pays[i][(m & watch[i]).bit_count()] for i in coalitions[m]}
-                for m in range(1 << n)]
-        return rows, den
+        return [{i: nums[i][(m & watch[i]).bit_count()] for i in coalitions[m]}
+                for m in range(1 << n)], den
 
 
 class AllocationScheme:
@@ -388,7 +384,7 @@ def _scaled_profile(graph: Graph, coalition, x):
     Returns (loads, den, total, feasible) with loads[v]/den the true rational
     load at v, total/den the payment sum, and feasible whether every payment
     is nonnegative and every load at most one.  Raises when x is not indexed
-    by the coalition.
+    by the coalition or an index is not an edge.
     """
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
     if x.keys() != s:
@@ -406,14 +402,17 @@ def _scaled_profile(graph: Graph, coalition, x):
     loads: dict[str, int] = {}
     total = 0
     negative = False
-    edges = graph.edges
+    ends = graph._ends
     get = loads.get
     for i, value in x.items():
         num = value._numerator * (den // value._denominator)
         if num < 0:
             negative = True
         total += num
-        u, w = edges[i]
+        try:
+            u, w = ends[i]
+        except KeyError:
+            raise ContractViolation(f"edge index out of range: {i}") from None
         loads[u] = get(u, 0) + num
         loads[w] = get(w, 0) + num
     feasible = not negative

@@ -6,7 +6,9 @@ domination scan, component shapes by raw degree counting, scheme verification
 by a Fraction scan and the constructive rule by one split per coalition.  The
 only library pieces used are the data types, the cover system's split and,
 for the integral-scheme search, the final verify_pmas filter that the search
-is defined against.
+is defined against.  Two earlier library implementations are kept as
+references for differential tests: the forbidden-pattern search with its own
+K3 and C4 loops, and the stability scan with a per-vertex rank cache.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import math
 import random
 from fractions import Fraction
 
-from vcgame.errors import MalformedScheme, OracleCapError
+from vcgame.errors import ContractViolation, MalformedScheme, OracleCapError
 from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions, mask_coalition
-from vcgame.graph import Graph, SubgraphView
+from vcgame.graph import PATTERNS, Graph, SubgraphView
 from vcgame.matching import PreferenceSystem
 from vcgame.pmas import AllocationScheme, CoverSystem, Violation, verify_pmas
 
@@ -166,6 +168,92 @@ def brute_stable_matchings(ps: PreferenceSystem, coalition):
         if stable:
             out.append(m)
     return out
+
+
+# --- earlier library implementations, kept as references ------------------------------
+
+
+def reference_forbidden_subgraph(graph: Graph, pattern: str):
+    """Pattern search with dedicated K3 and C4 loops beside the path search."""
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
+    if pattern == "K3":
+        nbr = {v: set(graph.neighbors(v)) for v in graph.vertices}
+        for a in sorted(graph.vertices):
+            for b in graph.neighbors(a):
+                if b <= a:
+                    continue
+                for c in graph.neighbors(a):
+                    if c > b and c in nbr[b]:
+                        return (a, b, c)
+        return None
+    if pattern == "C4":
+        nbr = {v: set(graph.neighbors(v)) for v in graph.vertices}
+        for a in sorted(graph.vertices):
+            for b in graph.neighbors(a):
+                for c in graph.neighbors(b):
+                    if c == a:
+                        continue
+                    for d in graph.neighbors(c):
+                        if d != a and d != b and a in nbr[d]:
+                            return (a, b, c, d)
+        return None
+    length = 4 if pattern == "P4" else 5
+
+    def extend(seq: list[str]):
+        if len(seq) == length:
+            return tuple(seq)
+        for w in graph.neighbors(seq[-1]):
+            if w in seq:
+                continue
+            seq.append(w)
+            hit = extend(seq)
+            if hit is not None:
+                return hit
+            seq.pop()
+        return None
+
+    for a in sorted(graph.vertices):
+        hit = extend([a])
+        if hit is not None:
+            return hit
+    return None
+
+
+def reference_is_stable(ps: PreferenceSystem, coalition, matching):
+    """Stability scan over every matching edge at each endpoint, with ranks
+    cached per vertex on first use."""
+    s = frozenset(coalition)
+    m = frozenset(matching)
+    if not m <= s:
+        raise ContractViolation("matching must be a subset of the coalition")
+    used: set[str] = set()
+    for i in m:
+        for v in ps.graph.edges[i]:
+            if v in used:
+                raise ContractViolation("matching edges share a vertex")
+            used.add(v)
+    ranks: dict[str, dict[int, int]] = {}
+
+    def rank_of(v: str, e: int) -> int:
+        table = ranks.get(v)
+        if table is None:
+            table = {edge: p for p, edge in enumerate(ps.order_in(v, s))}
+            ranks[v] = table
+        return table[e]
+
+    for e in sorted(s - m):
+        dominated = False
+        for v in ps.graph.edges[e]:
+            for f in m:
+                if v in ps.graph.edges[f] and rank_of(v, f) < rank_of(v, e):
+                    dominated = True
+                    break
+            if dominated:
+                break
+        if not dominated:
+            return False, e
+    return True, None
 
 
 # --- exhaustive integral scheme search ---------------------------------------------

@@ -178,6 +178,21 @@ def test_balanced_examples():
     assert is_balanced(VertexCoverGame(Graph.from_edges([("a", "b")])))
 
 
+def test_balanced_uses_the_game_vertex_cap():
+    g = c4()
+    game = VertexCoverGame(g, max_vertices=3)
+    with pytest.raises(OracleCapError):
+        game.gamma(g.players())
+    with pytest.raises(OracleCapError):
+        is_balanced(game)
+    with pytest.raises(OracleCapError):
+        core_element_from_matching(game)
+    # a star/pisces forest is answered structurally above the cap
+    assert is_balanced(VertexCoverGame(p4(), max_vertices=3))
+    assert core_element_from_matching(VertexCoverGame(p4(), max_vertices=0)) == {
+        0: Fraction(1), 1: Fraction(0), 2: Fraction(1)}
+
+
 def test_totally_balanced_examples():
     assert is_totally_balanced(VertexCoverGame(c4()))
     assert not is_totally_balanced(VertexCoverGame(k3()))

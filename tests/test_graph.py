@@ -5,12 +5,13 @@ import random
 import pytest
 
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
-from vcgame.graph import (Graph, SubgraphView, components, diameter,
+from vcgame.graph import (PATTERNS, Graph, SubgraphView, components, diameter,
                           find_forbidden_subgraph, is_bipartite, matching_number,
                           parse_graph, vertex_cover_number)
 
-from oracles import (all_pm_graphs_up_to, brute_cover_number, brute_matching_number,
-                     random_bipartite_graph, random_graph)
+from oracles import (all_pm_graphs_up_to, atlas_graphs, brute_cover_number,
+                     brute_matching_number, random_bipartite_graph, random_graph,
+                     reference_forbidden_subgraph)
 
 
 def k3() -> Graph:
@@ -93,6 +94,17 @@ def test_diameter_disconnected_rejected():
     g = Graph.from_edges([("a", "b"), ("c", "d")])
     with pytest.raises(ContractViolation):
         diameter(g, frozenset({0, 1}))
+
+
+def test_diameter_matches_networkx_on_atlas():
+    import networkx as nx
+
+    checked = 0
+    for g in atlas_graphs(connected_only=True):
+        if g.n_edges:
+            assert diameter(g, g.players()) == nx.diameter(nx.Graph(g.edges))
+            checked += 1
+    assert checked == 995
 
 
 def test_subgraph_view_vertices():
@@ -288,6 +300,21 @@ def test_pattern_witnesses_are_valid_paths():
             assert len(witness) == length == len(set(witness))
             for x, y in zip(witness, witness[1:]):
                 assert y in g.neighbors(x)
+
+
+def test_pattern_search_matches_reference():
+    # every atlas graph, then seeded random graphs whose labels v0..v11 sort
+    # differently as strings and as numbers
+    graphs = list(atlas_graphs())
+    rng = random.Random(4101)
+    graphs += [random_graph(rng, max_edges=16, max_vertices=12) for _ in range(3000)]
+    hits = 0
+    for g in graphs:
+        for pattern in PATTERNS:
+            witness = find_forbidden_subgraph(g, pattern)
+            assert witness == reference_forbidden_subgraph(g, pattern)
+            hits += witness is not None
+    assert (len(graphs), hits) == (1252 + 3000, 10377)
 
 
 def test_pattern_rejects_unknown():

@@ -9,15 +9,16 @@ import pytest
 from vcgame.errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                            NotIntegralScheme, NotPopulationMonotonic,
                            UnsupportedInstance)
-from vcgame.game import VertexCoverGame
+from vcgame.game import VertexCoverGame, all_coalitions
 from vcgame.graph import Graph, matching_number, vertex_cover_number
 from vcgame.matching import (PreferenceSystem, count_integral_pmas,
                              enumerate_integral_pmas, gale_shapley, is_stable,
                              preferences_from_scheme, scheme_from_preferences)
 from vcgame.pmas import AllocationScheme, construct_pmas, verify_pmas
 
-from oracles import (admissible_preference_systems, brute_integral_schemes,
-                     brute_stable_matchings, canonical_table)
+from oracles import (admissible_preference_systems, all_matchings, all_pm_graphs_up_to,
+                     brute_integral_schemes, brute_stable_matchings, canonical_table,
+                     random_graph, reference_is_stable)
 
 
 def star(n: int) -> Graph:
@@ -137,6 +138,58 @@ def test_is_stable_validates_matching():
         is_stable(ps, {0}, {1})
     with pytest.raises(ContractViolation, match="share a vertex"):
         is_stable(ps, {0, 1, 2}, {0, 1})
+
+
+def test_is_stable_rejects_out_of_range_edges():
+    ps = p4_prefs()
+    # index -1 must not be read as the last edge
+    with pytest.raises(ContractViolation, match="edge index out of range: -1"):
+        is_stable(ps, {0, -1}, {-1})
+    with pytest.raises(ContractViolation, match="edge index out of range: 3"):
+        is_stable(ps, {0, 3}, {0})
+
+
+def stability_outcome(check, ps, s, m):
+    """The verdict, or the type and message of the exception raised."""
+    try:
+        return check(ps, s, m)
+    except ContractViolation as exc:
+        return type(exc), str(exc)
+
+
+def test_is_stable_matches_reference_scan_on_pm_graphs():
+    # every edge set inside every nonempty coalition (matchings and sets that
+    # share a vertex) under every admissible preference system of every
+    # population-monotonic graph with up to 5 edges
+    cases = matchings = 0
+    for g in all_pm_graphs_up_to(5):
+        coalitions = all_coalitions(g.n_edges)
+        for ps in admissible_preference_systems(g):
+            for s in coalitions[1:]:
+                for m in coalitions:
+                    if m <= s:
+                        got = stability_outcome(is_stable, ps, s, m)
+                        assert got == stability_outcome(reference_is_stable, ps, s, m)
+                        cases += 1
+                        matchings += got[0] is not ContractViolation
+    assert (cases, matchings) == (48014, 25795)
+
+
+def test_is_stable_matches_reference_scan_on_general_graphs():
+    # random orders on random graphs, pendant orders given or left out at
+    # random; every matching of every nonempty coalition
+    rng = random.Random(4101)
+    cases = 0
+    for _ in range(400):
+        g = random_graph(rng, max_edges=8, max_vertices=7)
+        orders = {v: rng.sample(g.incident_edges(v), g.degree(v)) for v in g.vertices
+                  if g.degree(v) > 1 or rng.random() < 0.5}
+        ps = PreferenceSystem(g, orders)
+        for s in all_coalitions(g.n_edges)[1:]:
+            for m in all_matchings(g, s):
+                assert is_stable(ps, s, m) == reference_is_stable(ps, s, m)
+                cases += 1
+    assert cases == 95393
 
 
 def test_stability_uniqueness_maximality_over_all_systems():

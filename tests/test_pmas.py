@@ -159,6 +159,27 @@ def test_split_count_rejects_free_rider():
         cover.split_count(frozenset({0, 1, 2}), 1)
 
 
+def test_cover_for_rejects_out_of_range_edges():
+    _, cover = classify_components(p4())
+    for bad in (7, -1):
+        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
+            cover.cover_for(frozenset({0, bad}))
+
+
+def test_accompanied_rejects_out_of_range_edges():
+    _, cover = classify_components(p4())
+    for bad in (7, -1):
+        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
+            cover.accompanied(frozenset({bad}), 1)
+
+
+def test_split_count_rejects_out_of_range_edges():
+    _, cover = classify_components(p4())
+    for bad in (7, -1):
+        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
+            cover.split_count(frozenset({0, bad}), 0)
+
+
 # --- construction ---------------------------------------------------------------------
 
 
@@ -331,6 +352,24 @@ def test_pi_star_examples():
 
     lone = frozenset({1})
     assert check_pi_star(g, lone, {1: Fraction(1)}, cover)
+
+
+def test_dual_feasible_rejects_out_of_range_edges():
+    g = p4()
+    # index -1 must not be read as the last edge
+    for bad in (-1, 3):
+        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
+            check_dual_feasible(g, {bad}, {bad: Fraction(1)})
+        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
+            check_dual_optimal(VertexCoverGame(g), {0, bad}, {0: Fraction(1), bad: Fraction(0)})
+
+
+def test_pi_star_rejects_out_of_range_edges():
+    g = p4()
+    _, cover = classify_components(g)
+    for bad in (7, -1):
+        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
+            check_pi_star(g, {0, bad}, {0: Fraction(1), bad: Fraction(0)}, cover)
 
 
 def test_construct_restrictions_pass_all_dual_checks():

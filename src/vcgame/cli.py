@@ -12,15 +12,14 @@ import argparse
 import json
 import sys
 
-from .errors import (ContractViolation, EnumerationTruncated, OracleCapError,
-                     VertexCoverGameError)
+from .errors import (ContractViolation, EnumerationTruncated, NotPopulationMonotonic,
+                     OracleCapError, VertexCoverGameError)
 from .game import DEFAULT_EDGE_CAP, VertexCoverGame, is_submodular_graph
 from .graph import Graph, is_bipartite, matching_number, parse_graph, vertex_cover_number
 from .matching import (DEFAULT_ENUM_CAP, PreferenceSystem, count_integral_pmas,
                        enumerate_integral_pmas, gale_shapley, scheme_from_preferences)
 from .pmas import (AllocationScheme, classify_components, construct_pmas,
-                   fraction_str, recognize_population_monotonic, scheme_from_json,
-                   scheme_table_to_jsonable, verify_pmas)
+                   fraction_str, scheme_from_json, scheme_table_to_jsonable, verify_pmas)
 
 
 def _positive_int(text: str) -> int:
@@ -127,15 +126,15 @@ def _table_text_lines(jsonable: dict) -> list[str]:
 
 def cmd_classify(args) -> tuple[int, str]:
     graph = _load_graph(args)
-    ok, witness = recognize_population_monotonic(graph)
-    if not ok:
-        pattern, verts = witness
+    try:
+        comps, cover = classify_components(graph)
+    except NotPopulationMonotonic as exc:
+        pattern, verts = exc.pattern, exc.vertices
         doc = {"population_monotonic": False,
                "witness": {"pattern": pattern, "vertices": list(verts)}}
         text = ["population monotonic: no",
                 f"witness: {pattern} on [{', '.join(verts)}]"]
         return 1, _render(args, doc, text)
-    comps, cover = classify_components(graph)
     doc = {"population_monotonic": True,
            "components": [
                {"kind": c.kind,

@@ -130,9 +130,7 @@ class SubgraphView:
 
     def __init__(self, graph: Graph, coalition) -> None:
         s = frozenset(coalition)
-        for i in s:
-            if not 0 <= i < graph.n_edges:
-                raise ContractViolation(f"edge index out of range: {i}")
+        _require_edges(graph, s)
         self.graph = graph
         self.coalition = s
         incident: dict[str, list[int]] = {}

@@ -7,12 +7,15 @@ is its free rider: any cover of the accompanying edges covers it for free.
 
 The constructive scheme splits each chosen cover vertex's unit cost equally
 among the non-free-rider coalition edges it covers; an accompanied free rider
-pays nothing and a lone free rider pays the full unit.  The dual-side checks
-certify allocations against the fractional cover relaxation of the coalition
-subgraph: feasibility (nonnegative, per-vertex load at most one), optimality
-(total equal to the coalition cost), and membership in the tight face with
-unit load exactly at every chosen cover vertex and zeros on accompanied free
-riders.
+pays nothing and a lone free rider pays the full unit.  CoverSystem states
+this rule once, as a per-edge table of watch masks, payments and selected
+vertices, and the per-coalition selector is the vertices the rule charges.
+The dual-side checks certify allocations against the fractional cover
+relaxation of the coalition subgraph: feasibility (nonnegative, per-vertex
+load at most one), optimality (total equal to the coalition cost), and
+membership in the tight face pi*, which is tight where the rule pays (unit
+load at every charged vertex) and zero where it does not (accompanied free
+riders).
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from functools import cached_property
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
 from .game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions, coalition_mask
-from .graph import (ComponentClassification, Coalition, Graph, decompose,
-                    find_forbidden_subgraph)
+from .graph import (ComponentClassification, Coalition, Graph, _require_edges,
+                    decompose, find_forbidden_subgraph)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -70,19 +73,17 @@ def classify_components(graph: Graph):
 
 
 class CoverSystem:
-    """Global minimum cover made of centers and bases, with a deterministic
-    per-coalition selector and the constructive rule.
+    """Global minimum cover made of centers and bases, and the constructive
+    rule as one per-edge table.
 
-    Every coalition is split once: its non-free-rider edges are grouped by
-    their anchor, the global cover vertex covering them, and each of its free
-    riders is accompanied when an edge of its own pisces is in the coalition
-    too, else lone.  The selector takes every anchor of a group and, for a
-    lone free rider, its smaller base.
-
-    The rule gives each edge a watch mask and a payment indexed by the number
-    k of coalition edges in it: a non-free-rider edge watches its anchor's
-    group and pays 1/k, a free rider watches both its bases' groups and pays
-    1 when k = 0 (lone), else 0 (accompanied).
+    Each edge has a watch mask, a payment indexed by the number k of
+    coalition edges in it, and a selected vertex.  A non-free-rider edge
+    watches its anchor's group (the edges whose global cover vertex is that
+    anchor), pays 1/k and selects its anchor; a free rider watches both its
+    bases' groups, pays 1 when k = 0 (lone) and 0 when k > 0 (accompanied),
+    and selects its smaller base.  The selector of a coalition is the
+    vertices the rule charges, and pi* is tight where the rule pays and zero
+    where it does not.
     """
 
     def __init__(self, graph: Graph, comps: list[ComponentClassification]) -> None:
@@ -95,30 +96,17 @@ class CoverSystem:
                        if c.free_rider is not None}
         self.free_riders = frozenset(self._bases)
 
-    def _split(self, coalition):
-        """(groups, riders): the coalition's non-free-rider edges grouped by
-        anchor, and its free riders mapped to whether they are accompanied."""
-        groups: dict[str, list[int]] = {}
-        riders: list[int] = []
-        anchor = self._anchor
-        bases = self._bases
-        for i in coalition:
-            v = anchor.get(i)
-            if v is None:
-                if i not in bases:
-                    raise ContractViolation(f"edge index out of range: {i}")
-                riders.append(i)
-            elif v in groups:
-                groups[v].append(i)
-            else:
-                groups[v] = [i]
-        return groups, {r: bases[r][0] in groups or bases[r][1] in groups for r in riders}
+    def _mask(self, s: Coalition) -> int:
+        """Bitmask of a coalition whose members must all be edges."""
+        _require_edges(self.graph, s)
+        return coalition_mask(s)
 
     def anchor(self, i: int) -> str:
         """The unique global-cover vertex covering a non-free-rider edge."""
         try:
             return self._anchor[i]
         except KeyError:
+            _require_edges(self.graph, (i,))
             raise ContractViolation(f"edge {i} is a free rider") from None
 
     def is_free_rider(self, i: int) -> bool:
@@ -128,15 +116,15 @@ class CoverSystem:
         """Does free rider i share a vertex with another coalition edge?"""
         if i not in self._bases:
             raise ContractViolation(f"edge {i} is not a free rider")
-        return self._split(frozenset(coalition) | {i})[1][i]
+        return bool(self._mask(frozenset(coalition)) & self._payments[0][i])
 
     def cover_for(self, coalition) -> tuple[str, ...]:
         """Deterministic minimum cover of the coalition subgraph within the
-        global cover, as a sorted label tuple."""
-        groups, riders = self._split(coalition)
-        chosen = set(groups)
-        chosen.update(self._bases[r][0] for r, accompanied in riders.items() if not accompanied)
-        return tuple(sorted(chosen))
+        global cover, as a sorted label tuple: the vertices the rule charges."""
+        s = frozenset(coalition)
+        m = self._mask(s)
+        watch, pays, select = self._payments
+        return tuple(sorted({select[i] for i in s if pays[i][(m & watch[i]).bit_count()]}))
 
     def split_count(self, coalition, i: int) -> int:
         """Number of non-free-rider coalition edges sharing i's covering vertex
@@ -144,27 +132,33 @@ class CoverSystem:
         s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
         if i not in s:
             raise ContractViolation(f"edge {i} is not in the coalition")
-        return len(self._split(s)[0][self.anchor(i)])
+        m = self._mask(s)
+        if i in self._bases:
+            raise ContractViolation(f"edge {i} is a free rider")
+        return (m & self._payments[0][i]).bit_count()
 
     @cached_property
     def _payments(self):
-        """(watch, pays): edge i pays pays[i][k] in a coalition with k edges
-        in the bitmask watch[i]; built once, on first use."""
+        """(watch, pays, select): edge i pays pays[i][k] in a coalition with k
+        edges in the bitmask watch[i], charged at vertex select[i]; built once,
+        on first use."""
         group = {v: sum(1 << i for i in es) for c in self.components
                  for v, es in c.pendants.items()}
         widest = max((m.bit_count() for m in group.values()), default=1)
         shares = [ZERO] + [Fraction(1, k) for k in range(1, widest + 1)]
         rider_pays = [ONE] + [ZERO] * (2 * widest)
-        watch = [group.get(self._anchor.get(i), 0) for i in range(self.graph.n_edges)]
+        select = [self._anchor.get(i) for i in range(self.graph.n_edges)]
+        watch = [group.get(v, 0) for v in select]
         pays = [shares] * len(watch)
         for r, (b1, b2) in self._bases.items():
             watch[r] = group[b1] | group[b2]
             pays[r] = rider_pays
-        return watch, pays
+            select[r] = b1
+        return watch, pays, select
 
     def _rule(self, s: Coalition) -> dict[int, Fraction]:
         """The constructive rule on one coalition."""
-        watch, pays = self._payments
+        watch, pays, _ = self._payments
         m = coalition_mask(s)
         return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
 
@@ -173,7 +167,7 @@ class CoverSystem:
         rows[mask] mapping each member edge to its payment's numerator over
         den = lcm(1..largest pendant group)."""
         n = self.graph.n_edges
-        watch, pays = self._payments
+        watch, pays, _ = self._payments
         den = math.lcm(*{p.denominator for row in pays for p in row})
         # one int object per distinct payment keeps later scans over the rows fast
         num = {p: p.numerator * (den // p.denominator) for row in pays for p in row}
@@ -412,6 +406,8 @@ def _scaled_profile(graph: Graph, coalition, x):
         try:
             u, w = ends[i]
         except KeyError:
+            _require_edges(graph, s)
+            # only a non-integer index is in range and still not an edge
             raise ContractViolation(f"edge index out of range: {i}") from None
         loads[u] = get(u, 0) + num
         loads[w] = get(w, 0) + num
@@ -438,21 +434,21 @@ def check_dual_optimal(game: VertexCoverGame, coalition, x) -> bool:
 
 
 def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
-    """Membership in the tight optimal face: dual feasible, unit load exactly
-    at every selected cover vertex, zero on accompanied free riders."""
+    """Membership in the tight optimal face: dual feasible, tight where the
+    rule pays and zero where it does not.  An edge the rule charges needs unit
+    load at its selected vertex; an edge it does not charge (an accompanied
+    free rider) must pay 0."""
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
     loads, den, _, feasible = _scaled_profile(graph, s, x)
     if not feasible:
         return False
-    groups, riders = cover._split(s)
-    for vertex in groups:
-        if loads[vertex] != den:
-            return False
-    for rider, accompanied in riders.items():
-        if accompanied:
-            if x[rider] != 0:
+    watch, pays, select = cover._payments
+    m = coalition_mask(s)
+    for i in s:
+        if pays[i][(m & watch[i]).bit_count()]:
+            if loads[select[i]] != den:
                 return False
-        elif loads[cover._bases[rider][0]] != den:
+        elif x[i] != 0:
             return False
     return True
 

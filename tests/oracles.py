@@ -3,12 +3,14 @@
 Everything here is deliberately independent of the library's search engines:
 covers and matchings by subset enumeration, stability by a hand-rolled
 domination scan, component shapes by raw degree counting, scheme verification
-by a Fraction scan and the constructive rule by one split per coalition.  The
-only library pieces used are the data types, the cover system's split and,
-for the integral-scheme search, the final verify_pmas filter that the search
-is defined against.  Two earlier library implementations are kept as
-references for differential tests: the forbidden-pattern search with its own
-K3 and C4 loops, and the stability scan with a per-vertex rank cache.
+by a Fraction scan, and the constructive rule, its selector and the pi* check
+by one split per coalition.  The only library pieces used are the data types,
+the cover system's component shapes and, for the integral-scheme search, the
+final verify_pmas filter that the search is defined against.  Three earlier
+library implementations are kept as references for differential tests: the
+coalition split that grouped edges by anchor, the forbidden-pattern search
+with its own K3 and C4 loops, and the stability scan with a per-vertex rank
+cache.
 """
 
 from __future__ import annotations
@@ -87,10 +89,37 @@ def all_matchings(graph: Graph, coalition):
 # --- schemes, one coalition at a time on Fractions -------------------------------------
 
 
+def reference_split(cover: CoverSystem, coalition):
+    """(groups, riders): the coalition's non-free-rider edges grouped by the
+    global cover vertex covering them, in coalition order, and its free riders
+    mapped to whether an edge of their own pisces is in the coalition too.
+    Anchors and bases are read from the component shapes."""
+    anchor = {i: v for c in cover.components for v, es in c.pendants.items() for i in es}
+    bases = {c.free_rider: c.cover for c in cover.components if c.free_rider is not None}
+    groups: dict[str, list[int]] = {}
+    riders: list[int] = []
+    for i in coalition:
+        if i in anchor:
+            groups.setdefault(anchor[i], []).append(i)
+        elif i in bases:
+            riders.append(i)
+        else:
+            raise ContractViolation(f"edge index out of range: {i}")
+    return groups, {r: bases[r][0] in groups or bases[r][1] in groups for r in riders}
+
+
+def reference_cover_for(cover: CoverSystem, coalition) -> tuple[str, ...]:
+    """The selector from the split: every anchor of a group and, for each
+    lone free rider, its smaller endpoint."""
+    groups, riders = reference_split(cover, coalition)
+    lone = {min(cover.graph.edges[r]) for r, accompanied in riders.items() if not accompanied}
+    return tuple(sorted(set(groups) | lone))
+
+
 def split_rule_allocation(cover: CoverSystem, coalition) -> dict[int, Fraction]:
-    """The constructive rule on one coalition from the cover system's split:
-    1/k at an anchor with k coalition edges, 0 or 1 on a free rider."""
-    groups, riders = cover._split(frozenset(coalition))
+    """The constructive rule on one coalition from the split: 1/k at an
+    anchor with k coalition edges, 0 or 1 on a free rider."""
+    groups, riders = reference_split(cover, frozenset(coalition))
     alloc: dict[int, Fraction] = {}
     for edges_in in groups.values():
         for i in edges_in:
@@ -98,6 +127,24 @@ def split_rule_allocation(cover: CoverSystem, coalition) -> dict[int, Fraction]:
     for rider, accompanied in riders.items():
         alloc[rider] = Fraction(0 if accompanied else 1)
     return alloc
+
+
+def reference_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
+    """check_pi_star from the split on Fractions: nonnegative payments, every
+    vertex load at most one, unit load at every selected vertex and zero on
+    every accompanied free rider."""
+    s = frozenset(coalition)
+    pay = {i: Fraction(x[i]) for i in s}
+    load: dict[str, Fraction] = {}
+    for i in s:
+        for v in graph.edges[i]:
+            load[v] = load.get(v, 0) + pay[i]
+    if any(p < 0 for p in pay.values()) or any(v > 1 for v in load.values()):
+        return False
+    if any(load[v] != 1 for v in reference_cover_for(cover, s)):
+        return False
+    _, riders = reference_split(cover, s)
+    return all(pay[r] == 0 for r, accompanied in riders.items() if accompanied)
 
 
 def reference_verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,

@@ -7,6 +7,7 @@ numeric tolerances anywhere.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -294,8 +295,11 @@ def test_criterion_7_midpoint_extremality():
 
 
 def _run_cli(args):
+    # the src/ directory on PYTHONPATH, so a checkout runs without an install
+    src = os.path.dirname(os.path.dirname(vc.__file__))
     return subprocess.run([sys.executable, "-m", "vcgame", *args],
-                          capture_output=True, timeout=120)
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
 
 
 def test_criterion_8_cli_determinism(tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from vcgame import pmas
 from vcgame.cli import main
 
 P4 = "a b\nb c\nc d\n"
@@ -53,6 +54,19 @@ def test_classify_text_format(graph_file, capsys):
     assert code == 0
     assert "population monotonic: yes" in out
     assert "pisces" in out and "free rider=edge 1" in out
+
+
+def test_classify_decomposes_once(graph_file, capsys, monkeypatch):
+    calls = []
+    real = pmas.decompose
+
+    def counting(graph, coalition):
+        calls.append(coalition)
+        return real(graph, coalition)
+
+    monkeypatch.setattr(pmas, "decompose", counting)
+    code, _, _ = run(capsys, "classify", "--input", graph_file("g.txt", P4))
+    assert code == 0 and len(calls) == 1
 
 
 def test_game_info_c4(graph_file, capsys):

@@ -1,6 +1,7 @@
 """Characteristic function, memoization, and the exhaustive game verdicts."""
 
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import vcgame
 from vcgame.errors import ContractViolation, NotBalanced, OracleCapError
 from vcgame.game import (VertexCoverGame, core_element_from_matching, core_membership,
                          is_balanced, is_monotone_game, is_submodular_game,
@@ -151,8 +153,10 @@ def test_submodular_game_shares_the_edge_cap():
 
 def test_import_leaves_numpy_unloaded():
     code = "import sys, vcgame; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(vcgame.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120).stdout
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
 
 

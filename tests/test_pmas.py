@@ -12,14 +12,15 @@ import pytest
 from vcgame.errors import (ContractViolation, MalformedScheme,
                            NotPopulationMonotonic, OracleCapError)
 from vcgame.game import VertexCoverGame, mask_coalition
-from vcgame.graph import Graph, find_forbidden_subgraph
-from vcgame.matching import enumerate_integral_pmas
+from vcgame.graph import Graph, find_forbidden_subgraph, vertex_cover_number
+from vcgame.matching import PreferenceSystem, enumerate_integral_pmas, gale_shapley, is_stable
 from vcgame.pmas import (AllocationScheme, check_dual_feasible, check_dual_optimal,
                          check_pi_star, classify_components, construct_pmas,
                          recognize_population_monotonic, scheme_from_json,
                          scheme_table_to_jsonable, scheme_to_json, verify_pmas)
 
 from oracles import (all_pm_graphs_up_to, atlas_graphs, random_star_pisces_forest,
+                     reference_cover_for, reference_pi_star, reference_split,
                      reference_verify_pmas, split_rule_allocation)
 
 
@@ -178,6 +179,38 @@ def test_split_count_rejects_out_of_range_edges():
     for bad in (7, -1):
         with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
             cover.split_count(frozenset({0, bad}), 0)
+        # the range check comes before the free-rider check
+        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
+            cover.split_count(frozenset({1, bad}), 1)
+
+
+def test_anchor_names_out_of_range_and_free_rider():
+    _, cover = classify_components(p4())
+    assert cover.anchor(0) == "b" and cover.anchor(2) == "c"
+    for bad in (7, -1):
+        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
+            cover.anchor(bad)
+    with pytest.raises(ContractViolation, match="edge 1 is a free rider"):
+        cover.anchor(1)
+
+
+def test_every_entry_point_names_the_same_out_of_range_index():
+    g = p4()
+    _, cover = classify_components(g)
+    ps = PreferenceSystem(g, {"b": (0, 1), "c": (2, 1)})
+    s = frozenset({0, -1, 99})
+    x = {i: Fraction(0) for i in s}
+    calls = [lambda: vertex_cover_number(g, s),
+             lambda: check_dual_feasible(g, s, x),
+             lambda: check_pi_star(g, s, x, cover),
+             lambda: cover.cover_for(s),
+             lambda: cover.accompanied(s, 1),
+             lambda: is_stable(ps, s, frozenset()),
+             lambda: gale_shapley(ps, s)]
+    for call in calls:
+        with pytest.raises(ContractViolation) as info:
+            call()
+        assert str(info.value) == "edge index out of range: -1"
 
 
 # --- construction ---------------------------------------------------------------------
@@ -387,33 +420,7 @@ def test_construct_restrictions_pass_all_dual_checks():
             assert check_pi_star(g, s, alloc, cover)
 
 
-def reference_pi_star(graph, s, x, cover) -> bool:
-    """check_pi_star through the public selector and accompanied()."""
-    if not check_dual_feasible(graph, s, x):
-        return False
-    for vertex in cover.cover_for(s):
-        if sum(x[i] for i in graph.incident_edges(vertex) if i in s) != 1:
-            return False
-    return all(x[i] == 0 or not cover.accompanied(s, i) for i in s & cover.free_riders)
-
-
-def test_pi_star_matches_selector_scan():
-    rng = random.Random(36)
-    half = Fraction(1, 2)
-    for g in all_pm_graphs_up_to(5):
-        scheme = construct_pmas(g)
-        _, cover = classify_components(g)
-        for mask in range(1, 1 << g.n_edges):
-            s = mask_coalition(mask)
-            good = scheme.allocation(s)
-            shifted = dict(good)
-            i = rng.choice(sorted(s))
-            shifted[i] = good[i] - half if good[i] >= half else good[i] + half
-            for x in (good, shifted, {i: Fraction(0) for i in s}):
-                assert check_pi_star(g, s, x, cover) == reference_pi_star(g, s, x, cover)
-
-
-# --- the integer scheme table against the per-coalition paths ------------------------
+# --- the rule table against the per-coalition paths ----------------------------------
 
 
 def flipped(g: Graph) -> Graph:
@@ -436,6 +443,39 @@ def test_rule_table_matches_split_rule():
             assert scheme.materialize() == expected
             for s, alloc in expected.items():
                 assert scheme.allocation(s) == alloc
+
+
+def test_cover_system_matches_reference_split():
+    rng = random.Random(36)
+    half = Fraction(1, 2)
+    for g in all_pm_graphs_up_to(6):
+        for h in (g, flipped(g)):
+            scheme = construct_pmas(h)
+            _, cover = classify_components(h)
+            for mask in range(1, 1 << h.n_edges):
+                s = mask_coalition(mask)
+                groups, _ = reference_split(cover, s)
+                assert cover.cover_for(s) == reference_cover_for(cover, s)
+                for r in cover.free_riders:
+                    assert cover.accompanied(s, r) == reference_split(cover, s | {r})[1][r]
+                for edges_in in groups.values():
+                    for i in edges_in:
+                        assert cover.split_count(s, i) == len(edges_in)
+                good = scheme.allocation(s)
+                shifted = dict(good)
+                i = rng.choice(sorted(s))
+                shifted[i] = good[i] - half if good[i] >= half else good[i] + half
+                # half a unit moved between two edges keeps the total, so only
+                # the tight and zero clauses can reject it
+                moved = dict(good)
+                if len(s) > 1:
+                    i, j = rng.sample(sorted(s), 2)
+                    if good[i] < half:
+                        i, j = j, i
+                    moved[i] -= half
+                    moved[j] += half
+                for x in (good, shifted, moved, {i: Fraction(0) for i in s}):
+                    assert check_pi_star(h, s, x, cover) == reference_pi_star(h, s, x, cover)
 
 
 def verify_outcome(verify, game, scheme):

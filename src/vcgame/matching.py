@@ -3,9 +3,12 @@
 Integral allocation schemes correspond one-to-one with preference systems in
 which every free rider ranks last at both its endpoints: the payment vector
 of such a scheme on a coalition is the incidence vector of the unique stable
-matching of the restricted preference system.  Enumeration therefore walks
-per-vertex permutations (free rider pinned last) and runs deferred acceptance
-coalition by coalition; counting multiplies factorials instead.
+matching of the restricted preference system.  That matching gives each
+cover vertex its highest-ranked coalition edge and a free rider only when it
+is lone, so an integral scheme is the constructive scheme's rule table with
+other entries, and only stable-match queries run deferred acceptance.
+Enumeration walks per-vertex permutations (free rider pinned last); counting
+multiplies factorials instead.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from itertools import permutations
 
 from .errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                      NotIntegralScheme, UnsupportedInstance)
-from .graph import Coalition, Graph, _require_edges, _two_color
-from .pmas import ONE, ZERO, AllocationScheme, classify_components
+from .graph import Graph, _require_edges, _two_color
+from .pmas import AllocationScheme, _RuleTableScheme, classify_components
 
 Matching = frozenset[int]
 
@@ -155,16 +158,13 @@ def _require_free_riders_lowest(ps: PreferenceSystem, comps) -> None:
 
 def scheme_from_preferences(ps: PreferenceSystem) -> AllocationScheme:
     """Integral rule-backed scheme: each coalition pays the incidence vector
-    of its unique stable matching.  Requires a population-monotonic graph and
-    free riders ranked last at both bases."""
-    comps, _ = classify_components(ps.graph)
+    of its unique stable matching, in which every cover vertex takes its
+    highest-ranked coalition edge and a free rider is matched only when lone.
+    Requires a population-monotonic graph and free riders ranked last at both
+    bases."""
+    comps, cover = classify_components(ps.graph)
     _require_free_riders_lowest(ps, comps)
-
-    def rule(s: Coalition):
-        matched = gale_shapley(ps, s)
-        return {i: (ONE if i in matched else ZERO) for i in s}
-
-    return AllocationScheme(ps.graph, rule=rule)
+    return _RuleTableScheme(ps.graph, cover._ranked_payments(ps.orders))
 
 
 def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
@@ -214,11 +214,11 @@ def enumerate_integral_pmas(graph: Graph, *, max_enumerate: int = DEFAULT_ENUM_C
     """Yield one integral scheme per admissible preference system.
 
     Systems are generated in lexicographic order of per-vertex permutations
-    (vertices in label order, edges by index, free riders pinned last).  The
-    stream is lazy; after max_enumerate schemes it raises EnumerationTruncated
-    if more remain.
+    (vertices in label order, edges by index, free riders pinned last), each
+    read into the graph's cover system as a rule table.  The stream is lazy;
+    after max_enumerate schemes it raises EnumerationTruncated if more remain.
     """
-    comps, _ = classify_components(graph)
+    comps, cover = classify_components(graph)
     by_vertex: dict[str, tuple[tuple[int, ...], int | None]] = {}
     for c in comps:
         for v in c.cover:
@@ -242,4 +242,4 @@ def enumerate_integral_pmas(graph: Graph, *, max_enumerate: int = DEFAULT_ENUM_C
         if yielded >= max_enumerate:
             raise EnumerationTruncated(f"enumeration stopped at cap {max_enumerate}")
         yielded += 1
-        yield scheme_from_preferences(PreferenceSystem(graph, orders))
+        yield _RuleTableScheme(graph, cover._ranked_payments(orders))

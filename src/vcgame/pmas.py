@@ -10,6 +10,8 @@ among the non-free-rider coalition edges it covers; an accompanied free rider
 pays nothing and a lone free rider pays the full unit.  CoverSystem states
 this rule once, as a per-edge table of watch masks, payments and selected
 vertices, and the per-coalition selector is the vertices the rule charges.
+Every scheme the library builds is such a table; an integral scheme only has
+other watch masks and payments (CoverSystem._ranked_payments).
 The dual-side checks certify allocations against the fractional cover
 relaxation of the coalition subgraph: feasibility (nonnegative, per-vertex
 load at most one), optimality (total equal to the coalition cost), and
@@ -24,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
@@ -109,9 +111,6 @@ class CoverSystem:
             _require_edges(self.graph, (i,))
             raise ContractViolation(f"edge {i} is a free rider") from None
 
-    def is_free_rider(self, i: int) -> bool:
-        return i in self.free_riders
-
     def accompanied(self, coalition, i: int) -> bool:
         """Does free rider i share a vertex with another coalition edge?"""
         if i not in self._bases:
@@ -156,25 +155,21 @@ class CoverSystem:
             select[r] = b1
         return watch, pays, select
 
-    def _rule(self, s: Coalition) -> dict[int, Fraction]:
-        """The constructive rule on one coalition."""
-        watch, pays, _ = self._payments
-        m = coalition_mask(s)
-        return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
-
-    def _rule_rows(self):
-        """The constructive rule on every coalition at once: (rows, den) with
-        rows[mask] mapping each member edge to its payment's numerator over
-        den = lcm(1..largest pendant group)."""
-        n = self.graph.n_edges
-        watch, pays, _ = self._payments
-        den = math.lcm(*{p.denominator for row in pays for p in row})
-        # one int object per distinct payment keeps later scans over the rows fast
-        num = {p: p.numerator * (den // p.denominator) for row in pays for p in row}
-        nums = [[num[p] for p in row] for row in pays]
-        coalitions = all_coalitions(n)
-        return [{i: nums[i][(m & watch[i]).bit_count()] for i in coalitions[m]}
-                for m in range(1 << n)], den
+    def _ranked_payments(self, orders):
+        """The rule table of the integral scheme of per-vertex orders: an edge
+        watches the edges ranked above it at its anchor and pays 1 when none
+        is in the coalition; free riders (ranked last) keep their entries."""
+        watch, pays, select = self._payments
+        watch, pays = list(watch), list(pays)
+        first = [ONE] + [ZERO] * self.graph.n_edges
+        for c in self.components:
+            for v, es in c.pendants.items():
+                above = 0
+                for i in orders.get(v, es):
+                    if i != c.free_rider:
+                        watch[i], pays[i] = above, first
+                        above |= 1 << i
+        return watch, pays, select
 
 
 class AllocationScheme:
@@ -243,16 +238,25 @@ class AllocationScheme:
         return {coalitions[m]: dict(allocation(coalitions[m])) for m in range(1, 1 << n)}
 
 
-class _ConstructedScheme(AllocationScheme):
-    """The constructive scheme.  Its rule is also known as one integer table
-    (CoverSystem._rule_rows), which materialize and verify_pmas build on
-    first use."""
+def _table_rule(watch, pays, s: Coalition) -> dict[int, Fraction]:
+    """A rule table on one coalition."""
+    m = coalition_mask(s)
+    return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
 
-    def __init__(self, graph: Graph, cover: CoverSystem) -> None:
-        super().__init__(graph, rule=cover._rule)
-        self._cover = cover
-        self._rows: list[dict[int, int]] | None = None
-        self._den = 1
+
+class _RuleTableScheme(AllocationScheme):
+    """A scheme given by a per-edge rule table (watch, pays, select): edge i
+    pays pays[i][k] in a coalition with k edges in the bitmask watch[i].
+    materialize and verify_pmas read it as one integer table over every
+    coalition, built on first use."""
+
+    def __init__(self, graph: Graph, payments) -> None:
+        watch, pays, _ = payments
+        # not a method bound to the scheme: that reference cycle would keep
+        # the integer table alive until the cyclic collector runs
+        super().__init__(graph, rule=partial(_table_rule, watch, pays))
+        self._payments = payments
+        self._rows: tuple[list[dict[int, int]], int] | None = None
 
     def _integer_table(self):
         # the table describes the rule; an allocation() replaced on the
@@ -260,8 +264,15 @@ class _ConstructedScheme(AllocationScheme):
         if "allocation" in vars(self):
             return None
         if self._rows is None:
-            self._rows, self._den = self._cover._rule_rows()
-        return self._rows, self._den
+            watch, pays, _ = self._payments
+            den = math.lcm(*{p.denominator for row in pays for p in row})
+            # one int object per distinct payment keeps later scans over the rows fast
+            num = {p: p.numerator * (den // p.denominator) for row in pays for p in row}
+            nums = [[num[p] for p in row] for row in pays]
+            coalitions = all_coalitions(self.graph.n_edges)
+            self._rows = [{i: nums[i][(m & watch[i]).bit_count()] for i in coalitions[m]}
+                          for m in range(len(coalitions))], den
+        return self._rows
 
 
 def construct_pmas(graph: Graph) -> AllocationScheme:
@@ -272,7 +283,7 @@ def construct_pmas(graph: Graph) -> AllocationScheme:
     edges at its covering vertex.
     """
     _, cover = classify_components(graph)
-    return _ConstructedScheme(graph, cover)
+    return _RuleTableScheme(graph, cover._payments)
 
 
 @dataclass(frozen=True)
@@ -437,7 +448,9 @@ def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
     """Membership in the tight optimal face: dual feasible, tight where the
     rule pays and zero where it does not.  An edge the rule charges needs unit
     load at its selected vertex; an edge it does not charge (an accompanied
-    free rider) must pay 0."""
+    free rider) must pay 0.  A cover system of another graph is refused."""
+    if cover.graph is not graph and cover.graph != graph:
+        raise ContractViolation("the cover system belongs to another graph")
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
     loads, den, _, feasible = _scaled_profile(graph, s, x)
     if not feasible:

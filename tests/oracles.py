@@ -6,11 +6,11 @@ domination scan, component shapes by raw degree counting, scheme verification
 by a Fraction scan, and the constructive rule, its selector and the pi* check
 by one split per coalition.  The only library pieces used are the data types,
 the cover system's component shapes and, for the integral-scheme search, the
-final verify_pmas filter that the search is defined against.  Three earlier
+final verify_pmas filter that the search is defined against.  Four earlier
 library implementations are kept as references for differential tests: the
 coalition split that grouped edges by anchor, the forbidden-pattern search
-with its own K3 and C4 loops, and the stability scan with a per-vertex rank
-cache.
+with its own K3 and C4 loops, the stability scan with a per-vertex rank
+cache, and the integral scheme that ran deferred acceptance per coalition.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from vcgame.errors import ContractViolation, MalformedScheme, OracleCapError
 from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions, mask_coalition
 from vcgame.graph import PATTERNS, Graph, SubgraphView
-from vcgame.matching import PreferenceSystem
+from vcgame.matching import PreferenceSystem, gale_shapley
 from vcgame.pmas import AllocationScheme, CoverSystem, Violation, verify_pmas
 
 
@@ -423,6 +423,17 @@ def admissible_preference_systems(g: Graph):
         yield PreferenceSystem(g, orders)
 
 
+def gale_shapley_scheme(ps: PreferenceSystem) -> AllocationScheme:
+    """The integral scheme of a preference system by deferred acceptance:
+    each coalition pays the incidence vector of its stable matching."""
+
+    def rule(s):
+        matched = gale_shapley(ps, s)
+        return {i: (Fraction(1) if i in matched else Fraction(0)) for i in s}
+
+    return AllocationScheme(ps.graph, rule=rule)
+
+
 # --- random fixture generators -----------------------------------------------------
 
 
@@ -479,6 +490,13 @@ def random_star_pisces_forest(rng: random.Random, max_edges: int = 16) -> Graph:
     oriented = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
     rng.shuffle(oriented)
     return Graph.from_edges(oriented)
+
+
+def flipped(g: Graph) -> Graph:
+    """The same edges with vertex labels in reversed order."""
+    labels = sorted(g.vertices)
+    flip = dict(zip(labels, reversed(labels)))
+    return Graph.from_edges([(flip[u], flip[v]) for u, v in g.edges])
 
 
 def all_pm_graphs_up_to(max_edges: int):

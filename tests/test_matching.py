@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import vcgame.matching
 from vcgame.errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                            NotIntegralScheme, NotPopulationMonotonic,
                            UnsupportedInstance)
@@ -18,7 +19,7 @@ from vcgame.pmas import AllocationScheme, construct_pmas, verify_pmas
 
 from oracles import (admissible_preference_systems, all_matchings, all_pm_graphs_up_to,
                      brute_integral_schemes, brute_stable_matchings, canonical_table,
-                     random_graph, reference_is_stable)
+                     flipped, gale_shapley_scheme, random_graph, reference_is_stable)
 
 
 def star(n: int) -> Graph:
@@ -273,6 +274,53 @@ def test_preference_schemes_pass_verifier():
             scheme = scheme_from_preferences(ps)
             ok, violation = verify_pmas(game, scheme)
             assert ok, violation
+
+
+def test_integral_rule_table_matches_gale_shapley():
+    systems = rows = 0
+    for g in all_pm_graphs_up_to(6):
+        for h in (g, flipped(g)):
+            coalitions = all_coalitions(h.n_edges)[1:]
+            for ps in admissible_preference_systems(h):
+                scheme = scheme_from_preferences(ps)
+                reference = gale_shapley_scheme(ps)
+                table = scheme.materialize()
+                assert list(table) == list(coalitions)
+                for s in coalitions:
+                    expected = list(reference.allocation(s).items())
+                    assert list(table[s].items()) == expected  # key order too
+                    assert list(scheme.allocation(s).items()) == expected
+                systems += 1
+                rows += len(coalitions)
+    assert (systems, rows) == (2562, 144186)
+
+
+def test_constructive_scheme_is_mean_of_integral_schemes():
+    for g in all_pm_graphs_up_to(6):
+        for h in (g, flipped(g)):
+            tables = [s.materialize() for s in enumerate_integral_pmas(h, max_enumerate=10**6)]
+            mean = {s: {i: sum(t[s][i] for t in tables) / len(tables) for i in s}
+                    for s in tables[0]}
+            assert mean == construct_pmas(h).materialize()
+
+
+def test_integral_schemes_run_no_gale_shapley(monkeypatch):
+    calls = []
+    real = vcgame.matching.gale_shapley
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vcgame.matching, "gale_shapley", counted)
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("x", "y")])
+    game = VertexCoverGame(g)
+    ps = PreferenceSystem(g, {"b": (0, 1), "c": (3, 2, 1)})
+    for scheme in (scheme_from_preferences(ps), *enumerate_integral_pmas(g)):
+        scheme.allocation(g.players())
+        scheme.materialize()
+        assert verify_pmas(game, scheme) == (True, None)
+    assert calls == []
 
 
 # --- preferences from schemes ------------------------------------------------------------------

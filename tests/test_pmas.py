@@ -1,10 +1,12 @@
 """Recognition, classification, the constructive scheme, the exhaustive
 verifier, and the dual-side certificates."""
 
+import gc
 import json
 import random
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,13 +15,14 @@ from vcgame.errors import (ContractViolation, MalformedScheme,
                            NotPopulationMonotonic, OracleCapError)
 from vcgame.game import VertexCoverGame, mask_coalition
 from vcgame.graph import Graph, find_forbidden_subgraph, vertex_cover_number
-from vcgame.matching import PreferenceSystem, enumerate_integral_pmas, gale_shapley, is_stable
+from vcgame.matching import (PreferenceSystem, enumerate_integral_pmas, gale_shapley,
+                             is_stable, scheme_from_preferences)
 from vcgame.pmas import (AllocationScheme, check_dual_feasible, check_dual_optimal,
                          check_pi_star, classify_components, construct_pmas,
                          recognize_population_monotonic, scheme_from_json,
                          scheme_table_to_jsonable, scheme_to_json, verify_pmas)
 
-from oracles import (all_pm_graphs_up_to, atlas_graphs, random_star_pisces_forest,
+from oracles import (all_pm_graphs_up_to, atlas_graphs, flipped, random_star_pisces_forest,
                      reference_cover_for, reference_pi_star, reference_split,
                      reference_verify_pmas, split_rule_allocation)
 
@@ -182,6 +185,21 @@ def test_split_count_rejects_out_of_range_edges():
         # the range check comes before the free-rider check
         with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
             cover.split_count(frozenset({1, bad}), 1)
+
+
+def test_pi_star_rejects_a_foreign_cover_system():
+    g = p4()
+    s = frozenset({0, 1, 2})
+    x = construct_pmas(g).allocation(s)
+    relabeled = Graph.from_edges([("x", "y"), ("y", "z"), ("z", "w")])
+    star3 = Graph.from_edges([("b", "a"), ("b", "c"), ("b", "d")])
+    for other in (relabeled, star3):
+        _, foreign = classify_components(other)
+        with pytest.raises(ContractViolation, match="cover system belongs to another graph"):
+            check_pi_star(g, s, x, foreign)
+    # an equal graph built separately has the same cover system
+    _, cover = classify_components(p4())
+    assert check_pi_star(g, s, x, cover)
 
 
 def test_anchor_names_out_of_range_and_free_rider():
@@ -423,13 +441,6 @@ def test_construct_restrictions_pass_all_dual_checks():
 # --- the rule table against the per-coalition paths ----------------------------------
 
 
-def flipped(g: Graph) -> Graph:
-    """The same edges with vertex labels in reversed order."""
-    labels = sorted(g.vertices)
-    flip = dict(zip(labels, reversed(labels)))
-    return Graph.from_edges([(flip[u], flip[v]) for u, v in g.edges])
-
-
 def test_rule_table_matches_split_rule():
     for g in all_pm_graphs_up_to(6):
         for h in (g, flipped(g)):
@@ -539,22 +550,43 @@ def test_verify_matches_reference_scan():
 def test_replaced_allocation_is_what_gets_verified():
     g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e")])
     game = VertexCoverGame(g)
-    scheme = construct_pmas(g)
-    assert verify_pmas(game, scheme) == (True, None)
-    rule = scheme.allocation
-    raised = frozenset({0, 2})
-    seen = []
+    integral = PreferenceSystem(g, {"b": (0, 1), "c": (3, 2, 1)})
+    for scheme in (construct_pmas(g), scheme_from_preferences(integral)):
+        assert verify_pmas(game, scheme) == (True, None)
+        rule = scheme.allocation
+        raised = frozenset({0, 2})
+        seen = []
 
-    def tampered(s):
-        seen.append(s)
-        vec = rule(s)
-        return {**vec, 0: vec[0] + 1} if s == raised else vec
+        def tampered(s):
+            seen.append(s)
+            vec = rule(s)
+            return {**vec, 0: vec[0] + 1} if s == raised else vec
 
-    scheme.allocation = tampered
-    ok, violation = verify_pmas(game, scheme)
-    assert not ok and violation.kind == "efficiency" and violation.coalition == raised
-    assert len(seen) == 5  # ascending masks 1..5, stopping at {0, 2}
-    assert scheme.materialize()[raised][0] == rule(raised)[0] + 1
+        scheme.allocation = tampered
+        ok, violation = verify_pmas(game, scheme)
+        assert not ok and violation.kind == "efficiency" and violation.coalition == raised
+        assert len(seen) == 5  # ascending masks 1..5, stopping at {0, 2}
+        assert scheme.materialize()[raised][0] == rule(raised)[0] + 1
+
+
+def test_schemes_die_without_the_cyclic_collector():
+    # a scheme that referenced itself (a rule bound to it) would keep its
+    # integer table alive until the cyclic collector ran
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e")])
+    game = VertexCoverGame(g)
+    integral = PreferenceSystem(g, {"b": (0, 1), "c": (3, 2, 1)})
+    gc.disable()
+    try:
+        for build in (lambda: construct_pmas(g), lambda: scheme_from_preferences(integral),
+                      lambda: next(enumerate_integral_pmas(g))):
+            scheme = build()
+            scheme.materialize()
+            assert verify_pmas(game, scheme) == (True, None)
+            ref = weakref.ref(scheme)
+            del scheme
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_allocation_queries_retain_no_memory():

@@ -11,6 +11,7 @@ forests of any size structurally.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,6 +38,18 @@ def mask_coalition(mask: int) -> Coalition:
         mask >>= 1
         i += 1
     return frozenset(out)
+
+
+def _exact_payment(value, error: type[Exception], edge, coalition) -> Fraction:
+    """A payment that is not of type Fraction, as one: a Fraction subclass
+    or an int is exact; anything else (a bool, a str, a binary floating-point
+    number) raises error naming the edge and the coalition, unless None."""
+    if isinstance(value, Fraction) or type(value) is int:
+        return Fraction(value)
+    where = f"edge {edge}"
+    if coalition is not None:
+        where += f" on coalition {sorted(coalition)}"
+    raise error(f"payment of {where} is {value!r}, not an int or Fraction")
 
 
 @lru_cache(maxsize=8)
@@ -106,14 +119,14 @@ class VertexCoverGame:
         return self._table
 
 
-def is_monotone_game(game: VertexCoverGame, *, max_edges: int = DEFAULT_EDGE_CAP):
+def is_monotone_game(game: VertexCoverGame):
     """Exhaustive cost monotonicity over covering pairs (S, S + {j}).
 
     Covering pairs suffice by transitivity.  Returns (True, None) or
     (False, (subset, superset)) for the first violation in (superset, dropped
     edge) scan order.
     """
-    table = game.cost_table(max_edges)
+    table = game.cost_table()
     for t in range(1, 1 << game.n):
         cost_t = table[t]
         rem = t
@@ -125,7 +138,7 @@ def is_monotone_game(game: VertexCoverGame, *, max_edges: int = DEFAULT_EDGE_CAP
     return True, None
 
 
-def is_submodular_game(game: VertexCoverGame, *, max_edges: int = DEFAULT_EDGE_CAP):
+def is_submodular_game(game: VertexCoverGame):
     """Exhaustive submodularity check by the local test
     cost(S + i) + cost(S + j) >= cost(S + i + j) + cost(S) for every coalition
     S and players i < j outside it, which is equivalent to
@@ -134,7 +147,7 @@ def is_submodular_game(game: VertexCoverGame, *, max_edges: int = DEFAULT_EDGE_C
     S is scanned in ascending bitmask order, then i, then j, both ascending.
     Returns (True, None) or (False, (S + i, S + j)) for the first violation.
     """
-    table = game.cost_table(max_edges)
+    table = game.cost_table()
     n = game.n
     bits = [1 << k for k in range(n)]
     for s in range(1 << n):
@@ -168,28 +181,33 @@ def is_totally_balanced(game: VertexCoverGame) -> bool:
     return is_bipartite(game.graph)
 
 
-def core_membership(game: VertexCoverGame, allocation, *, max_edges: int = DEFAULT_EDGE_CAP):
+def core_membership(game: VertexCoverGame, allocation):
     """Efficiency plus group rationality of a grand-coalition allocation.
 
     Returns (True, None), or (False, offending coalition) where the failure is
     either total != cost(N) (reported on the full player set) or the first
     coalition, in ascending bitmask order, paying more than its own cost.
+    Coalition sums are integer numerators over one common denominator.
     """
     players = game.players()
     if set(allocation) != set(players):
         raise ContractViolation("allocation must be indexed by the full player set")
-    table = game.cost_table(max_edges)
+    table = game.cost_table()
     n = game.n
     size = 1 << n
     values = [allocation[i] for i in range(n)]
-    sums: list = [Fraction(0)] * size
+    values = [v if type(v) is Fraction else _exact_payment(v, ContractViolation, i, None)
+              for i, v in enumerate(values)]
+    den = math.lcm(*[v.denominator for v in values])
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    sums = [0] * size
     for m in range(1, size):
         low = m & -m
-        sums[m] = sums[m ^ low] + values[low.bit_length() - 1]
-    if sums[size - 1] != table[size - 1]:
+        sums[m] = sums[m ^ low] + nums[low.bit_length() - 1]
+    if sums[size - 1] != table[size - 1] * den:
         return False, players
     for m in range(1, size):
-        if sums[m] > table[m]:
+        if sums[m] > table[m] * den:
             return False, mask_coalition(m)
     return True, None
 

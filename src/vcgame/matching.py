@@ -6,7 +6,8 @@ of such a scheme on a coalition is the incidence vector of the unique stable
 matching of the restricted preference system.  That matching gives each
 cover vertex its highest-ranked coalition edge and a free rider only when it
 is lone, so an integral scheme is the constructive scheme's rule table with
-other entries, and only stable-match queries run deferred acceptance.
+other entries, built by the cover system from the orders, and only
+stable-match queries run deferred acceptance.
 Enumeration walks per-vertex permutations (free rider pinned last); counting
 multiplies factorials instead.
 """
@@ -20,7 +21,7 @@ from itertools import permutations
 from .errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                      NotIntegralScheme, UnsupportedInstance)
 from .graph import Graph, _require_edges, _two_color
-from .pmas import AllocationScheme, _RuleTableScheme, classify_components
+from .pmas import AllocationScheme, _require_same_graph, classify_components
 
 Matching = frozenset[int]
 
@@ -146,32 +147,22 @@ def is_stable(ps: PreferenceSystem, coalition, matching):
     return True, None
 
 
-def _require_free_riders_lowest(ps: PreferenceSystem, comps) -> None:
-    for c in comps:
-        if c.free_rider is None:
-            continue
-        for b in c.cover:
-            if ps.orders[b][-1] != c.free_rider:
-                raise ContractViolation(
-                    f"free rider {c.free_rider} must rank last at vertex {b!r}")
-
-
 def scheme_from_preferences(ps: PreferenceSystem) -> AllocationScheme:
-    """Integral rule-backed scheme: each coalition pays the incidence vector
+    """Integral rule-table scheme: each coalition pays the incidence vector
     of its unique stable matching, in which every cover vertex takes its
     highest-ranked coalition edge and a free rider is matched only when lone.
     Requires a population-monotonic graph and free riders ranked last at both
     bases."""
-    comps, cover = classify_components(ps.graph)
-    _require_free_riders_lowest(ps, comps)
-    return _RuleTableScheme(ps.graph, cover._ranked_payments(ps.orders))
+    _, cover = classify_components(ps.graph)
+    return cover.scheme(ps.orders)
 
 
 def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
     """Recover the preference system of an integral scheme by iterated peeling:
     on each cover vertex's incident set, the unit-paying edge is the next most
-    preferred; remove it and repeat."""
+    preferred; remove it and repeat.  A scheme of another graph is refused."""
     graph = game.graph
+    _require_same_graph(graph, scheme.graph, "scheme")
     _, cover = classify_components(graph)
     orders: dict[str, tuple[int, ...]] = {}
     for v in cover.cover:
@@ -242,4 +233,4 @@ def enumerate_integral_pmas(graph: Graph, *, max_enumerate: int = DEFAULT_ENUM_C
         if yielded >= max_enumerate:
             raise EnumerationTruncated(f"enumeration stopped at cap {max_enumerate}")
         yielded += 1
-        yield _RuleTableScheme(graph, cover._ranked_payments(orders))
+        yield cover.scheme(orders)

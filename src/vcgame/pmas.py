@@ -10,8 +10,10 @@ among the non-free-rider coalition edges it covers; an accompanied free rider
 pays nothing and a lone free rider pays the full unit.  CoverSystem states
 this rule once, as a per-edge table of watch masks, payments and selected
 vertices, and the per-coalition selector is the vertices the rule charges.
-Every scheme the library builds is such a table; an integral scheme only has
-other watch masks and payments (CoverSystem._ranked_payments).
+Every scheme the library builds is such a table, built by
+CoverSystem.scheme; an integral scheme only has other watch masks and
+payments.  An AllocationScheme given a table stores it; its payments must be
+Fractions or ints.
 The dual-side checks certify allocations against the fractional cover
 relaxation of the coalition subgraph: feasibility (nonnegative, per-vertex
 load at most one), optimality (total equal to the coalition cost), and
@@ -26,11 +28,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
 
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
-from .game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions, coalition_mask
+from .game import (DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, all_coalitions,
+                   coalition_mask)
 from .graph import (ComponentClassification, Coalition, Graph, _require_edges,
                     decompose, find_forbidden_subgraph)
 
@@ -75,28 +77,47 @@ def classify_components(graph: Graph):
 
 
 class CoverSystem:
-    """Global minimum cover made of centers and bases, and the constructive
-    rule as one per-edge table.
+    """Global minimum cover made of centers and bases, and the rule-table
+    schemes over it.
 
-    Each edge has a watch mask, a payment indexed by the number k of
-    coalition edges in it, and a selected vertex.  A non-free-rider edge
-    watches its anchor's group (the edges whose global cover vertex is that
-    anchor), pays 1/k and selects its anchor; a free rider watches both its
-    bases' groups, pays 1 when k = 0 (lone) and 0 when k > 0 (accompanied),
-    and selects its smaller base.  The selector of a coalition is the
-    vertices the rule charges, and pi* is tight where the rule pays and zero
-    where it does not.
+    The constructive rule is one per-edge table: edge i watches the bitmask
+    watch[i], pays pays[i][k] in a coalition with k edges in it, and is
+    charged at vertex select[i].  A non-free-rider edge watches its anchor's
+    group (the edges whose global cover vertex is that anchor), pays 1/k and
+    selects its anchor; a free rider watches both its bases' groups, pays 1
+    when k = 0 (lone) and 0 when k > 0 (accompanied), and selects its smaller
+    base.  The selector of a coalition is the vertices the rule charges, and
+    pi* is tight where the rule pays and zero where it does not.  scheme()
+    builds the constructive scheme, or an integral scheme from per-vertex
+    orders, as such a table.
     """
 
     def __init__(self, graph: Graph, comps: list[ComponentClassification]) -> None:
         self.graph = graph
         self.components = list(comps)
         self.cover = tuple(sorted(v for c in self.components for v in c.cover))
-        self._anchor = {i: v for c in self.components
-                        for v, es in c.pendants.items() for i in es}
-        self._bases = {c.free_rider: c.cover for c in self.components
-                       if c.free_rider is not None}
-        self.free_riders = frozenset(self._bases)
+        group = {v: sum(1 << i for i in es) for c in self.components
+                 for v, es in c.pendants.items()}
+        widest = max((m.bit_count() for m in group.values()), default=1)
+        # shared Fractions, one list for every splitting edge: numerators over
+        # lcm(1..widest) would have hundreds of digits on a large pisces
+        shares = [ZERO] + [Fraction(1, k) for k in range(1, widest + 1)]
+        rider_pays = [ONE] + [ZERO] * (2 * widest)
+        n = graph.n_edges
+        self.watch = [0] * n
+        self.pays = [shares] * n
+        self.select = [None] * n
+        for c in self.components:
+            for v, es in c.pendants.items():
+                for i in es:
+                    self.watch[i] = group[v]
+                    self.select[i] = v
+            if c.free_rider is not None:
+                b1, b2 = c.cover
+                self.watch[c.free_rider] = group[b1] | group[b2]
+                self.pays[c.free_rider] = rider_pays
+                self.select[c.free_rider] = b1
+        self.free_riders = frozenset(c.free_rider for c in self.components) - {None}
 
     def _mask(self, s: Coalition) -> int:
         """Bitmask of a coalition whose members must all be edges."""
@@ -105,24 +126,23 @@ class CoverSystem:
 
     def anchor(self, i: int) -> str:
         """The unique global-cover vertex covering a non-free-rider edge."""
-        try:
-            return self._anchor[i]
-        except KeyError:
-            _require_edges(self.graph, (i,))
-            raise ContractViolation(f"edge {i} is a free rider") from None
+        _require_edges(self.graph, (i,))
+        if i in self.free_riders:
+            raise ContractViolation(f"edge {i} is a free rider")
+        return self.select[i]
 
     def accompanied(self, coalition, i: int) -> bool:
         """Does free rider i share a vertex with another coalition edge?"""
-        if i not in self._bases:
+        if i not in self.free_riders:
             raise ContractViolation(f"edge {i} is not a free rider")
-        return bool(self._mask(frozenset(coalition)) & self._payments[0][i])
+        return bool(self._mask(frozenset(coalition)) & self.watch[i])
 
     def cover_for(self, coalition) -> tuple[str, ...]:
         """Deterministic minimum cover of the coalition subgraph within the
         global cover, as a sorted label tuple: the vertices the rule charges."""
         s = frozenset(coalition)
         m = self._mask(s)
-        watch, pays, select = self._payments
+        watch, pays, select = self.watch, self.pays, self.select
         return tuple(sorted({select[i] for i in s if pays[i][(m & watch[i]).bit_count()]}))
 
     def split_count(self, coalition, i: int) -> int:
@@ -132,86 +152,68 @@ class CoverSystem:
         if i not in s:
             raise ContractViolation(f"edge {i} is not in the coalition")
         m = self._mask(s)
-        if i in self._bases:
+        if i in self.free_riders:
             raise ContractViolation(f"edge {i} is a free rider")
-        return (m & self._payments[0][i]).bit_count()
+        return (m & self.watch[i]).bit_count()
 
-    @cached_property
-    def _payments(self):
-        """(watch, pays, select): edge i pays pays[i][k] in a coalition with k
-        edges in the bitmask watch[i], charged at vertex select[i]; built once,
-        on first use."""
-        group = {v: sum(1 << i for i in es) for c in self.components
-                 for v, es in c.pendants.items()}
-        widest = max((m.bit_count() for m in group.values()), default=1)
-        shares = [ZERO] + [Fraction(1, k) for k in range(1, widest + 1)]
-        rider_pays = [ONE] + [ZERO] * (2 * widest)
-        select = [self._anchor.get(i) for i in range(self.graph.n_edges)]
-        watch = [group.get(v, 0) for v in select]
-        pays = [shares] * len(watch)
-        for r, (b1, b2) in self._bases.items():
-            watch[r] = group[b1] | group[b2]
-            pays[r] = rider_pays
-            select[r] = b1
-        return watch, pays, select
-
-    def _ranked_payments(self, orders):
-        """The rule table of the integral scheme of per-vertex orders: an edge
-        watches the edges ranked above it at its anchor and pays 1 when none
-        is in the coalition; free riders (ranked last) keep their entries."""
-        watch, pays, select = self._payments
-        watch, pays = list(watch), list(pays)
+    def scheme(self, orders=None) -> AllocationScheme:
+        """The constructive scheme, or with per-vertex orders (most preferred
+        first) the integral scheme in which each non-free-rider edge watches
+        the edges ranked above it at its anchor and pays 1 when none is in
+        the coalition; free riders must rank last at both bases and keep
+        their entries."""
+        if orders is None:
+            return _RuleTableScheme(self.graph, self.watch, self.pays)
+        watch, pays = list(self.watch), list(self.pays)
         first = [ONE] + [ZERO] * self.graph.n_edges
         for c in self.components:
             for v, es in c.pendants.items():
+                order = orders.get(v, es)
+                if c.free_rider is not None and order[-1] != c.free_rider:
+                    raise ContractViolation(
+                        f"free rider {c.free_rider} must rank last at vertex {v!r}")
                 above = 0
-                for i in orders.get(v, es):
+                for i in order:
                     if i != c.free_rider:
                         watch[i], pays[i] = above, first
                         above |= 1 << i
-        return watch, pays, select
+        return _RuleTableScheme(self.graph, watch, pays)
+
+
+def _known(scheme: AllocationScheme, s: Coalition) -> None:
+    """Refuse the empty coalition and coalitions with unknown players."""
+    if not s:
+        raise ContractViolation("the empty coalition has no allocation")
+    if not s <= scheme._players:
+        raise ContractViolation("coalition contains unknown players")
 
 
 class AllocationScheme:
-    """Per-coalition payment vectors, backed by a rule (lazy) or a full table.
+    """Per-coalition payment vectors from a stored table.
 
-    A rule-backed scheme evaluates its rule on every allocation() query and
-    caches nothing, so single queries stay cheap on forests of any size.  A
-    table-backed scheme returns its stored vectors by reference.  Callers
-    must treat every returned vector as read-only.
+    Payments must be Fractions or ints; allocation() returns the stored
+    vectors by reference, so callers must treat them as read-only.
     """
 
-    def __init__(self, graph: Graph, *, rule=None, table=None) -> None:
-        if (rule is None) == (table is None):
-            raise ValueError("exactly one of rule= or table= is required")
+    lazy = False
+
+    def __init__(self, graph: Graph, *, table) -> None:
         self.graph = graph
         self._players = graph.players()
-        self._rule = rule
-        self._table: dict[Coalition, dict[int, Fraction]] | None = None
-        if table is not None:
-            self._table = {
-                frozenset(s): {int(i): v if type(v) is Fraction else Fraction(v)
-                               for i, v in vec.items()}
-                for s, vec in table.items()}
-
-    @property
-    def lazy(self) -> bool:
-        return self._rule is not None
+        self._table = {
+            frozenset(s): {int(i): v if type(v) is Fraction
+                           else _exact_payment(v, MalformedScheme, i, s)
+                           for i, v in vec.items()}
+            for s, vec in table.items()}
 
     def allocation(self, coalition) -> dict[int, Fraction]:
         s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-        if self._table is not None:
-            hit = self._table.get(s)
-            if hit is not None:
-                return hit
-        if not s:
-            raise ContractViolation("the empty coalition has no allocation")
-        if not s <= self._players:
-            raise ContractViolation("coalition contains unknown players")
-        if self._table is not None:
-            members = ",".join(str(i) for i in sorted(s))
-            raise MalformedScheme(f"scheme is missing coalition {{{members}}}")
-        return self._rule(s)
+        hit = self._table.get(s)
+        if hit is not None:
+            return hit
+        _known(self, s)
+        members = ",".join(str(i) for i in sorted(s))
+        raise MalformedScheme(f"scheme is missing coalition {{{members}}}")
 
     def _integer_table(self) -> tuple[list[dict[int, int]], int] | None:
         """(rows, den) with rows[mask] mapping each member edge to its payment's
@@ -238,25 +240,28 @@ class AllocationScheme:
         return {coalitions[m]: dict(allocation(coalitions[m])) for m in range(1, 1 << n)}
 
 
-def _table_rule(watch, pays, s: Coalition) -> dict[int, Fraction]:
-    """A rule table on one coalition."""
-    m = coalition_mask(s)
-    return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
-
-
 class _RuleTableScheme(AllocationScheme):
-    """A scheme given by a per-edge rule table (watch, pays, select): edge i
-    pays pays[i][k] in a coalition with k edges in the bitmask watch[i].
-    materialize and verify_pmas read it as one integer table over every
-    coalition, built on first use."""
+    """A scheme given by a per-edge rule table: edge i pays pays[i][k] in a
+    coalition with k edges in the bitmask watch[i].  allocation() evaluates
+    the table on every query and caches nothing, so single queries stay cheap
+    on forests of any size; materialize and verify_pmas read it as one
+    integer table over every coalition, built on first use."""
 
-    def __init__(self, graph: Graph, payments) -> None:
-        watch, pays, _ = payments
-        # not a method bound to the scheme: that reference cycle would keep
-        # the integer table alive until the cyclic collector runs
-        super().__init__(graph, rule=partial(_table_rule, watch, pays))
-        self._payments = payments
+    lazy = True
+
+    def __init__(self, graph: Graph, watch: list[int], pays: list[list[Fraction]]) -> None:
+        self.graph = graph
+        self._players = graph.players()
+        self.watch = watch
+        self.pays = pays
         self._rows: tuple[list[dict[int, int]], int] | None = None
+
+    def allocation(self, coalition) -> dict[int, Fraction]:
+        s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
+        _known(self, s)
+        m = coalition_mask(s)
+        watch, pays = self.watch, self.pays
+        return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
 
     def _integer_table(self):
         # the table describes the rule; an allocation() replaced on the
@@ -264,7 +269,7 @@ class _RuleTableScheme(AllocationScheme):
         if "allocation" in vars(self):
             return None
         if self._rows is None:
-            watch, pays, _ = self._payments
+            watch, pays = self.watch, self.pays
             den = math.lcm(*{p.denominator for row in pays for p in row})
             # one int object per distinct payment keeps later scans over the rows fast
             num = {p: p.numerator * (den // p.denominator) for row in pays for p in row}
@@ -276,14 +281,19 @@ class _RuleTableScheme(AllocationScheme):
 
 
 def construct_pmas(graph: Graph) -> AllocationScheme:
-    """Rule-backed scheme for a population-monotonic graph.
+    """Rule-table scheme for a population-monotonic graph.
 
     Per coalition: an accompanied free rider pays 0, a lone free rider pays 1,
     and every other edge pays 1/k where k counts the non-free-rider coalition
     edges at its covering vertex.
     """
     _, cover = classify_components(graph)
-    return _RuleTableScheme(graph, cover._payments)
+    return cover.scheme()
+
+
+def _require_same_graph(graph: Graph, other: Graph, what: str) -> None:
+    if other is not graph and other != graph:
+        raise ContractViolation(f"the {what} belongs to another graph")
 
 
 @dataclass(frozen=True)
@@ -326,15 +336,16 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     in ascending coalition bitmask order, monotonicity in ascending (superset,
     dropped edge) order.  A missing or misindexed coalition raises
     MalformedScheme.  Both scans compare integer numerators over one common
-    denominator.
+    denominator.  A scheme of another graph is refused.
     """
+    _require_same_graph(game.graph, scheme.graph, "scheme")
     n = game.n
     if n > max_edges:
         raise OracleCapError(f"verifying over {n} edges exceeds the {max_edges}-edge cap")
     table = game.cost_table(max_edges)
     size = 1 << n
     coalitions = all_coalitions(n)
-    integer = scheme._integer_table() if scheme.graph.n_edges == n else None
+    integer = scheme._integer_table()
     if integer is not None:
         rows, den = integer
         for m in range(1, size):
@@ -352,7 +363,8 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
             if a.keys() != s:
                 raise MalformedScheme(
                     f"allocation for {sorted(s)} is not indexed by its members")
-            values = [v if type(v) is Fraction else Fraction(v) for v in a.values()]
+            values = [v if type(v) is Fraction else _exact_payment(v, MalformedScheme, i, s)
+                      for i, v in a.items()]
             d = math.lcm(*[v.denominator for v in values])
             row = {i: v.numerator * (d // v.denominator) for i, v in zip(a, values)}
             total = sum(row.values())
@@ -396,7 +408,8 @@ def _scaled_profile(graph: Graph, coalition, x):
         raise ContractViolation("allocation must be indexed by the coalition")
     for value in x.values():
         if type(value) is not Fraction:
-            x = {i: Fraction(v) for i, v in x.items()}
+            x = {i: v if type(v) is Fraction else _exact_payment(v, ContractViolation, i, None)
+                 for i, v in x.items()}
             break
     # Fraction's _numerator/_denominator slots skip the property descriptors
     den = 1
@@ -449,13 +462,12 @@ def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
     rule pays and zero where it does not.  An edge the rule charges needs unit
     load at its selected vertex; an edge it does not charge (an accompanied
     free rider) must pay 0.  A cover system of another graph is refused."""
-    if cover.graph is not graph and cover.graph != graph:
-        raise ContractViolation("the cover system belongs to another graph")
+    _require_same_graph(graph, cover.graph, "cover system")
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
     loads, den, _, feasible = _scaled_profile(graph, s, x)
     if not feasible:
         return False
-    watch, pays, select = cover._payments
+    watch, pays, select = cover.watch, cover.pays, cover.select
     m = coalition_mask(s)
     for i in s:
         if pays[i][(m & watch[i]).bit_count()]:
@@ -483,9 +495,8 @@ def scheme_table_to_jsonable(table) -> dict:
     return out
 
 
-def scheme_to_json(scheme: AllocationScheme, *, max_edges: int = DEFAULT_EDGE_CAP) -> str:
-    return json.dumps(scheme_table_to_jsonable(scheme.materialize(max_edges=max_edges)),
-                      indent=2)
+def scheme_to_json(scheme: AllocationScheme) -> str:
+    return json.dumps(scheme_table_to_jsonable(scheme.materialize()), indent=2)
 
 
 def _unique_keys(pairs) -> dict:

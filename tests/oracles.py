@@ -3,14 +3,15 @@
 Everything here is deliberately independent of the library's search engines:
 covers and matchings by subset enumeration, stability by a hand-rolled
 domination scan, component shapes by raw degree counting, scheme verification
-by a Fraction scan, and the constructive rule, its selector and the pi* check
-by one split per coalition.  The only library pieces used are the data types,
-the cover system's component shapes and, for the integral-scheme search, the
-final verify_pmas filter that the search is defined against.  Four earlier
-library implementations are kept as references for differential tests: the
-coalition split that grouped edges by anchor, the forbidden-pattern search
-with its own K3 and C4 loops, the stability scan with a per-vertex rank
-cache, and the integral scheme that ran deferred acceptance per coalition.
+and core membership by Fraction scans, and the constructive rule, its
+selector and the pi* check by one split per coalition.  The only library
+pieces used are the data types, the cover system's component shapes and,
+for the integral-scheme search, the final verify_pmas filter that the search
+is defined against.  Five earlier library implementations are kept as
+references for differential tests: the coalition split that grouped edges by
+anchor, the forbidden-pattern search with its own K3 and C4 loops, the
+stability scan with a per-vertex rank cache, the integral scheme that ran
+deferred acceptance per coalition, and core membership on Fraction sums.
 """
 
 from __future__ import annotations
@@ -179,6 +180,27 @@ def reference_verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
                 if x < vec[t][i]:
                     return False, Violation("monotonicity", coalitions[sm], coalitions[t],
                                             i, x, vec[t][i])
+    return True, None
+
+
+def reference_core_membership(game: VertexCoverGame, allocation):
+    """core_membership as Fraction prefix sums: efficiency on the full player
+    set first, then group rationality in ascending bitmask order."""
+    players = game.players()
+    if set(allocation) != set(players):
+        raise ContractViolation("allocation must be indexed by the full player set")
+    table = game.cost_table()
+    size = 1 << game.n
+    values = [allocation[i] for i in range(game.n)]
+    sums: list = [Fraction(0)] * size
+    for m in range(1, size):
+        low = m & -m
+        sums[m] = sums[m ^ low] + values[low.bit_length() - 1]
+    if sums[size - 1] != table[size - 1]:
+        return False, players
+    for m in range(1, size):
+        if sums[m] > table[m]:
+            return False, mask_coalition(m)
     return True, None
 
 
@@ -425,13 +447,13 @@ def admissible_preference_systems(g: Graph):
 
 def gale_shapley_scheme(ps: PreferenceSystem) -> AllocationScheme:
     """The integral scheme of a preference system by deferred acceptance:
-    each coalition pays the incidence vector of its stable matching."""
-
-    def rule(s):
+    each coalition pays the incidence vector of its stable matching, stored
+    as a table over every coalition."""
+    table = {}
+    for s in all_coalitions(ps.graph.n_edges)[1:]:
         matched = gale_shapley(ps, s)
-        return {i: (Fraction(1) if i in matched else Fraction(0)) for i in s}
-
-    return AllocationScheme(ps.graph, rule=rule)
+        table[s] = {i: (Fraction(1) if i in matched else Fraction(0)) for i in s}
+    return AllocationScheme(ps.graph, table=table)
 
 
 # --- random fixture generators -----------------------------------------------------

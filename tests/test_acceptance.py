@@ -7,6 +7,7 @@ numeric tolerances anywhere.
 
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -272,21 +273,19 @@ def test_criterion_6_integral_bijection_and_enumeration():
 def test_criterion_7_midpoint_extremality():
     failures = []
     for g in all_pm_graphs_up_to(5):
-        flats = []
-        for scheme in vc.enumerate_integral_pmas(g, max_enumerate=10**6):
-            table = scheme.materialize()
-            flats.append({(tuple(sorted(s)), i): v
-                          for s, vec in table.items() for i, v in vec.items()})
-        pool = {tuple(sorted((k, (v.numerator, v.denominator)) for k, v in flat.items()))
-                for flat in flats}
-        for a in flats:
-            for b in flats:
-                if a is b:
-                    continue
-                c = {k: 2 * a[k] - b[k] for k in a}
-                key = tuple(sorted((k, (v.numerator, v.denominator))
-                                   for k, v in c.items()))
-                if key in pool:
+        tables = [scheme.materialize()
+                  for scheme in vc.enumerate_integral_pmas(g, max_enumerate=10**6)]
+        # each table flattened once, in one fixed (coalition, edge) order, to
+        # integer numerators over one common denominator: exact comparisons
+        keys = [(s, i) for s, vec in tables[0].items() for i in sorted(vec)]
+        den = math.lcm(*{table[s][i].denominator for table in tables for s, i in keys})
+        flats = [tuple(table[s][i].numerator * (den // table[s][i].denominator)
+                       for s, i in keys) for table in tables]
+        pool = set(flats)
+        for ia, a in enumerate(flats):
+            doubled = [2 * x for x in a]
+            for ib, b in enumerate(flats):
+                if ia != ib and tuple(map(operator.sub, doubled, b)) in pool:
                     failures.append(f"midpoint hit on {g.edges}")
     _verdict(7, "no enumerated scheme is a midpoint of two others", failures)
 

@@ -16,7 +16,7 @@ from vcgame.game import (VertexCoverGame, core_element_from_matching, core_membe
                          is_submodular_graph, is_totally_balanced, mask_coalition)
 from vcgame.graph import Graph, vertex_cover_number
 
-from oracles import random_graph
+from oracles import random_graph, reference_core_membership
 
 
 def k3() -> Graph:
@@ -226,6 +226,43 @@ def test_core_membership_violations():
 def test_core_membership_requires_full_indexing():
     with pytest.raises(ContractViolation):
         core_membership(VertexCoverGame(star(2)), {0: Fraction(1)})
+
+
+def test_core_membership_takes_ints_and_refuses_other_payments():
+    path = VertexCoverGame(p4())
+    assert core_membership(path, {0: 1, 1: 0, 2: 1}) == (True, None)
+    assert core_membership(path, {0: 1, 1: Fraction(1, 2), 2: Fraction(1, 2)}) == (
+        False, frozenset({0, 1}))
+    for bad in (1.0, "1", True):
+        with pytest.raises(ContractViolation, match=f"payment of edge 0 is {bad!r}"):
+            core_membership(path, {0: bad, 1: 0, 2: 1})
+
+
+def test_core_membership_matches_fraction_sums():
+    rng = random.Random(8121)
+    kinds = set()
+    for _ in range(150):
+        g = random_graph(rng, max_edges=10)
+        game = VertexCoverGame(g)
+        n = g.n_edges
+        if is_balanced(game):
+            base = core_element_from_matching(game)
+        else:
+            tau, _ = vertex_cover_number(g, g.players())
+            base = {i: Fraction(tau, n) for i in range(n)}
+        perturbed = dict(base)
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            delta = Fraction(rng.randint(1, 3), rng.randint(1, 4))
+            perturbed[i] += delta
+            perturbed[j] -= delta
+        inefficient = {**base, 0: base[0] + Fraction(1, rng.randint(1, 5))}
+        for alloc in (base, perturbed, inefficient):
+            expected = reference_core_membership(game, alloc)
+            assert core_membership(game, alloc) == expected
+            kinds.add("core" if expected[0] else
+                      "efficiency" if expected[1] == game.players() else "rationality")
+    assert kinds == {"core", "efficiency", "rationality"}
 
 
 def test_core_element_examples():

@@ -362,6 +362,16 @@ def test_preferences_from_scheme_rejects_no_unit():
         preferences_from_scheme(game, AllocationScheme(g, table=table))
 
 
+def test_preferences_from_scheme_refuses_a_scheme_of_another_graph():
+    scheme = scheme_from_preferences(p4_prefs())
+    star3 = Graph.from_edges([("b", "a"), ("b", "c"), ("b", "d")])
+    for other in (star3, star(4)):
+        with pytest.raises(ContractViolation, match="scheme belongs to another graph"):
+            preferences_from_scheme(VertexCoverGame(other), scheme)
+    # an equal graph built separately is the same graph
+    assert preferences_from_scheme(VertexCoverGame(p4()), scheme) == p4_prefs()
+
+
 def test_round_trips_are_identities():
     for g in SMALL_PM_FIXTURES:
         game = VertexCoverGame(g)

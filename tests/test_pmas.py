@@ -187,6 +187,22 @@ def test_split_count_rejects_out_of_range_edges():
             cover.split_count(frozenset({1, bad}), 1)
 
 
+def test_dual_checks_take_ints_and_refuse_other_payments():
+    g = p4()
+    game = VertexCoverGame(g)
+    _, cover = classify_components(g)
+    s = frozenset({0, 1, 2})
+    x = {0: 1, 1: 0, 2: 1}
+    assert check_dual_feasible(g, s, x) and check_dual_optimal(game, s, x)
+    assert check_pi_star(g, s, x, cover)
+    for bad in ("1/2", 0.5, False):
+        y = {**x, 1: bad}
+        for call in (lambda: check_dual_feasible(g, s, y), lambda: check_dual_optimal(game, s, y),
+                     lambda: check_pi_star(g, s, y, cover)):
+            with pytest.raises(ContractViolation, match=f"payment of edge 1 is {bad!r}"):
+                call()
+
+
 def test_pi_star_rejects_a_foreign_cover_system():
     g = p4()
     s = frozenset({0, 1, 2})
@@ -606,14 +622,59 @@ def test_allocation_queries_retain_no_memory():
     assert retained < 0.1 * 2**20
 
 
+def test_construct_on_a_large_pisces_retains_little_memory():
+    # the payments stay shared Fractions; an integer numerator per edge over
+    # lcm(1..1000) would have hundreds of digits and retain many MiB
+    g = Graph.from_edges([("b1", "b2")] + [("b1", f"p{k}") for k in range(1000)]
+                         + [("b2", f"q{k}") for k in range(1000)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scheme = construct_pmas(g)
+        alloc = scheme.allocation(frozenset({0, 1, 2, 1001}))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert alloc == {0: 0, 1: Fraction(1, 2), 2: Fraction(1, 2), 1001: 1}
+    assert retained < 2**20
+
+
 # --- allocation scheme plumbing -----------------------------------------------------------
 
 
-def test_scheme_requires_exactly_one_backing():
-    with pytest.raises(ValueError):
-        AllocationScheme(star(2))
-    with pytest.raises(ValueError):
-        AllocationScheme(star(2), rule=lambda s: {}, table={})
+def test_table_payments_are_ints_or_fractions():
+    scheme = AllocationScheme(star(2), table={frozenset({0}): {0: 1}})
+    (value,) = scheme.allocation({0}).values()
+    assert type(value) is Fraction and value == 1
+    for bad in (0.5, "1/2", True):
+        with pytest.raises(MalformedScheme,
+                           match=re.escape(f"payment of edge 1 on coalition [0, 1] is {bad!r}")):
+            AllocationScheme(star(2), table={frozenset({0, 1}): {0: Fraction(1, 2), 1: bad}})
+
+
+def test_verify_refuses_payments_that_are_not_ints_or_fractions():
+    g = star(2)
+    game = VertexCoverGame(g)
+    for value in (1, 1.0, "1", True):
+        scheme = construct_pmas(g)
+        rule = scheme.allocation
+        scheme.allocation = lambda s: {**rule(s), 1: value} if s == {1} else rule(s)
+        if type(value) is int:
+            assert verify_pmas(game, scheme) == (True, None)
+            continue
+        with pytest.raises(MalformedScheme,
+                           match=re.escape(f"payment of edge 1 on coalition [1] is {value!r}")):
+            verify_pmas(game, scheme)
+
+
+def test_verify_refuses_a_scheme_of_another_graph():
+    scheme = construct_pmas(p4())
+    star3 = Graph.from_edges([("b", "a"), ("b", "c"), ("b", "d")])
+    for other in (star3, star(4)):
+        with pytest.raises(ContractViolation, match="scheme belongs to another graph"):
+            verify_pmas(VertexCoverGame(other), scheme)
+    # an equal graph built separately is the same graph
+    assert verify_pmas(VertexCoverGame(p4()), scheme) == (True, None)
 
 
 def test_scheme_rejects_bad_coalitions():

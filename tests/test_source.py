@@ -30,3 +30,9 @@ def test_library_source_has_no_floats():
 def test_float_scan_sees_each_form():
     text = "a = 0.5\nb = c / d\ne /= 2\nf = float(g)\nh = 1j\nk = m // n\n"
     assert sorted(line for line, _ in float_uses(ast.parse(text))) == [1, 2, 3, 4, 5]
+
+
+def test_library_source_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -52,6 +52,16 @@ def _exact_payment(value, error: type[Exception], edge, coalition) -> Fraction:
     raise error(f"payment of {where} is {value!r}, not an int or Fraction")
 
 
+def _numerators(payments: dict, error: type[Exception], coalition) -> tuple[dict, int]:
+    """(nums, den): nums maps each key of payments to its payment's integer
+    numerator over den, the least common denominator; a payment that is not
+    an int or Fraction raises error as _exact_payment does."""
+    values = [v if type(v) is Fraction else _exact_payment(v, error, i, coalition)
+              for i, v in payments.items()]
+    den = math.lcm(*[v.denominator for v in values])
+    return {i: v.numerator * (den // v.denominator) for i, v in zip(payments, values)}, den
+
+
 @lru_cache(maxsize=8)
 def all_coalitions(n: int) -> tuple[Coalition, ...]:
     """Every coalition over n players, indexed by bitmask (interned per n so
@@ -195,11 +205,7 @@ def core_membership(game: VertexCoverGame, allocation):
     table = game.cost_table()
     n = game.n
     size = 1 << n
-    values = [allocation[i] for i in range(n)]
-    values = [v if type(v) is Fraction else _exact_payment(v, ContractViolation, i, None)
-              for i, v in enumerate(values)]
-    den = math.lcm(*[v.denominator for v in values])
-    nums = [v.numerator * (den // v.denominator) for v in values]
+    nums, den = _numerators({i: allocation[i] for i in range(n)}, ContractViolation, None)
     sums = [0] * size
     for m in range(1, size):
         low = m & -m

@@ -421,6 +421,17 @@ def vertex_cover_number(graph: Graph, coalition, *,
 # --- exact maximum matching -----------------------------------------------------
 
 
+def _augment(a: str, left_adj, matched: dict[str, str], visited: set[str]) -> bool:
+    for b in left_adj[a]:
+        if b in visited:
+            continue
+        visited.add(b)
+        if b not in matched or _augment(matched[b], left_adj, matched, visited):
+            matched[b] = a
+            return True
+    return False
+
+
 def _bipartite_matching_size(pairs, color) -> int:
     left_adj: dict[str, list[str]] = {}
     for u, v in pairs:
@@ -429,47 +440,22 @@ def _bipartite_matching_size(pairs, color) -> int:
     for lst in left_adj.values():
         lst.sort()
     matched: dict[str, str] = {}
-
-    def augment(a: str, visited: set[str]) -> bool:
-        for b in left_adj[a]:
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in matched or augment(matched[b], visited):
-                matched[b] = a
-                return True
-        return False
-
-    size = 0
-    for a in sorted(left_adj):
-        if augment(a, set()):
-            size += 1
-    return size
+    return sum(_augment(a, left_adj, matched, set()) for a in sorted(left_adj))
 
 
-def _matching_branch(pairs) -> int:
-    best = 0
-
-    def upper(rest) -> int:
-        verts: set[str] = set()
-        for u, v in rest:
-            verts.add(u)
-            verts.add(v)
-        return min(len(rest), len(verts) // 2)
-
-    def rec(rest, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if not rest or count + upper(rest) <= best:
-            return
-        u, v = rest[0]
-        take = [e for e in rest[1:] if u != e[0] and u != e[1] and v != e[0] and v != e[1]]
-        rec(take, count + 1)
-        rec(rest[1:], count)
-
-    rec(list(pairs), 0)
-    return best
+def _matching_branch(pairs, count: int = 0, best: int = 0) -> int:
+    """The larger of best and count plus a maximum matching of pairs."""
+    if count > best:
+        best = count
+    if not pairs:
+        return best
+    verts = {w for e in pairs for w in e}
+    if count + min(len(pairs), len(verts) // 2) <= best:
+        return best
+    u, v = pairs[0]
+    take = [e for e in pairs[1:] if u != e[0] and u != e[1] and v != e[0] and v != e[1]]
+    best = _matching_branch(take, count + 1, best)
+    return _matching_branch(pairs[1:], count, best)
 
 
 def _matching_size(pairs) -> int:
@@ -520,6 +506,21 @@ def matching_number(graph: Graph, coalition, *,
 # --- forbidden subgraph search ---------------------------------------------------
 
 
+def _extend(graph: Graph, seq: list[str], length: int, closed: bool) -> tuple[str, ...] | None:
+    """First pattern occurrence that starts with the path seq, depth first."""
+    if len(seq) == length:
+        return None if closed and seq[0] not in graph.neighbors(seq[-1]) else tuple(seq)
+    for w in graph.neighbors(seq[-1]):
+        if w in seq:
+            continue
+        seq.append(w)
+        hit = _extend(graph, seq, length, closed)
+        if hit is not None:
+            return hit
+        seq.pop()
+    return None
+
+
 def find_forbidden_subgraph(graph: Graph, pattern: str) -> tuple[str, ...] | None:
     """First (lexicographically smallest) subgraph occurrence of the pattern.
 
@@ -531,22 +532,9 @@ def find_forbidden_subgraph(graph: Graph, pattern: str) -> tuple[str, ...] | Non
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
     length, closed = {"K3": (3, True), "C4": (4, True), "P4": (4, False), "P5": (5, False)}[pattern]
-
-    def extend(seq: list[str]) -> tuple[str, ...] | None:
-        if len(seq) == length:
-            return None if closed and seq[0] not in graph.neighbors(seq[-1]) else tuple(seq)
-        for w in graph.neighbors(seq[-1]):
-            if w in seq:
-                continue
-            seq.append(w)
-            hit = extend(seq)
-            if hit is not None:
-                return hit
-            seq.pop()
-        return None
-
     for a in sorted(graph.vertices):
-        hit = extend([a])
+        hit = _extend(graph, [a], length, closed)
         if hit is not None:
             return hit
     return None
+

@@ -201,6 +201,21 @@ def count_integral_pmas(graph: Graph) -> int:
     return total
 
 
+def _orders(by_vertex, vertices: list[str], orders: dict[str, tuple[int, ...]]):
+    """Every extension of orders to the given vertices, in lexicographic
+    order of their permutations with free riders pinned last."""
+    if not vertices:
+        yield dict(orders)
+        return
+    v = vertices[0]
+    base, rider = by_vertex[v]
+    tail = (rider,) if rider is not None else ()
+    for perm in permutations(base):
+        orders[v] = perm + tail
+        yield from _orders(by_vertex, vertices[1:], orders)
+    orders.pop(v, None)
+
+
 def enumerate_integral_pmas(graph: Graph, *, max_enumerate: int = DEFAULT_ENUM_CAP):
     """Yield one integral scheme per admissible preference system.
 
@@ -214,22 +229,8 @@ def enumerate_integral_pmas(graph: Graph, *, max_enumerate: int = DEFAULT_ENUM_C
     for c in comps:
         for v in c.cover:
             by_vertex[v] = (tuple(sorted(c.pendants[v])), c.free_rider)
-    vertices = sorted(by_vertex)
-
-    def walk(idx: int, orders: dict[str, tuple[int, ...]]):
-        if idx == len(vertices):
-            yield dict(orders)
-            return
-        v = vertices[idx]
-        base, rider = by_vertex[v]
-        tail = (rider,) if rider is not None else ()
-        for perm in permutations(base):
-            orders[v] = perm + tail
-            yield from walk(idx + 1, orders)
-        orders.pop(v, None)
-
     yielded = 0
-    for orders in walk(0, {}):
+    for orders in _orders(by_vertex, sorted(by_vertex), {}):
         if yielded >= max_enumerate:
             raise EnumerationTruncated(f"enumeration stopped at cap {max_enumerate}")
         yielded += 1

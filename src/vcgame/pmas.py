@@ -12,8 +12,10 @@ this rule once, as a per-edge table of watch masks, payments and selected
 vertices, and the per-coalition selector is the vertices the rule charges.
 Every scheme the library builds is such a table, built by
 CoverSystem.scheme; an integral scheme only has other watch masks and
-payments.  An AllocationScheme given a table stores it; its payments must be
-Fractions or ints.
+payments.  An AllocationScheme given a table stores it; its edge keys must be
+ints and its payments Fractions or ints.  materialize and verify_pmas read
+every scheme as per-coalition integer rows: a rule table from its table, any
+other scheme (or a replaced allocation) through allocation().
 The dual-side checks certify allocations against the fractional cover
 relaxation of the coalition subgraph: feasibility (nonnegative, per-vertex
 load at most one), optimality (total equal to the coalition cost), and
@@ -28,11 +30,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
-from .game import (DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, all_coalitions,
-                   coalition_mask)
+from .game import (DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, _numerators,
+                   all_coalitions, coalition_mask)
 from .graph import (ComponentClassification, Coalition, Graph, _require_edges,
                     decompose, find_forbidden_subgraph)
 
@@ -188,11 +191,25 @@ def _known(scheme: AllocationScheme, s: Coalition) -> None:
         raise ContractViolation("coalition contains unknown players")
 
 
+class _Payments(dict):
+    """Numerator -> payment over one denominator, built on first lookup and
+    taken from shared so that equal payments are one Fraction."""
+
+    def __init__(self, den: int, shared: dict[Fraction, Fraction]) -> None:
+        self.den, self.shared = den, shared
+
+    def __missing__(self, x: int) -> Fraction:
+        value = Fraction(x, self.den)
+        self[x] = value = self.shared.setdefault(value, value)
+        return value
+
+
 class AllocationScheme:
     """Per-coalition payment vectors from a stored table.
 
-    Payments must be Fractions or ints; allocation() returns the stored
-    vectors by reference, so callers must treat them as read-only.
+    Edge keys must be ints and payments Fractions or ints; allocation()
+    returns the stored vectors by reference, so callers must treat them as
+    read-only.
     """
 
     lazy = False
@@ -200,11 +217,15 @@ class AllocationScheme:
     def __init__(self, graph: Graph, *, table) -> None:
         self.graph = graph
         self._players = graph.players()
-        self._table = {
-            frozenset(s): {int(i): v if type(v) is Fraction
-                           else _exact_payment(v, MalformedScheme, i, s)
-                           for i, v in vec.items()}
-            for s, vec in table.items()}
+        self._table = {}
+        for s, vec in table.items():
+            s = frozenset(s)
+            for i in vec:
+                if type(i) is not int:
+                    raise MalformedScheme(f"edge key {i!r} on coalition {sorted(s)} is not an int")
+            self._table[s] = {i: v if type(v) is Fraction
+                              else _exact_payment(v, MalformedScheme, i, s)
+                              for i, v in vec.items()}
 
     def allocation(self, coalition) -> dict[int, Fraction]:
         s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
@@ -215,37 +236,41 @@ class AllocationScheme:
         members = ",".join(str(i) for i in sorted(s))
         raise MalformedScheme(f"scheme is missing coalition {{{members}}}")
 
-    def _integer_table(self) -> tuple[list[dict[int, int]], int] | None:
-        """(rows, den) with rows[mask] mapping each member edge to its payment's
-        numerator over den, when the scheme knows its allocations in that
-        form (callers check the edge cap); None otherwise."""
-        return None
+    def _integer_rows(self):
+        """(row, den) for every nonempty coalition in ascending bitmask order,
+        row mapping each member edge to its payment's numerator over den (the
+        caller checks the edge cap).  Read through allocation(): a missing or
+        misindexed coalition raises MalformedScheme when the scan reaches it."""
+        allocation = self.allocation
+        for s in all_coalitions(self.graph.n_edges)[1:]:
+            a = allocation(s)
+            if a.keys() != s:
+                raise MalformedScheme(f"allocation for {sorted(s)} is not indexed by its members")
+            yield _numerators(a, MalformedScheme, s)
 
     def materialize(self, *, max_edges: int = DEFAULT_EDGE_CAP):
-        """Full table over every nonempty coalition (capped by edge count)."""
+        """Full table over every nonempty coalition (capped by edge count),
+        with one shared Fraction per distinct payment."""
         n = self.graph.n_edges
         if n > max_edges:
             raise OracleCapError(
                 f"materializing a scheme over {n} edges exceeds the {max_edges}-edge cap")
         coalitions = all_coalitions(n)
-        integer = self._integer_table()
-        if integer is not None:
-            rows, den = integer
-            # one shared Fraction per distinct numerator
-            shared = {x: Fraction(x, den) for x in set().union(*map(dict.values, rows))}
-            fraction = shared.__getitem__
-            return {coalitions[m]: dict(zip(rows[m], map(fraction, rows[m].values())))
-                    for m in range(1, 1 << n)}
-        allocation = self.allocation
-        return {coalitions[m]: dict(allocation(coalitions[m])) for m in range(1, 1 << n)}
+        shared: dict[Fraction, Fraction] = {}
+        by_den = {}  # den -> lookup of the payment for a numerator
+        out = {}
+        for m, (row, den) in enumerate(self._integer_rows(), 1):
+            payment = by_den.get(den) or by_den.setdefault(den, _Payments(den, shared).__getitem__)
+            out[coalitions[m]] = dict(zip(row, map(payment, row.values())))
+        return out
 
 
 class _RuleTableScheme(AllocationScheme):
     """A scheme given by a per-edge rule table: edge i pays pays[i][k] in a
     coalition with k edges in the bitmask watch[i].  allocation() evaluates
     the table on every query and caches nothing, so single queries stay cheap
-    on forests of any size; materialize and verify_pmas read it as one
-    integer table over every coalition, built on first use."""
+    on forests of any size; materialize and verify_pmas read its integer rows
+    over one denominator, built on first use."""
 
     lazy = True
 
@@ -263,21 +288,21 @@ class _RuleTableScheme(AllocationScheme):
         watch, pays = self.watch, self.pays
         return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
 
-    def _integer_table(self):
+    def _integer_rows(self):
         # the table describes the rule; an allocation() replaced on the
         # instance is what the scheme answers, so it is read through that
         if "allocation" in vars(self):
-            return None
+            return super()._integer_rows()
         if self._rows is None:
             watch, pays = self.watch, self.pays
-            den = math.lcm(*{p.denominator for row in pays for p in row})
             # one int object per distinct payment keeps later scans over the rows fast
-            num = {p: p.numerator * (den // p.denominator) for row in pays for p in row}
+            num, den = _numerators({p: p for row in pays for p in row}, MalformedScheme, None)
             nums = [[num[p] for p in row] for row in pays]
             coalitions = all_coalitions(self.graph.n_edges)
             self._rows = [{i: nums[i][(m & watch[i]).bit_count()] for i in coalitions[m]}
-                          for m in range(len(coalitions))], den
-        return self._rows
+                          for m in range(1, len(coalitions))], den
+        rows, den = self._rows
+        return zip(rows, repeat(den))
 
 
 def construct_pmas(graph: Graph) -> AllocationScheme:
@@ -345,39 +370,17 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     table = game.cost_table(max_edges)
     size = 1 << n
     coalitions = all_coalitions(n)
-    integer = scheme._integer_table()
-    if integer is not None:
-        rows, den = integer
-        for m in range(1, size):
-            total = sum(rows[m].values())
-            if total != table[m] * den:
-                return False, Violation("efficiency", coalitions[m], None, None,
-                                        Fraction(total, den), Fraction(table[m]))
-    else:
-        rows = [{}] * size
-        dens = [1] * size
-        den = 1
-        for m in range(1, size):
-            s = coalitions[m]
-            a = scheme.allocation(s)
-            if a.keys() != s:
-                raise MalformedScheme(
-                    f"allocation for {sorted(s)} is not indexed by its members")
-            values = [v if type(v) is Fraction else _exact_payment(v, MalformedScheme, i, s)
-                      for i, v in a.items()]
-            d = math.lcm(*[v.denominator for v in values])
-            row = {i: v.numerator * (d // v.denominator) for i, v in zip(a, values)}
-            total = sum(row.values())
-            if total != table[m] * d:
-                return False, Violation("efficiency", s, None, None,
-                                        Fraction(total, d), Fraction(table[m]))
-            rows[m] = row
-            dens[m] = d
-            den = math.lcm(den, d)
-        for m in range(1, size):
-            if dens[m] != den:
-                scale = den // dens[m]
-                rows[m] = {i: x * scale for i, x in rows[m].items()}
+    rows, dens = [{}], [1]
+    for m, (row, d) in enumerate(scheme._integer_rows(), 1):
+        total = sum(row.values())
+        if total != table[m] * d:
+            return False, Violation("efficiency", coalitions[m], None, None,
+                                    Fraction(total, d), Fraction(table[m]))
+        rows.append(row)
+        dens.append(d)
+    den = math.lcm(*dens)
+    rows = [row if d == den else {i: x * (den // d) for i, x in row.items()}
+            for row, d in zip(rows, dens)]
     for t in range(1, size):
         if not t & (t - 1):
             continue  # a single edge covers only the empty coalition
@@ -411,6 +414,7 @@ def _scaled_profile(graph: Graph, coalition, x):
             x = {i: v if type(v) is Fraction else _exact_payment(v, ContractViolation, i, None)
                  for i, v in x.items()}
             break
+    # inline, not _numerators: through it the three dual checks ran ~40% slower (13 edges)
     # Fraction's _numerator/_denominator slots skip the property descriptors
     den = 1
     for value in x.values():

@@ -1,5 +1,6 @@
 """Graph parsing, components, and the exact cover/matching/pattern oracles."""
 
+import gc
 import random
 
 import pytest
@@ -207,6 +208,25 @@ def test_koenig_on_bipartite_graphs():
         nu = matching_number(g, g.players())[0]
         tau = vertex_cover_number(g, g.players())[0]
         assert nu == tau == brute_matching_number(g, g.players()) == brute_cover_number(g, g.players())
+
+
+def test_oracles_leave_no_reference_cycles():
+    # a recursive nested function refers to itself through its closure cell,
+    # so every call would leave garbage that only the cyclic collector frees
+    graphs = [k3(), c4(), p5(), star(4),
+              Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e")])]
+    assert [is_bipartite(g) for g in graphs] == [False, True, True, True, False]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            matching_number(g, g.players())
+            vertex_cover_number(g, g.players())
+            for pattern in PATTERNS:
+                find_forbidden_subgraph(g, pattern)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- structural fast path and caps ----------------------------------------------------

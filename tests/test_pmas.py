@@ -585,6 +585,46 @@ def test_replaced_allocation_is_what_gets_verified():
         assert scheme.materialize()[raised][0] == rule(raised)[0] + 1
 
 
+def schemes_of_every_kind(g: Graph):
+    """The constructive scheme, every integral one, a stored table and a
+    rule table whose allocation was replaced on the instance (its rows then
+    have different denominators)."""
+    constructive = construct_pmas(g)
+    stored = AllocationScheme(g, table={s: constructive.allocation(s)
+                                        for s in map(mask_coalition, range(1, 1 << g.n_edges))})
+    replaced = construct_pmas(g)
+    replaced.allocation = lambda s: {i: x + Fraction(1, len(s) + 1)
+                                     for i, x in constructive.allocation(s).items()}
+    return constructive, *enumerate_integral_pmas(g, max_enumerate=10**6), stored, replaced
+
+
+def test_materialize_reads_every_scheme_as_its_allocations():
+    for g in all_pm_graphs_up_to(5):
+        for h in (g, flipped(g)):
+            coalitions = [mask_coalition(m) for m in range(1, 1 << h.n_edges)]
+            for scheme in schemes_of_every_kind(h):
+                table = scheme.materialize()
+                assert list(table) == coalitions
+                assert table == {s: scheme.allocation(s) for s in coalitions}
+                # equal payments are one shared object
+                shared = {}
+                for vec in table.values():
+                    for value in vec.values():
+                        assert type(value) is Fraction and shared.setdefault(value, value) is value
+
+
+def test_materialize_refuses_a_misindexed_stored_row():
+    rng = random.Random(38)
+    for g in all_pm_graphs_up_to(5):
+        for h in (g, flipped(g)):
+            table = construct_pmas(h).materialize()
+            for s in (rng.choice(list(table)), h.players()):
+                bad = {**table, s: {i + 1: v for i, v in table[s].items()}}
+                with pytest.raises(MalformedScheme,
+                                   match=re.escape(f"allocation for {sorted(s)} is not indexed")):
+                    AllocationScheme(h, table=bad).materialize()
+
+
 def test_schemes_die_without_the_cyclic_collector():
     # a scheme that referenced itself (a rule bound to it) would keep its
     # integer table alive until the cyclic collector ran
@@ -650,6 +690,14 @@ def test_table_payments_are_ints_or_fractions():
         with pytest.raises(MalformedScheme,
                            match=re.escape(f"payment of edge 1 on coalition [0, 1] is {bad!r}")):
             AllocationScheme(star(2), table={frozenset({0, 1}): {0: Fraction(1, 2), 1: bad}})
+
+
+def test_table_edge_keys_are_ints():
+    # an edge key is never coerced: "0" and True would name edges 0 and 1
+    for key in ("0", True, 0.0, Fraction(0)):
+        with pytest.raises(MalformedScheme,
+                           match=re.escape(f"edge key {key!r} on coalition [0] is not an int")):
+            AllocationScheme(star(2), table={frozenset({0}): {key: 1}})
 
 
 def test_verify_refuses_payments_that_are_not_ints_or_fractions():

@@ -32,6 +32,39 @@ def test_float_scan_sees_each_form():
     assert sorted(line for line, _ in float_uses(ast.parse(text))) == [1, 2, 3, 4, 5]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def self_referencing_closures(tree: ast.AST):
+    """(line, name) for every function nested in another that refers to its
+    own name: its closure cell holds the function, a reference cycle that
+    every call of the outer function leaves to the cyclic collector."""
+    nested = {node for outer in ast.walk(tree) if isinstance(outer, FUNCTIONS)
+              for node in ast.walk(outer) if node is not outer and isinstance(node, FUNCTIONS)}
+    for node in sorted(nested, key=lambda f: f.lineno):
+        if any(isinstance(n, ast.Name) and n.id == node.name for n in ast.walk(node)):
+            yield node.lineno, node.name
+
+
+def test_library_source_has_no_self_referencing_closures():
+    found = [f"{path.name}:{line}: {name}" for path in SOURCES
+             for line, name in self_referencing_closures(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_closure_scan_sees_each_form():
+    text = ("def top(n):\n    return top(n - 1)\n"
+            "def outer():\n"
+            "    def rec(k):\n        return rec(k)\n"
+            "    def plain(k):\n        return k\n"
+            "    def middle():\n"
+            "        def deep():\n            deep()\n"
+            "        return middle\n"
+            "    return rec, plain, middle\n")
+    assert list(self_referencing_closures(ast.parse(text))) == [(4, "rec"), (8, "middle"),
+                                                                (9, "deep")]
+
+
 def test_library_source_parses_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10
     for path in SOURCES:

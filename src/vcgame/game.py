@@ -52,6 +52,15 @@ def _exact_payment(value, error: type[Exception], edge, coalition) -> Fraction:
     raise error(f"payment of {where} is {value!r}, not an int or Fraction")
 
 
+def _require_int_keys(payments: dict, error: type[Exception], coalition) -> None:
+    """Raise error naming the first edge key that is not of type int (True
+    and 0.0 would look up edges 1 and 0) and the coalition, unless None."""
+    for i in payments:
+        if type(i) is not int:
+            where = "" if coalition is None else f" on coalition {sorted(coalition)}"
+            raise error(f"edge key {i!r}{where} is not an int")
+
+
 def _numerators(payments: dict, error: type[Exception], coalition) -> tuple[dict, int]:
     """(nums, den): nums maps each key of payments to its payment's integer
     numerator over den, the least common denominator; a payment that is not
@@ -202,6 +211,7 @@ def core_membership(game: VertexCoverGame, allocation):
     players = game.players()
     if set(allocation) != set(players):
         raise ContractViolation("allocation must be indexed by the full player set")
+    _require_int_keys(allocation, ContractViolation, None)
     table = game.cost_table()
     n = game.n
     size = 1 << n

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -35,7 +36,7 @@ from itertools import repeat
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
 from .game import (DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, _numerators,
-                   all_coalitions, coalition_mask)
+                   _require_int_keys, all_coalitions, coalition_mask)
 from .graph import (ComponentClassification, Coalition, Graph, _require_edges,
                     decompose, find_forbidden_subgraph)
 
@@ -220,9 +221,7 @@ class AllocationScheme:
         self._table = {}
         for s, vec in table.items():
             s = frozenset(s)
-            for i in vec:
-                if type(i) is not int:
-                    raise MalformedScheme(f"edge key {i!r} on coalition {sorted(s)} is not an int")
+            _require_int_keys(vec, MalformedScheme, s)
             self._table[s] = {i: v if type(v) is Fraction
                               else _exact_payment(v, MalformedScheme, i, s)
                               for i, v in vec.items()}
@@ -242,10 +241,14 @@ class AllocationScheme:
         caller checks the edge cap).  Read through allocation(): a missing or
         misindexed coalition raises MalformedScheme when the scan reaches it."""
         allocation = self.allocation
+        # a stored table's keys were checked when it was built
+        stored = getattr(allocation, "__func__", None) is AllocationScheme.allocation
         for s in all_coalitions(self.graph.n_edges)[1:]:
             a = allocation(s)
             if a.keys() != s:
                 raise MalformedScheme(f"allocation for {sorted(s)} is not indexed by its members")
+            if not stored:
+                _require_int_keys(a, MalformedScheme, s)
             yield _numerators(a, MalformedScheme, s)
 
     def materialize(self, *, max_edges: int = DEFAULT_EDGE_CAP):
@@ -397,6 +400,9 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     return True, None
 
 
+_last_profile = None  # (graph, coalition, entries, profile) of the last _scaled_profile
+
+
 def _scaled_profile(graph: Graph, coalition, x):
     """Exact per-vertex loads of an allocation as integers over a common
     denominator; comparisons against 0/1 then reduce to integer arithmetic.
@@ -404,9 +410,19 @@ def _scaled_profile(graph: Graph, coalition, x):
     Returns (loads, den, total, feasible) with loads[v]/den the true rational
     load at v, total/den the payment sum, and feasible whether every payment
     is nonnegative and every load at most one.  Raises when x is not indexed
-    by the coalition or an index is not an edge.
+    by the coalition, a key is not an int or an index is not an edge.  The
+    last profile is returned again for the same graph object, an equal
+    coalition and the same key and payment objects in order, so the three
+    dual checks of one allocation convert it once; objects, not values, are
+    compared, as False == 0 and 0.5 == Fraction(1, 2) must miss.
     """
+    global _last_profile
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
+    entries = [*x, *x.values()]  # a list: freed tuples would stay on the tuple free lists
+    last = _last_profile
+    if (last is not None and last[0] is graph and last[1] == s
+            and len(last[2]) == len(entries) and all(map(operator.is_, last[2], entries))):
+        return last[3]
     if x.keys() != s:
         raise ContractViolation("allocation must be indexed by the coalition")
     for value in x.values():
@@ -437,6 +453,8 @@ def _scaled_profile(graph: Graph, coalition, x):
             _require_edges(graph, s)
             # only a non-integer index is in range and still not an edge
             raise ContractViolation(f"edge index out of range: {i}") from None
+        if type(i) is not int:  # True, 0.0 and Fraction(0) look edges up too
+            raise ContractViolation(f"edge key {i!r} is not an int")
         loads[u] = get(u, 0) + num
         loads[w] = get(w, 0) + num
     feasible = not negative
@@ -444,7 +462,8 @@ def _scaled_profile(graph: Graph, coalition, x):
         if load > den:
             feasible = False
             break
-    return loads, den, total, feasible
+    _last_profile = graph, s, entries, (loads, den, total, feasible)
+    return _last_profile[3]
 
 
 def check_dual_feasible(graph: Graph, coalition, x) -> bool:

@@ -12,6 +12,8 @@ references for differential tests: the coalition split that grouped edges by
 anchor, the forbidden-pattern search with its own K3 and C4 loops, the
 stability scan with a per-vertex rank cache, the integral scheme that ran
 deferred acceptance per coalition, and core membership on Fraction sums.
+The dual checks keep their Fraction semantics here too, as references for
+the integer profile the library computes once per allocation.
 """
 
 from __future__ import annotations
@@ -130,18 +132,40 @@ def split_rule_allocation(cover: CoverSystem, coalition) -> dict[int, Fraction]:
     return alloc
 
 
+def reference_loads(graph: Graph, coalition, x):
+    """(pay, load): the coalition's payments as Fractions and the Fraction
+    load at every vertex they touch."""
+    pay = {i: Fraction(x[i]) for i in coalition}
+    load: dict[str, Fraction] = {}
+    for i in coalition:
+        for v in graph.edges[i]:
+            load[v] = load.get(v, 0) + pay[i]
+    return pay, load
+
+
+def reference_dual_feasible(graph: Graph, coalition, x) -> bool:
+    """check_dual_feasible on Fractions: nonnegative payments and every
+    vertex load at most one."""
+    pay, load = reference_loads(graph, frozenset(coalition), x)
+    return all(p >= 0 for p in pay.values()) and all(v <= 1 for v in load.values())
+
+
+def reference_dual_optimal(game: VertexCoverGame, coalition, x) -> bool:
+    """check_dual_optimal on Fractions: dual feasible with the payments
+    summing to the coalition's cost."""
+    s = frozenset(coalition)
+    return (reference_dual_feasible(game.graph, s, x)
+            and sum(Fraction(x[i]) for i in s) == game.gamma(s))
+
+
 def reference_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
     """check_pi_star from the split on Fractions: nonnegative payments, every
     vertex load at most one, unit load at every selected vertex and zero on
     every accompanied free rider."""
     s = frozenset(coalition)
-    pay = {i: Fraction(x[i]) for i in s}
-    load: dict[str, Fraction] = {}
-    for i in s:
-        for v in graph.edges[i]:
-            load[v] = load.get(v, 0) + pay[i]
-    if any(p < 0 for p in pay.values()) or any(v > 1 for v in load.values()):
+    if not reference_dual_feasible(graph, s, x):
         return False
+    pay, load = reference_loads(graph, s, x)
     if any(load[v] != 1 for v in reference_cover_for(cover, s)):
         return False
     _, riders = reference_split(cover, s)

@@ -238,6 +238,13 @@ def test_core_membership_takes_ints_and_refuses_other_payments():
             core_membership(path, {0: bad, 1: 0, 2: 1})
 
 
+def test_core_membership_takes_only_int_keys():
+    path = VertexCoverGame(Graph.from_edges([("a", "b"), ("b", "c")]))
+    # True == 1, so the key set equals the player set
+    with pytest.raises(ContractViolation, match="edge key True is not an int"):
+        core_membership(path, {0: 0, True: 1})
+
+
 def test_core_membership_matches_fraction_sums():
     rng = random.Random(8121)
     kinds = set()

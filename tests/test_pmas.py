@@ -23,8 +23,9 @@ from vcgame.pmas import (AllocationScheme, check_dual_feasible, check_dual_optim
                          scheme_table_to_jsonable, scheme_to_json, verify_pmas)
 
 from oracles import (all_pm_graphs_up_to, atlas_graphs, flipped, random_star_pisces_forest,
-                     reference_cover_for, reference_pi_star, reference_split,
-                     reference_verify_pmas, split_rule_allocation)
+                     reference_cover_for, reference_dual_feasible, reference_dual_optimal,
+                     reference_pi_star, reference_split, reference_verify_pmas,
+                     split_rule_allocation)
 
 
 def k3() -> Graph:
@@ -454,6 +455,172 @@ def test_construct_restrictions_pass_all_dual_checks():
             assert check_pi_star(g, s, alloc, cover)
 
 
+def perturbed_allocations(rng: random.Random, good: dict):
+    """The valid allocation, the same with int payments where integral, and
+    shifted, moved, negative, over-loaded and all-zero copies of it."""
+    half = Fraction(1, 2)
+    s = sorted(good)
+    i = rng.choice(s)
+    yield "valid", good
+    yield "ints", {j: int(v) if v.denominator == 1 else v for j, v in good.items()}
+    yield "shifted", {**good, i: good[i] - half if good[i] >= half else good[i] + half}
+    if len(s) > 1:
+        # half a unit moved between two edges keeps the total, so only the
+        # tight and zero clauses of pi* can reject it
+        i, j = rng.sample(s, 2)
+        if good[i] < half:
+            i, j = j, i
+        yield "moved", {**good, i: good[i] - half, j: good[j] + half}
+    yield "negative", {**good, i: good[i] - 1}
+    yield "over-loaded", {**good, i: good[i] + 1}
+    yield "zero", {j: Fraction(0) for j in s}
+
+
+def test_dual_checks_match_fraction_references():
+    rng = random.Random(39)
+    # each check in turn meets a new allocation first (a miss); the others,
+    # and the repeats, reuse its profile
+    firsts = ("fop", "pof", "ofp")
+    calls = 0
+    verdicts = set()
+    for g in all_pm_graphs_up_to(6):
+        for h in (g, flipped(g)):
+            game = VertexCoverGame(h)
+            _, cover = classify_components(h)
+            scheme = construct_pmas(h)
+            for mask in range(1, 1 << h.n_edges):
+                s = mask_coalition(mask)
+                for kind, x in perturbed_allocations(rng, scheme.allocation(s)):
+                    expected = {"f": reference_dual_feasible(h, s, x),
+                                "o": reference_dual_optimal(game, s, x),
+                                "p": reference_pi_star(h, s, x, cover)}
+                    checks = {"f": lambda: check_dual_feasible(h, s, x),
+                              "o": lambda: check_dual_optimal(game, s, x),
+                              "p": lambda: check_pi_star(h, s, x, cover)}
+                    order = firsts[calls % 3]
+                    calls += 1
+                    for names in (order, order, order[::-1], order[::-1]):
+                        for name in names:
+                            assert checks[name]() == expected[name], (h.edges, s, kind, name)
+                    verdicts.add((kind, *expected.values()))
+    assert {kind for kind, *_ in verdicts} == {"valid", "ints", "shifted", "moved",
+                                               "negative", "over-loaded", "zero"}
+    assert all({v[k] for v in verdicts} == {True, False} for k in (1, 2, 3))
+    assert ("moved", True, True, False) in verdicts
+
+
+# --- the last profile, kept between the dual checks ---------------------------------
+
+
+def path3() -> Graph:
+    return Graph.from_edges([("a", "b"), ("b", "c")])
+
+
+def test_dual_checks_take_only_int_keys():
+    g = path3()
+    game = VertexCoverGame(g)
+    _, cover = classify_components(g)
+    x = {False: 1, 1: 0}  # False == 0 would index edge 0
+    for call in (lambda: check_dual_optimal(game, {0, 1}, x),
+                 lambda: check_dual_feasible(g, {0, 1}, x),
+                 lambda: check_pi_star(g, {0, 1}, x, cover),
+                 lambda: check_dual_feasible(g, {0, 1}, {0: 1, True: 0}),
+                 lambda: check_dual_feasible(g, {0}, {0.0: 1})):
+        with pytest.raises(ContractViolation, match=r"edge key (False|True|0\.0) is not an int"):
+            call()
+
+
+def test_profile_follows_a_dict_mutated_in_place():
+    g = path3()
+    game = VertexCoverGame(g)
+    _, cover = classify_components(g)
+    s = frozenset({0, 1})
+    x = {0: Fraction(1), 1: Fraction(0)}
+    checks = (lambda: check_dual_feasible(g, s, x), lambda: check_dual_optimal(game, s, x),
+              lambda: check_pi_star(g, s, x, cover))
+    assert [c() for c in checks] == [True, True, True]
+    x[1] = Fraction(1, 2)  # load 3/2 at b
+    assert [c() for c in checks] == [False, False, False]
+    x[1] = 0.5  # equal to the cached Fraction(1, 2), but not a payment
+    for c in checks:
+        with pytest.raises(ContractViolation, match="payment of edge 1 is 0.5"):
+            c()
+    x[1] = 0
+    assert [c() for c in checks] == [True, True, True]
+    x[1] = False  # equal to the cached 0
+    for c in checks:
+        with pytest.raises(ContractViolation, match="payment of edge 1 is False"):
+            c()
+
+
+def test_profile_sees_added_and_removed_keys():
+    # int payments that are the keys' own objects line the entries up, so
+    # only their number tells the allocations apart
+    g = path3()
+    x = {0: 1, 1: 0}
+    assert check_dual_feasible(g, {0, 1}, x)
+    del x[1]
+    with pytest.raises(ContractViolation, match="indexed by the coalition"):
+        check_dual_feasible(g, {0, 1}, x)
+    y = {0: 1}
+    assert check_dual_feasible(g, {0}, y)
+    y[1] = 0
+    with pytest.raises(ContractViolation, match="indexed by the coalition"):
+        check_dual_feasible(g, {0}, y)
+
+
+def test_profile_is_per_graph_and_coalition():
+    g = path3()
+    x = {0: 1, 1: 1}
+    assert not check_dual_feasible(g, {0, 1}, x)  # load 2 at b
+    assert not check_dual_feasible(path3(), {0, 1}, x)  # an equal graph
+    matching = Graph.from_edges([("a", "b"), ("c", "d")])
+    assert check_dual_feasible(matching, {0, 1}, x)
+    assert not check_dual_feasible(g, {0, 1}, x)
+    with pytest.raises(ContractViolation, match="indexed by the coalition"):
+        check_dual_feasible(g, {0}, x)
+
+
+def test_a_raising_check_keeps_no_profile():
+    g = path3()
+    game = VertexCoverGame(g)
+    good = {0: Fraction(1), 1: Fraction(0)}
+    assert check_dual_optimal(game, {0, 1}, good)
+    bad = {0: Fraction(1), 7: Fraction(0)}
+    for _ in range(2):
+        with pytest.raises(ContractViolation, match="indexed by the coalition"):
+            check_dual_optimal(game, {0, 1}, bad)
+    for _ in range(2):
+        with pytest.raises(ContractViolation, match="edge index out of range: 7"):
+            check_dual_optimal(game, {0, 7}, bad)
+    half = {0: Fraction(1, 2), 1: Fraction(0)}  # feasible, but pays 1/2 of 1
+    assert check_dual_feasible(g, {0, 1}, half) and not check_dual_optimal(game, {0, 1}, half)
+    assert check_dual_optimal(game, {0, 1}, good)
+
+
+def test_dual_checks_retain_one_profile():
+    g = Graph.from_edges([("b1", "b2")] + [("b1", f"p{k}") for k in range(5)]
+                         + [("b2", f"q{k}") for k in range(7)])
+    game = VertexCoverGame(g)
+    game.cost_table()
+    _, cover = classify_components(g)
+    scheme = construct_pmas(g)
+    scheme.materialize()  # the integer rows and the coalition list stay with the scheme
+    check_dual_feasible(g, {0}, {0: 1})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = scheme.materialize()
+        for s, x in table.items():
+            assert check_dual_feasible(g, s, x) and check_dual_optimal(game, s, x)
+            assert check_pi_star(g, s, x, cover)
+        del table, s, x
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 2**10
+
+
 # --- the rule table against the per-coalition paths ----------------------------------
 
 
@@ -473,11 +640,8 @@ def test_rule_table_matches_split_rule():
 
 
 def test_cover_system_matches_reference_split():
-    rng = random.Random(36)
-    half = Fraction(1, 2)
     for g in all_pm_graphs_up_to(6):
         for h in (g, flipped(g)):
-            scheme = construct_pmas(h)
             _, cover = classify_components(h)
             for mask in range(1, 1 << h.n_edges):
                 s = mask_coalition(mask)
@@ -488,21 +652,6 @@ def test_cover_system_matches_reference_split():
                 for edges_in in groups.values():
                     for i in edges_in:
                         assert cover.split_count(s, i) == len(edges_in)
-                good = scheme.allocation(s)
-                shifted = dict(good)
-                i = rng.choice(sorted(s))
-                shifted[i] = good[i] - half if good[i] >= half else good[i] + half
-                # half a unit moved between two edges keeps the total, so only
-                # the tight and zero clauses can reject it
-                moved = dict(good)
-                if len(s) > 1:
-                    i, j = rng.sample(sorted(s), 2)
-                    if good[i] < half:
-                        i, j = j, i
-                    moved[i] -= half
-                    moved[j] += half
-                for x in (good, shifted, moved, {i: Fraction(0) for i in s}):
-                    assert check_pi_star(h, s, x, cover) == reference_pi_star(h, s, x, cover)
 
 
 def verify_outcome(verify, game, scheme):
@@ -583,6 +732,31 @@ def test_replaced_allocation_is_what_gets_verified():
         assert not ok and violation.kind == "efficiency" and violation.coalition == raised
         assert len(seen) == 5  # ascending masks 1..5, stopping at {0, 2}
         assert scheme.materialize()[raised][0] == rule(raised)[0] + 1
+
+
+def test_schemes_read_through_allocation_take_only_int_keys():
+    # a stored table's keys are checked when it is built; an allocation
+    # overridden or replaced on the instance is checked as it is read
+    g = path3()
+    game = VertexCoverGame(g)
+    table = construct_pmas(g).materialize()
+
+    def relabel(vec):
+        return {True if i == 1 else i: v for i, v in vec.items()}
+
+    class Relabeled(AllocationScheme):
+        def allocation(self, coalition):
+            return relabel(super().allocation(coalition))
+
+    replaced = construct_pmas(g)
+    rule = replaced.allocation
+    replaced.allocation = lambda s: relabel(rule(s))
+    assert verify_pmas(game, AllocationScheme(g, table=table)) == (True, None)
+    for scheme in (Relabeled(g, table=table), replaced):
+        for call in (lambda: verify_pmas(game, scheme), scheme.materialize):
+            with pytest.raises(MalformedScheme,
+                               match=re.escape("edge key True on coalition [1] is not an int")):
+                call()
 
 
 def schemes_of_every_kind(g: Graph):

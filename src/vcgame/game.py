@@ -20,6 +20,7 @@ from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, find_forbidden_subgrap
                     is_bipartite, matching_number, vertex_cover_number)
 
 DEFAULT_EDGE_CAP = 16
+_MEMO_SIZE = 256  # gamma's memo keeps at most this many coalitions, evicting the oldest
 
 
 def coalition_mask(coalition) -> int:
@@ -102,7 +103,8 @@ def _full_cost_table(graph: Graph) -> list[int]:
 
 class VertexCoverGame:
     """Characteristic function wrapper: coalition costs are read from the
-    cost table once it is built, else from the memoized cover oracle."""
+    cost table once it is built, else from the cover oracle through a memo
+    of the last _MEMO_SIZE coalitions it computed."""
 
     def __init__(self, graph: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
         self.graph = graph
@@ -125,7 +127,10 @@ class VertexCoverGame:
         if not s <= self._players:
             raise ContractViolation("coalition contains unknown players")
         value, _ = vertex_cover_number(self.graph, s, max_vertices=self.max_vertices)
-        self._memo[s] = value
+        memo = self._memo
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[s] = value
         return value
 
     def cost_table(self, max_edges: int = DEFAULT_EDGE_CAP) -> list[int]:

@@ -86,7 +86,8 @@ class CoverSystem:
 
     The constructive rule is one per-edge table: edge i watches the bitmask
     watch[i], pays pays[i][k] in a coalition with k edges in it, and is
-    charged at vertex select[i].  A non-free-rider edge watches its anchor's
+    charged at vertex select[i] where charges[i][k], i.e. bool(pays[i][k]),
+    holds.  A non-free-rider edge watches its anchor's
     group (the edges whose global cover vertex is that anchor), pays 1/k and
     selects its anchor; a free rider watches both its bases' groups, pays 1
     when k = 0 (lone) and 0 when k > 0 (accompanied), and selects its smaller
@@ -107,9 +108,12 @@ class CoverSystem:
         # lcm(1..widest) would have hundreds of digits on a large pisces
         shares = [ZERO] + [Fraction(1, k) for k in range(1, widest + 1)]
         rider_pays = [ONE] + [ZERO] * (2 * widest)
+        rider_charges = [True] + [False] * (2 * widest)
         n = graph.n_edges
         self.watch = [0] * n
         self.pays = [shares] * n
+        # charges[i][k] is bool(pays[i][k]), shared the way pays is
+        self.charges = [[False] + [True] * widest] * n
         self.select = [None] * n
         for c in self.components:
             for v, es in c.pendants.items():
@@ -120,6 +124,7 @@ class CoverSystem:
                 b1, b2 = c.cover
                 self.watch[c.free_rider] = group[b1] | group[b2]
                 self.pays[c.free_rider] = rider_pays
+                self.charges[c.free_rider] = rider_charges
                 self.select[c.free_rider] = b1
         self.free_riders = frozenset(c.free_rider for c in self.components) - {None}
 
@@ -146,8 +151,8 @@ class CoverSystem:
         global cover, as a sorted label tuple: the vertices the rule charges."""
         s = frozenset(coalition)
         m = self._mask(s)
-        watch, pays, select = self.watch, self.pays, self.select
-        return tuple(sorted({select[i] for i in s if pays[i][(m & watch[i]).bit_count()]}))
+        watch, charges, select = self.watch, self.charges, self.select
+        return tuple(sorted({select[i] for i in s if charges[i][(m & watch[i]).bit_count()]}))
 
     def split_count(self, coalition, i: int) -> int:
         """Number of non-free-rider coalition edges sharing i's covering vertex
@@ -407,20 +412,21 @@ def _scaled_profile(graph: Graph, coalition, x):
     """Exact per-vertex loads of an allocation as integers over a common
     denominator; comparisons against 0/1 then reduce to integer arithmetic.
 
-    Returns (loads, den, total, feasible) with loads[v]/den the true rational
-    load at v, total/den the payment sum, and feasible whether every payment
-    is nonnegative and every load at most one.  Raises when x is not indexed
-    by the coalition, a key is not an int or an index is not an edge.  The
-    last profile is returned again for the same graph object, an equal
-    coalition and the same key and payment objects in order, so the three
-    dual checks of one allocation convert it once; objects, not values, are
-    compared, as False == 0 and 0.5 == Fraction(1, 2) must miss.
+    Returns (loads, den, total, feasible, mask) with loads[v]/den the true
+    rational load at v, total/den the payment sum, feasible whether every
+    payment is nonnegative and every load at most one, and mask the
+    coalition's bitmask.  Raises when x is not indexed by the coalition, a
+    key is not an int or an index is not an edge.  The last profile is
+    returned again for the same graph object, an equal coalition and the
+    same key and payment objects in order, so the three dual checks of one
+    allocation convert it once; objects, not values, are compared, as
+    False == 0 and 0.5 == Fraction(1, 2) must miss.
     """
     global _last_profile
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
     entries = [*x, *x.values()]  # a list: freed tuples would stay on the tuple free lists
     last = _last_profile
-    if (last is not None and last[0] is graph and last[1] == s
+    if (last is not None and last[0] is graph and (last[1] is s or last[1] == s)
             and len(last[2]) == len(entries) and all(map(operator.is_, last[2], entries))):
         return last[3]
     if x.keys() != s:
@@ -439,6 +445,7 @@ def _scaled_profile(graph: Graph, coalition, x):
             den = den * d // math.gcd(den, d)
     loads: dict[str, int] = {}
     total = 0
+    mask = 0
     negative = False
     ends = graph._ends
     get = loads.get
@@ -455,6 +462,7 @@ def _scaled_profile(graph: Graph, coalition, x):
             raise ContractViolation(f"edge index out of range: {i}") from None
         if type(i) is not int:  # True, 0.0 and Fraction(0) look edges up too
             raise ContractViolation(f"edge key {i!r} is not an int")
+        mask |= 1 << i
         loads[u] = get(u, 0) + num
         loads[w] = get(w, 0) + num
     feasible = not negative
@@ -462,7 +470,7 @@ def _scaled_profile(graph: Graph, coalition, x):
         if load > den:
             feasible = False
             break
-    _last_profile = graph, s, entries, (loads, den, total, feasible)
+    _last_profile = graph, s, entries, (loads, den, total, feasible, mask)
     return _last_profile[3]
 
 
@@ -476,8 +484,9 @@ def check_dual_optimal(game: VertexCoverGame, coalition, x) -> bool:
     """Dual feasibility plus total payment equal to the coalition cost
     (the dual optimum on the bipartite subgraphs in scope)."""
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-    _, den, total, feasible = _scaled_profile(game.graph, s, x)
-    return feasible and total == game.gamma(s) * den
+    _, den, total, feasible, mask = _scaled_profile(game.graph, s, x)
+    table = game._table  # read by mask when built, as gamma would read it
+    return feasible and total == (game.gamma(s) if table is None else table[mask]) * den
 
 
 def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
@@ -487,13 +496,12 @@ def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
     free rider) must pay 0.  A cover system of another graph is refused."""
     _require_same_graph(graph, cover.graph, "cover system")
     s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-    loads, den, _, feasible = _scaled_profile(graph, s, x)
+    loads, den, _, feasible, m = _scaled_profile(graph, s, x)
     if not feasible:
         return False
-    watch, pays, select = cover.watch, cover.pays, cover.select
-    m = coalition_mask(s)
+    watch, charges, select = cover.watch, cover.charges, cover.select
     for i in s:
-        if pays[i][(m & watch[i]).bit_count()]:
+        if charges[i][(m & watch[i]).bit_count()]:
             if loads[select[i]] != den:
                 return False
         elif x[i] != 0:

@@ -11,8 +11,8 @@ import pytest
 
 import vcgame
 from vcgame.errors import ContractViolation, NotBalanced, OracleCapError
-from vcgame.game import (VertexCoverGame, core_element_from_matching, core_membership,
-                         is_balanced, is_monotone_game, is_submodular_game,
+from vcgame.game import (_MEMO_SIZE, VertexCoverGame, core_element_from_matching,
+                         core_membership, is_balanced, is_monotone_game, is_submodular_game,
                          is_submodular_graph, is_totally_balanced, mask_coalition)
 from vcgame.graph import Graph, vertex_cover_number
 
@@ -69,6 +69,20 @@ def test_gamma_memo_and_table_agree_with_oracle():
             assert fresh.gamma(s) == expected
             assert fresh.gamma(s) == expected  # memo hit
             assert tabled.gamma(s) == expected
+
+
+def test_gamma_memo_keeps_the_latest_coalitions():
+    g = star(9)
+    game = VertexCoverGame(g)
+    queried = [mask_coalition(m) for m in range(1, 300)]
+    for s in queried:
+        assert game.gamma(s) == 1
+        assert game.gamma(s) == 1  # a hit does not move s
+    assert list(game._memo) == queried[-_MEMO_SIZE:]
+    assert frozenset() not in game._memo  # the seed entry was the oldest
+    assert game.gamma(frozenset()) == 0
+    assert game.gamma(queried[0]) == 1
+    assert list(game._memo) == queried[-_MEMO_SIZE + 2:] + [frozenset(), queried[0]]
 
 
 def test_cost_table_cap():

@@ -17,8 +17,8 @@ from vcgame.game import VertexCoverGame, mask_coalition
 from vcgame.graph import Graph, find_forbidden_subgraph, vertex_cover_number
 from vcgame.matching import (PreferenceSystem, enumerate_integral_pmas, gale_shapley,
                              is_stable, scheme_from_preferences)
-from vcgame.pmas import (AllocationScheme, check_dual_feasible, check_dual_optimal,
-                         check_pi_star, classify_components, construct_pmas,
+from vcgame.pmas import (AllocationScheme, _scaled_profile, check_dual_feasible,
+                         check_dual_optimal, check_pi_star, classify_components, construct_pmas,
                          recognize_population_monotonic, scheme_from_json,
                          scheme_table_to_jsonable, scheme_to_json, verify_pmas)
 
@@ -509,6 +509,28 @@ def test_dual_checks_match_fraction_references():
     assert ("moved", True, True, False) in verdicts
 
 
+def test_dual_optimal_by_mask_matches_the_reference():
+    # with the cost table built, check_dual_optimal reads it by the profile's
+    # mask and never calls gamma; the reference asks a game without a table
+    rng = random.Random(40)
+    verdicts = set()
+    for g in all_pm_graphs_up_to(6):
+        for h in (g, flipped(g)):
+            tabled, plain = VertexCoverGame(h), VertexCoverGame(h)
+            tabled.cost_table()
+            tabled.gamma = None  # calling it would raise TypeError
+            scheme = construct_pmas(h)
+            for mask in range(1, 1 << h.n_edges):
+                s = mask_coalition(mask)
+                for kind, x in perturbed_allocations(rng, scheme.allocation(s)):
+                    expected = reference_dual_optimal(plain, s, x)
+                    assert check_dual_optimal(tabled, s, x) == expected, (h.edges, s, kind)
+                    assert check_dual_feasible(h, s, x) == reference_dual_feasible(h, s, x)
+                    assert check_dual_optimal(tabled, s, x) == expected, (h.edges, s, kind)
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 # --- the last profile, kept between the dual checks ---------------------------------
 
 
@@ -581,6 +603,26 @@ def test_profile_is_per_graph_and_coalition():
         check_dual_feasible(g, {0}, x)
 
 
+def test_profile_hits_for_any_form_of_the_same_coalition():
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("b", "d"), ("c", "e")])
+    game = VertexCoverGame(g)
+    game.cost_table()
+    _, cover = classify_components(g)
+    s = frozenset({0, 1, 3})
+    x = construct_pmas(g).allocation(s)
+    expected = (reference_dual_feasible(g, s, x), reference_dual_optimal(VertexCoverGame(g), s, x),
+                reference_pi_star(g, s, x, cover))
+    profile = _scaled_profile(g, s, x)
+    assert profile[4] == 0b1011
+    for form in (s, frozenset(sorted(s)), set(s), sorted(s)):
+        assert _scaled_profile(g, form, x) is profile  # a hit, with the same mask
+        assert (check_dual_feasible(g, form, x), check_dual_optimal(game, form, x),
+                check_pi_star(g, form, x, cover)) == expected
+    # the same payment objects under another coalition of the same size miss
+    with pytest.raises(ContractViolation, match="indexed by the coalition"):
+        check_dual_feasible(g, {0, 1, 2}, x)
+
+
 def test_a_raising_check_keeps_no_profile():
     g = path3()
     game = VertexCoverGame(g)
@@ -622,6 +664,24 @@ def test_dual_checks_retain_one_profile():
 
 
 # --- the rule table against the per-coalition paths ----------------------------------
+
+
+def large_pisces() -> Graph:
+    return Graph.from_edges([("b1", "b2")] + [("b1", f"p{k}") for k in range(1000)]
+                            + [("b2", f"q{k}") for k in range(1000)])
+
+
+def test_charges_are_the_truth_of_pays():
+    for g in all_pm_graphs_up_to(6):
+        for h in (g, flipped(g)):
+            _, cover = classify_components(h)
+            for i, (pays, charges) in enumerate(zip(cover.pays, cover.charges)):
+                assert charges == [bool(p) for p in pays], (h.edges, i)
+                for pays_j, charges_j in zip(cover.pays, cover.charges):
+                    assert (pays is pays_j) == (charges is charges_j)
+    # one shared list for every splitting edge and one for every free rider
+    _, cover = classify_components(large_pisces())
+    assert len({id(c) for c in cover.charges}) == len({id(p) for p in cover.pays}) == 2
 
 
 def test_rule_table_matches_split_rule():
@@ -820,8 +880,7 @@ def test_schemes_die_without_the_cyclic_collector():
 
 
 def test_allocation_queries_retain_no_memory():
-    g = Graph.from_edges([("b1", "b2")] + [("b1", f"p{k}") for k in range(1000)]
-                         + [("b2", f"q{k}") for k in range(1000)])
+    g = large_pisces()
     scheme = construct_pmas(g)
     queries = [frozenset({k, k + 1, k + 2}) for k in range(1995)]
     scheme.allocation(queries[0])
@@ -839,8 +898,7 @@ def test_allocation_queries_retain_no_memory():
 def test_construct_on_a_large_pisces_retains_little_memory():
     # the payments stay shared Fractions; an integer numerator per edge over
     # lcm(1..1000) would have hundreds of digits and retain many MiB
-    g = Graph.from_edges([("b1", "b2")] + [("b1", f"p{k}") for k in range(1000)]
-                         + [("b2", f"q{k}") for k in range(1000)])
+    g = large_pisces()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -851,6 +909,26 @@ def test_construct_on_a_large_pisces_retains_little_memory():
         tracemalloc.stop()
     assert alloc == {0: 0, 1: Fraction(1, 2), 2: Fraction(1, 2), 1001: 1}
     assert retained < 2**20
+
+
+def test_dual_optimal_queries_on_a_large_pisces_retain_bounded_memory():
+    # above the table cap gamma asks the cover oracle; its memo keeps only
+    # the latest coalitions (an unbounded memo retained about 192 KiB here)
+    g = large_pisces()
+    game = VertexCoverGame(g)
+    scheme = construct_pmas(g)
+    queries = [(s, scheme.allocation(s)) for s in
+               (frozenset({k, k + 1, k + 2}) for k in range(1995))]
+    check_dual_optimal(game, *queries[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s, x in queries:
+            assert check_dual_optimal(game, s, x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 48 * 2**10
 
 
 # --- allocation scheme plumbing -----------------------------------------------------------

@@ -12,9 +12,8 @@ from .game import (VertexCoverGame, coalition_mask, core_element_from_matching,
                    core_membership, is_balanced, is_monotone_game,
                    is_submodular_game, is_submodular_graph, is_totally_balanced,
                    mask_coalition)
-from .graph import (Coalition, Graph, SubgraphView, components, diameter,
-                    find_forbidden_subgraph, is_bipartite, matching_number,
-                    parse_graph, vertex_cover_number)
+from .graph import (Coalition, Graph, components, diameter, find_forbidden_subgraph,
+                    is_bipartite, matching_number, parse_graph, vertex_cover_number)
 from .matching import (Matching, PreferenceSystem, count_integral_pmas,
                        enumerate_integral_pmas, gale_shapley, is_stable,
                        preferences_from_scheme, scheme_from_preferences)
@@ -29,7 +28,7 @@ __all__ = [
     "AllocationScheme", "Coalition", "ComponentClassification", "ContractViolation",
     "CoverSystem", "EnumerationTruncated", "Graph", "GraphFormatError",
     "MalformedScheme", "Matching", "NotBalanced", "NotIntegralScheme",
-    "NotPopulationMonotonic", "OracleCapError", "PreferenceSystem", "SubgraphView",
+    "NotPopulationMonotonic", "OracleCapError", "PreferenceSystem",
     "UnsupportedInstance", "VertexCoverGame", "VertexCoverGameError", "Violation",
     "check_dual_feasible", "check_dual_optimal", "check_pi_star",
     "classify_components", "coalition_mask", "components",

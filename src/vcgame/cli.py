@@ -85,14 +85,12 @@ def _load_graph(args) -> Graph:
 
 def _parse_coalition(text: str, graph: Graph):
     try:
-        indices = [int(part) for part in text.split(",") if part.strip() != ""]
+        indices = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ContractViolation(f"bad coalition list {text!r}: {exc}") from exc
     for i in indices:
         if not 0 <= i < graph.n_edges:
             raise ContractViolation(f"edge index {i} out of range")
-    if not indices:
-        raise ContractViolation("coalition list is empty")
     s = frozenset(indices)
     if len(s) != len(indices):
         raise ContractViolation(f"bad coalition list {text!r}: repeated edge index")
@@ -208,7 +206,7 @@ def cmd_construct(args) -> tuple[int, str]:
         jsonable = scheme_table_to_jsonable(scheme.materialize(max_edges=args.max_edges))
         return 0, _render(args, jsonable, _table_text_lines(jsonable))
     coalition = (_parse_coalition(args.coalition, graph)
-                 if args.coalition else graph.players())
+                 if args.coalition is not None else graph.players())
     alloc = scheme.allocation(coalition)
     doc = {str(i): fraction_str(alloc[i]) for i in sorted(alloc)}
     text = [f"edge {i}: {fraction_str(alloc[i])}" for i in sorted(alloc)]
@@ -257,7 +255,7 @@ def cmd_stable_match(args) -> tuple[int, str]:
         raise ContractViolation("stable-match requires --prefs FILE")
     ps = _load_prefs(graph, args.prefs)
     coalition = (_parse_coalition(args.coalition, graph)
-                 if args.coalition else graph.players())
+                 if args.coalition is not None else graph.players())
     matched = gale_shapley(ps, coalition)
     doc = {"coalition": sorted(coalition), "matching": sorted(matched)}
     text = [f"matching: {sorted(matched)}"]

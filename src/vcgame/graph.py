@@ -106,9 +106,6 @@ class Graph:
     def neighbors(self, v: str) -> tuple[str, ...]:
         return self._adjacency[v]
 
-    def endpoints(self, i: int) -> tuple[str, str]:
-        return self.edges[i]
-
     def other_end(self, i: int, v: str) -> str:
         u, w = self.edges[i]
         return w if v == u else u
@@ -125,7 +122,7 @@ def _require_edges(graph: Graph, s) -> None:
                 raise ContractViolation(f"edge index out of range: {i}")
 
 
-class SubgraphView:
+class _SubgraphView:
     """Edge-induced subgraph of a coalition: vertex set plus per-vertex incident edges."""
 
     def __init__(self, graph: Graph, coalition) -> None:
@@ -187,9 +184,9 @@ def decompose(graph: Graph, coalition) -> list[ComponentClassification] | None:
     smallest edge index; None when some component is neither (it has a cycle
     or diameter above 3).
 
-    coalition is a set of edge indices or an already built SubgraphView.
+    coalition is a set of edge indices or an already built _SubgraphView.
     """
-    view = coalition if isinstance(coalition, SubgraphView) else SubgraphView(graph, coalition)
+    view = coalition if isinstance(coalition, _SubgraphView) else _SubgraphView(graph, coalition)
     incident = view.incident
     shapes: list[ComponentClassification] = []
     for comp in view.components():
@@ -250,12 +247,12 @@ def parse_graph(text: str) -> Graph:
 
 def components(graph: Graph) -> list[Coalition]:
     """Edge sets of connected components, ordered by smallest edge index."""
-    return SubgraphView(graph, graph.players()).components()
+    return _SubgraphView(graph, graph.players()).components()
 
 
 def diameter(graph: Graph, comp) -> int:
     """Largest pairwise shortest-path distance inside one connected component."""
-    view = SubgraphView(graph, comp)
+    view = _SubgraphView(graph, comp)
     if not view.coalition:
         raise ContractViolation("diameter of an empty edge set is undefined")
     best = 0
@@ -401,7 +398,7 @@ def vertex_cover_number(graph: Graph, coalition, *,
     of each component's smallest cover, and anything else raises
     OracleCapError.
     """
-    view = SubgraphView(graph, coalition)
+    view = _SubgraphView(graph, coalition)
     if not view.coalition:
         return 0, ()
     if len(view.vertex_set) <= max_vertices:
@@ -472,7 +469,7 @@ def matching_number(graph: Graph, coalition, *,
     """Exact matching number with the lexicographically smallest witness
     (sorted edge-index tuple); augmenting paths on bipartite subgraphs,
     branch and bound otherwise, structural shortcut above the vertex cap."""
-    view = SubgraphView(graph, coalition)
+    view = _SubgraphView(graph, coalition)
     if not view.coalition:
         return 0, ()
     order = sorted(view.coalition)

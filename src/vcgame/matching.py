@@ -43,7 +43,11 @@ class PreferenceSystem:
             if not graph.has_vertex(v):
                 raise ContractViolation(f"unknown vertex {v!r} in preference orders")
             expected = set(graph.incident_edges(v))
-            seq = tuple(seq)
+            try:
+                seq = tuple(seq)
+            except TypeError:
+                raise ContractViolation(
+                    f"order for vertex {v!r} is {seq!r}, not a list of edge indices") from None
             for i in seq:
                 if type(i) is not int:
                     raise ContractViolation(

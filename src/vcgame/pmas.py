@@ -128,42 +128,14 @@ class CoverSystem:
                 self.select[c.free_rider] = b1
         self.free_riders = frozenset(c.free_rider for c in self.components) - {None}
 
-    def _mask(self, s: Coalition) -> int:
-        """Bitmask of a coalition whose members must all be edges."""
-        _require_edges(self.graph, s)
-        return coalition_mask(s)
-
-    def anchor(self, i: int) -> str:
-        """The unique global-cover vertex covering a non-free-rider edge."""
-        _require_edges(self.graph, (i,))
-        if i in self.free_riders:
-            raise ContractViolation(f"edge {i} is a free rider")
-        return self.select[i]
-
-    def accompanied(self, coalition, i: int) -> bool:
-        """Does free rider i share a vertex with another coalition edge?"""
-        if i not in self.free_riders:
-            raise ContractViolation(f"edge {i} is not a free rider")
-        return bool(self._mask(frozenset(coalition)) & self.watch[i])
-
     def cover_for(self, coalition) -> tuple[str, ...]:
         """Deterministic minimum cover of the coalition subgraph within the
         global cover, as a sorted label tuple: the vertices the rule charges."""
         s = frozenset(coalition)
-        m = self._mask(s)
+        _require_edges(self.graph, s)
+        m = coalition_mask(s)
         watch, charges, select = self.watch, self.charges, self.select
         return tuple(sorted({select[i] for i in s if charges[i][(m & watch[i]).bit_count()]}))
-
-    def split_count(self, coalition, i: int) -> int:
-        """Number of non-free-rider coalition edges sharing i's covering vertex
-        (at least 1 since i itself counts)."""
-        s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-        if i not in s:
-            raise ContractViolation(f"edge {i} is not in the coalition")
-        m = self._mask(s)
-        if i in self.free_riders:
-            raise ContractViolation(f"edge {i} is a free rider")
-        return (m & self.watch[i]).bit_count()
 
     def scheme(self, orders=None) -> AllocationScheme:
         """The constructive scheme, or with per-vertex orders (most preferred
@@ -217,8 +189,6 @@ class AllocationScheme:
     returns the stored vectors by reference, so callers must treat them as
     read-only.
     """
-
-    lazy = False
 
     def __init__(self, graph: Graph, *, table) -> None:
         self.graph = graph
@@ -279,8 +249,6 @@ class _RuleTableScheme(AllocationScheme):
     the table on every query and caches nothing, so single queries stay cheap
     on forests of any size; materialize and verify_pmas read its integer rows
     over one denominator, built on first use."""
-
-    lazy = True
 
     def __init__(self, graph: Graph, watch: list[int], pays: list[list[Fraction]]) -> None:
         self.graph = graph

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from vcgame.errors import ContractViolation, MalformedScheme, OracleCapError
 from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions, mask_coalition
-from vcgame.graph import PATTERNS, Graph, SubgraphView
+from vcgame.graph import PATTERNS, Graph, _SubgraphView
 from vcgame.matching import PreferenceSystem, gale_shapley
 from vcgame.pmas import AllocationScheme, CoverSystem, Violation, verify_pmas
 
@@ -442,7 +442,7 @@ def canonical_table(table) -> tuple:
 def admissible_preference_systems(g: Graph):
     """All preference systems with free riders pinned last, derived from
     degree counts alone (independent of the library's classification)."""
-    view = SubgraphView(g, g.players())
+    view = _SubgraphView(g, g.players())
     slots = []  # (vertex, permutable edges, forced-last edge or None)
     for comp in view.components():
         comp_vertices = sorted({w for i in comp for w in g.edges[i]})

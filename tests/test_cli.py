@@ -233,10 +233,32 @@ def test_missing_file_errors(capsys):
     assert code == 2 and "error:" in err
 
 
-def test_bad_coalition_errors(graph_file, capsys):
-    code, _, err = run(capsys, "construct", "--input", graph_file("g.txt", P4),
-                       "--coalition", "0,9")
-    assert code == 2 and "out of range" in err
+def test_bad_coalition_errors(graph_file, capsys, tmp_path):
+    gpath = graph_file("g.txt", P4)
+    prefs = tmp_path / "prefs.json"
+    prefs.write_text(json.dumps({"b": [0, 1], "c": [2, 1]}))
+    for command in (["construct"], ["stable-match", "--prefs", str(prefs)]):
+        code, out, err = run(capsys, *command, "--input", gpath, "--coalition", "0,9")
+        assert code == 2 and out == "" and "out of range" in err
+        # an empty item is malformed, never dropped; an empty list is not "all players"
+        for text in ("", ",", "0,,1", "1,"):
+            code, out, err = run(capsys, *command, "--input", gpath, "--coalition", text)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: bad coalition list {text!r}: invalid literal")
+        code, out, _ = run(capsys, *command, "--input", gpath, "--coalition", " 0 , 2")
+        assert code == 0 and out
+
+
+def test_preference_orders_that_are_not_lists_error(graph_file, capsys, tmp_path):
+    gpath = graph_file("g.txt", P4)
+    prefs = tmp_path / "prefs.json"
+    for order in (5, None):
+        prefs.write_text(json.dumps({"b": order, "c": [2, 1]}))
+        for command in ("construct", "stable-match"):
+            code, out, err = run(capsys, command, "--input", gpath, "--prefs", str(prefs))
+            assert code == 2 and out == ""
+            assert err == (f"error: order for vertex 'b' is {order}, "
+                           "not a list of edge indices\n")
 
 
 def test_repeated_coalition_index_errors(graph_file, capsys):

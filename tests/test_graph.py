@@ -6,7 +6,7 @@ import random
 import pytest
 
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
-from vcgame.graph import (PATTERNS, Graph, SubgraphView, components, diameter,
+from vcgame.graph import (PATTERNS, Graph, _SubgraphView, components, diameter,
                           find_forbidden_subgraph, is_bipartite, matching_number,
                           parse_graph, vertex_cover_number)
 
@@ -109,7 +109,7 @@ def test_diameter_matches_networkx_on_atlas():
 
 
 def test_subgraph_view_vertices():
-    view = SubgraphView(p5(), frozenset({0, 3}))
+    view = _SubgraphView(p5(), frozenset({0, 3}))
     assert view.vertex_set == ("a", "b", "d", "e")
     assert view.incident["b"] == (0,)
 

@@ -69,6 +69,13 @@ def test_orders_reject_ranks_that_are_not_ints():
             PreferenceSystem(star(2), {"hub": ranks})
 
 
+def test_orders_that_are_not_lists_are_refused():
+    for order in (5, None):
+        with pytest.raises(ContractViolation) as info:
+            PreferenceSystem(star(2), {"hub": order})
+        assert str(info.value) == f"order for vertex 'hub' is {order}, not a list of edge indices"
+
+
 def test_pendant_orders_are_optional_and_restrictable():
     ps = PreferenceSystem(star(2), {"hub": (1, 0)})
     assert ps.order_in("hub", {0}) == (0,)

@@ -147,45 +147,11 @@ def test_cover_for_is_a_minimum_cover():
                 assert u in chosen or v in chosen
 
 
-def test_split_count_examples():
-    g = star(3)
-    _, cover = classify_components(g)
-    full = frozenset({0, 1, 2})
-    assert all(cover.split_count(full, i) == 3 for i in full)
-    assert cover.split_count(frozenset({1}), 1) == 1
-
-    _, pcover = classify_components(p4())
-    assert pcover.split_count(frozenset({0, 1, 2}), 0) == 1  # rider not counted
-
-
-def test_split_count_rejects_free_rider():
-    _, cover = classify_components(p4())
-    with pytest.raises(ContractViolation, match="free rider"):
-        cover.split_count(frozenset({0, 1, 2}), 1)
-
-
 def test_cover_for_rejects_out_of_range_edges():
     _, cover = classify_components(p4())
     for bad in (7, -1):
         with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
             cover.cover_for(frozenset({0, bad}))
-
-
-def test_accompanied_rejects_out_of_range_edges():
-    _, cover = classify_components(p4())
-    for bad in (7, -1):
-        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
-            cover.accompanied(frozenset({bad}), 1)
-
-
-def test_split_count_rejects_out_of_range_edges():
-    _, cover = classify_components(p4())
-    for bad in (7, -1):
-        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
-            cover.split_count(frozenset({0, bad}), 0)
-        # the range check comes before the free-rider check
-        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
-            cover.split_count(frozenset({1, bad}), 1)
 
 
 def test_dual_checks_take_ints_and_refuse_other_payments():
@@ -219,16 +185,6 @@ def test_pi_star_rejects_a_foreign_cover_system():
     assert check_pi_star(g, s, x, cover)
 
 
-def test_anchor_names_out_of_range_and_free_rider():
-    _, cover = classify_components(p4())
-    assert cover.anchor(0) == "b" and cover.anchor(2) == "c"
-    for bad in (7, -1):
-        with pytest.raises(ContractViolation, match=f"edge index out of range: {bad}"):
-            cover.anchor(bad)
-    with pytest.raises(ContractViolation, match="edge 1 is a free rider"):
-        cover.anchor(1)
-
-
 def test_every_entry_point_names_the_same_out_of_range_index():
     g = p4()
     _, cover = classify_components(g)
@@ -239,7 +195,6 @@ def test_every_entry_point_names_the_same_out_of_range_index():
              lambda: check_dual_feasible(g, s, x),
              lambda: check_pi_star(g, s, x, cover),
              lambda: cover.cover_for(s),
-             lambda: cover.accompanied(s, 1),
              lambda: is_stable(ps, s, frozenset()),
              lambda: gale_shapley(ps, s)]
     for call in calls:
@@ -703,15 +658,18 @@ def test_cover_system_matches_reference_split():
     for g in all_pm_graphs_up_to(6):
         for h in (g, flipped(g)):
             _, cover = classify_components(h)
+            watch, charges, select = cover.watch, cover.charges, cover.select
             for mask in range(1, 1 << h.n_edges):
                 s = mask_coalition(mask)
                 groups, _ = reference_split(cover, s)
                 assert cover.cover_for(s) == reference_cover_for(cover, s)
                 for r in cover.free_riders:
-                    assert cover.accompanied(s, r) == reference_split(cover, s | {r})[1][r]
-                for edges_in in groups.values():
+                    lone = not reference_split(cover, s | {r})[1][r]
+                    assert charges[r][(mask & watch[r]).bit_count()] == lone
+                for v, edges_in in groups.items():
                     for i in edges_in:
-                        assert cover.split_count(s, i) == len(edges_in)
+                        assert select[i] == v
+                        assert (mask & watch[i]).bit_count() == len(edges_in)
 
 
 def verify_outcome(verify, game, scheme):
@@ -997,7 +955,6 @@ def test_scheme_json_round_trip():
     text = scheme_to_json(scheme)
     parsed = scheme_from_json(g, text)
     assert parsed.materialize() == scheme.materialize()
-    assert not parsed.lazy and scheme.lazy
 
 
 def test_scheme_json_is_deterministically_ordered():

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import vcgame
 
@@ -69,3 +70,13 @@ def test_library_source_parses_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_public_surface_is_exactly_all():
+    names = vcgame.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(vcgame, name) for name in names)
+    public = {name for name, value in vars(vcgame).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(names)
+    assert "SubgraphView" not in public and not hasattr(vcgame, "SubgraphView")

@@ -202,11 +202,11 @@ def _build_scheme(args, graph: Graph) -> AllocationScheme:
 def cmd_construct(args) -> tuple[int, str]:
     graph = _load_graph(args)
     scheme = _build_scheme(args, graph)
+    coalition = (_parse_coalition(args.coalition, graph)
+                 if args.coalition is not None else graph.players())
     if args.materialize:
         jsonable = scheme_table_to_jsonable(scheme.materialize(max_edges=args.max_edges))
         return 0, _render(args, jsonable, _table_text_lines(jsonable))
-    coalition = (_parse_coalition(args.coalition, graph)
-                 if args.coalition is not None else graph.players())
     alloc = scheme.allocation(coalition)
     doc = {str(i): fraction_str(alloc[i]) for i in sorted(alloc)}
     text = [f"edge {i}: {fraction_str(alloc[i])}" for i in sorted(alloc)]

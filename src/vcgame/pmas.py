@@ -13,9 +13,10 @@ vertices, and the per-coalition selector is the vertices the rule charges.
 Every scheme the library builds is such a table, built by
 CoverSystem.scheme; an integral scheme only has other watch masks and
 payments.  An AllocationScheme given a table stores it; its edge keys must be
-ints and its payments Fractions or ints.  materialize and verify_pmas read
-every scheme as per-coalition integer rows: a rule table from its table, any
-other scheme (or a replaced allocation) through allocation().
+ints and its payments Fractions or ints.  materialize and verify_pmas answer
+a rule-table scheme whose allocation() is its table's from the table (its
+watch masks; its per-edge monotone and shape check); any other scheme is
+read as per-coalition integer rows through allocation().
 The dual-side checks certify allocations against the fractional cover
 relaxation of the coalition subgraph: feasibility (nonnegative, per-vertex
 load at most one), optimality (total equal to the coalition cost), and
@@ -31,7 +32,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
@@ -144,7 +144,7 @@ class CoverSystem:
         the coalition; free riders must rank last at both bases and keep
         their entries."""
         if orders is None:
-            return _RuleTableScheme(self.graph, self.watch, self.pays)
+            return _RuleTableScheme(self, self.watch, self.pays)
         watch, pays = list(self.watch), list(self.pays)
         first = [ONE] + [ZERO] * self.graph.n_edges
         for c in self.components:
@@ -158,7 +158,7 @@ class CoverSystem:
                     if i != c.free_rider:
                         watch[i], pays[i] = above, first
                         above |= 1 << i
-        return _RuleTableScheme(self.graph, watch, pays)
+        return _RuleTableScheme(self, watch, pays)
 
 
 def _known(scheme: AllocationScheme, s: Coalition) -> None:
@@ -244,18 +244,18 @@ class AllocationScheme:
 
 
 class _RuleTableScheme(AllocationScheme):
-    """A scheme given by a per-edge rule table: edge i pays pays[i][k] in a
-    coalition with k edges in the bitmask watch[i].  allocation() evaluates
-    the table on every query and caches nothing, so single queries stay cheap
-    on forests of any size; materialize and verify_pmas read its integer rows
-    over one denominator, built on first use."""
+    """A scheme given by a per-edge rule table over a cover system: edge i
+    pays pays[i][k] in a coalition with k edges in the bitmask watch[i].
+    allocation() evaluates the table on every query and caches nothing, so
+    single queries stay cheap on forests of any size; materialize and
+    verify_pmas answer from the table while allocation() is the table's."""
 
-    def __init__(self, graph: Graph, watch: list[int], pays: list[list[Fraction]]) -> None:
-        self.graph = graph
-        self._players = graph.players()
+    def __init__(self, cover: CoverSystem, watch: list[int], pays: list[list[Fraction]]) -> None:
+        self.cover = cover
+        self.graph = cover.graph
+        self._players = self.graph.players()
         self.watch = watch
         self.pays = pays
-        self._rows: tuple[list[dict[int, int]], int] | None = None
 
     def allocation(self, coalition) -> dict[int, Fraction]:
         s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
@@ -264,21 +264,65 @@ class _RuleTableScheme(AllocationScheme):
         watch, pays = self.watch, self.pays
         return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
 
-    def _integer_rows(self):
-        # the table describes the rule; an allocation() replaced on the
-        # instance is what the scheme answers, so it is read through that
-        if "allocation" in vars(self):
-            return super()._integer_rows()
-        if self._rows is None:
-            watch, pays = self.watch, self.pays
-            # one int object per distinct payment keeps later scans over the rows fast
-            num, den = _numerators({p: p for row in pays for p in row}, MalformedScheme, None)
-            nums = [[num[p] for p in row] for row in pays]
-            coalitions = all_coalitions(self.graph.n_edges)
-            self._rows = [{i: nums[i][(m & watch[i]).bit_count()] for i in coalitions[m]}
-                          for m in range(1, len(coalitions))], den
-        rows, den = self._rows
-        return zip(rows, repeat(den))
+    def materialize(self, *, max_edges: int = DEFAULT_EDGE_CAP):
+        """AllocationScheme.materialize's table, read from the watch masks
+        while allocation() is the table's and every payment an int or
+        Fraction, else through allocation() (which names a bad payment's edge
+        and coalition)."""
+        n = self.graph.n_edges
+        if (not _answers_from_table(self) or n > max_edges
+                or not all(type(p) is Fraction or type(p) is int for r in self.pays for p in r)):
+            return super().materialize(max_edges=max_edges)
+        shared: dict[Fraction, Fraction] = {}
+        pays = [[shared.setdefault(q, q) for q in map(Fraction, row)] for row in self.pays]
+        watch, coalitions = self.watch, all_coalitions(n)
+        return {coalitions[m]: {i: pays[i][(m & watch[i]).bit_count()] for i in coalitions[m]}
+                for m in range(1, len(coalitions))}
+
+    def _is_pmas_by_shape(self) -> bool:
+        """Whether the table is a PMAS by its shape (False decides nothing).
+        Monotone: each edge's payments over the counts it can reach, from
+        (i in watch[i]) to popcount(watch[i]), are exact and non-increasing.
+        Efficient: each anchor's group splits 1/k over the whole group or is
+        ranked (watch masks 0, e0, e0|e1, ...; pays 1 at count 0, else 0), and
+        each free rider pays 1 exactly when lone, so a coalition pays one per
+        anchor it reaches plus its lone free riders: its cover number."""
+        n = self.graph.n_edges
+        watch, pays = self.watch, self.pays
+        if len(watch) != n or len(pays) != n:
+            return False
+        for i, (w, row) in enumerate(zip(watch, pays)):
+            if type(w) is not int or w >> n or len(row) <= w.bit_count():
+                return False
+            reach = row[(w >> i) & 1:w.bit_count() + 1]
+            if (not all(type(p) is Fraction or type(p) is int for p in reach)
+                    or any(map(operator.lt, reach, reach[1:]))):
+                return False
+
+        def ranked(i: int, above: int) -> bool:
+            return (watch[i] == above and pays[i][0] == 1
+                    and not any(pays[i][1:above.bit_count() + 1]))
+
+        group = {}
+        for c in self.cover.components:
+            for v, es in c.pendants.items():
+                group[v] = mask = sum(1 << i for i in es)
+                ks = range(1, len(es) + 1)
+                order = sorted(es, key=lambda i: watch[i].bit_count())
+                if not (all(watch[i] == mask and all(pays[i][k] * k == 1 for k in ks) for i in es)
+                        or all(ranked(i, sum(1 << j for j in order[:at]))
+                               for at, i in enumerate(order))):
+                    return False
+            if c.free_rider is not None and not ranked(c.free_rider,
+                                                       group[c.cover[0]] | group[c.cover[1]]):
+                return False
+        return True
+
+
+def _answers_from_table(scheme: AllocationScheme) -> bool:
+    """Whether allocation() is scheme's rule table's: not overridden, not replaced."""
+    return (type(scheme).allocation is _RuleTableScheme.allocation
+            and "allocation" not in vars(scheme))
 
 
 def construct_pmas(graph: Graph) -> AllocationScheme:
@@ -329,21 +373,27 @@ class Violation:
 
 def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
                 max_edges: int = DEFAULT_EDGE_CAP):
-    """Exhaustively check a candidate scheme: efficiency on every nonempty
-    coalition, then monotonicity on every covering pair (covering pairs
-    suffice by transitivity).
+    """Check a candidate scheme: efficiency on every nonempty coalition, then
+    monotonicity on every covering pair (covering pairs suffice by
+    transitivity).  Returns (True, None) or (False, first Violation).
 
-    Returns (True, None) or (False, first Violation); efficiency is scanned
-    in ascending coalition bitmask order, monotonicity in ascending (superset,
-    dropped edge) order.  A missing or misindexed coalition raises
-    MalformedScheme.  Both scans compare integer numerators over one common
-    denominator.  A scheme of another graph is refused.
+    A scheme of another graph is refused and OracleCapError raised above
+    max_edges; below it the game's cost table is built (check_dual_optimal
+    then reads it), whichever path answers.  A rule-table scheme whose
+    allocation() is its table's and whose table passes its shape check is
+    accepted from the table.  Any other scheme is scanned through
+    allocation(): efficiency in ascending coalition bitmask order, then
+    monotonicity in ascending (superset, dropped edge) order, on integer
+    numerators over one common denominator; a missing or misindexed
+    coalition raises MalformedScheme.
     """
     _require_same_graph(game.graph, scheme.graph, "scheme")
     n = game.n
     if n > max_edges:
         raise OracleCapError(f"verifying over {n} edges exceeds the {max_edges}-edge cap")
     table = game.cost_table(max_edges)
+    if _answers_from_table(scheme) and scheme._is_pmas_by_shape():
+        return True, None
     size = 1 << n
     coalitions = all_coalitions(n)
     rows, dens = [{}], [1]

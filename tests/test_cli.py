@@ -237,7 +237,9 @@ def test_bad_coalition_errors(graph_file, capsys, tmp_path):
     gpath = graph_file("g.txt", P4)
     prefs = tmp_path / "prefs.json"
     prefs.write_text(json.dumps({"b": [0, 1], "c": [2, 1]}))
-    for command in (["construct"], ["stable-match", "--prefs", str(prefs)]):
+    # --materialize prints the whole table, but its coalition list is still checked
+    for command in (["construct"], ["construct", "--materialize"],
+                    ["stable-match", "--prefs", str(prefs)]):
         code, out, err = run(capsys, *command, "--input", gpath, "--coalition", "0,9")
         assert code == 2 and out == "" and "out of range" in err
         # an empty item is malformed, never dropped; an empty list is not "all players"
@@ -247,6 +249,8 @@ def test_bad_coalition_errors(graph_file, capsys, tmp_path):
             assert err.startswith(f"error: bad coalition list {text!r}: invalid literal")
         code, out, _ = run(capsys, *command, "--input", gpath, "--coalition", " 0 , 2")
         assert code == 0 and out
+    table = run(capsys, "construct", "--materialize", "--input", gpath)
+    assert run(capsys, "construct", "--materialize", "--input", gpath, "--coalition", "0,2") == table
 
 
 def test_preference_orders_that_are_not_lists_error(graph_file, capsys, tmp_path):

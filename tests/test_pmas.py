@@ -17,7 +17,7 @@ from vcgame.game import VertexCoverGame, mask_coalition
 from vcgame.graph import Graph, find_forbidden_subgraph, vertex_cover_number
 from vcgame.matching import (PreferenceSystem, enumerate_integral_pmas, gale_shapley,
                              is_stable, scheme_from_preferences)
-from vcgame.pmas import (AllocationScheme, _scaled_profile, check_dual_feasible,
+from vcgame.pmas import (AllocationScheme, _RuleTableScheme, _scaled_profile, check_dual_feasible,
                          check_dual_optimal, check_pi_star, classify_components, construct_pmas,
                          recognize_population_monotonic, scheme_from_json,
                          scheme_table_to_jsonable, scheme_to_json, verify_pmas)
@@ -646,9 +646,10 @@ def test_rule_table_matches_split_rule():
             expected = {mask_coalition(m): split_rule_allocation(cover, mask_coalition(m))
                         for m in range(1, 1 << h.n_edges)}
             scheme = construct_pmas(h)
+            state = dict(vars(scheme))
             for s, alloc in expected.items():
                 assert scheme.allocation(s) == alloc
-            assert scheme._rows is None  # single queries build no table
+            assert vars(scheme) == state  # single queries build and cache nothing
             assert scheme.materialize() == expected
             for s, alloc in expected.items():
                 assert scheme.allocation(s) == alloc
@@ -672,10 +673,10 @@ def test_cover_system_matches_reference_split():
                         assert (mask & watch[i]).bit_count() == len(edges_in)
 
 
-def verify_outcome(verify, game, scheme):
+def outcome(call, *args):
     try:
-        return verify(game, scheme)
-    except MalformedScheme as exc:
+        return call(*args)
+    except (MalformedScheme, IndexError) as exc:
         return type(exc), str(exc)
 
 
@@ -724,10 +725,139 @@ def test_verify_matches_reference_scan():
             assert verify_pmas(game, scheme) == expected
             for table in corrupted_tables(rng, scheme.materialize()):
                 bad = AllocationScheme(g, table=table)
-                expected = verify_outcome(reference_verify_pmas, game, bad)
-                assert verify_outcome(verify_pmas, game, bad) == expected
+                expected = outcome(reference_verify_pmas, game, bad)
+                assert outcome(verify_pmas, game, bad) == expected
                 kinds.add(expected[1].kind if expected[0] is False else expected[0])
     assert kinds == {"efficiency", "monotonicity", MalformedScheme}
+
+
+def through_allocation(scheme: _RuleTableScheme) -> _RuleTableScheme:
+    """The same rule table with allocation() replaced on the instance by its
+    own rule, so materialize and verify_pmas read it by the exhaustive path."""
+    twin = _RuleTableScheme(scheme.cover, scheme.watch, scheme.pays)
+    twin.allocation = twin.allocation
+    return twin
+
+
+def corrupted_rule_tables(rng: random.Random, scheme: _RuleTableScheme):
+    """Seeded broken copies of a rule table at one edge i: a payment it can
+    reach raised or lowered, or turned into a float or a bool, one watch bit
+    flipped (bit n included), its payment row cut one entry short, and, when
+    i splits a whole group, a +1/-1 pair with another edge of that group."""
+    n = scheme.graph.n_edges
+    i = rng.randrange(n)
+    w, row = scheme.watch[i], scheme.pays[i]
+    k = rng.randint((w >> i) & 1, w.bit_count())
+
+    def changed(watch_i=w, pays_i=row):
+        watch, pays = list(scheme.watch), list(scheme.pays)
+        watch[i], pays[i] = watch_i, pays_i
+        return _RuleTableScheme(scheme.cover, watch, pays)
+
+    for new in (row[k] + Fraction(1, 2), row[k] - 1, float(row[k]), bool(row[k])):
+        yield changed(pays_i=[*row[:k], new, *row[k + 1:]])
+    yield changed(watch_i=w ^ 1 << rng.randrange(n + 1))
+    yield changed(pays_i=row[:w.bit_count()])
+    # +1 and -1 to two edges i, j of one whole group, at their full count:
+    # only coalitions holding the whole group see both, so the table stays
+    # efficient and i pays more there than without one of the others
+    others = [j for j in range(n) if j != i and scheme.watch[j] == w] if w >> i & 1 else []
+    if others:
+        top = w.bit_count()
+        pays = list(scheme.pays)
+        for e, delta in ((i, 1), (rng.choice(others), -1)):
+            pays[e] = [*pays[e][:top], pays[e][top] + delta, *pays[e][top + 1:]]
+        yield _RuleTableScheme(scheme.cover, scheme.watch, pays)
+
+
+def assert_fast_paths_match(game, scheme, exact: bool):
+    """verify_pmas and materialize on a rule table give what they give read
+    through allocation(): the same verdict and first Violation, the same
+    table, or the same exception type and message."""
+    twin = through_allocation(scheme)
+    verdict = outcome(verify_pmas, game, scheme)
+    assert verdict == outcome(verify_pmas, game, twin)
+    if exact:  # the reference coerces floats and bools
+        assert verdict == outcome(reference_verify_pmas, game, scheme)
+    table = outcome(scheme.materialize)
+    assert table == outcome(twin.materialize)
+    if type(table) is dict:  # one Fraction object per distinct payment
+        objects = list({id(v): v for vec in table.values() for v in vec.values()}.values())
+        assert all(type(v) is Fraction for v in objects) and len(set(objects)) == len(objects)
+    return verdict
+
+
+def test_rule_table_fast_paths_match_the_exhaustive_scan():
+    rng = random.Random(41)
+    verdicts = set()
+    for g in all_pm_graphs_up_to(6):
+        for h, constructive in ((g, True), (flipped(g), False)):
+            game = VertexCoverGame(h)
+            schemes = [construct_pmas(h), *enumerate_integral_pmas(h, max_enumerate=10**6)]
+            for scheme in schemes:
+                assert scheme._is_pmas_by_shape()
+                assert verify_pmas(game, scheme) == (True, None)
+            # the constructive scheme of each graph and an integral one of its
+            # flipped copy, whole and corrupted, against the scan
+            scheme = schemes[0] if constructive else rng.choice(schemes[1:])
+            assert assert_fast_paths_match(game, scheme, True) == (True, None)
+            for bad in corrupted_rule_tables(rng, scheme):
+                exact = all(type(p) is not float and type(p) is not bool
+                            for row in bad.pays for p in row)
+                verdict = assert_fast_paths_match(game, bad, exact)
+                verdicts.add(verdict[0] if type(verdict[0]) is type else
+                             verdict[1].kind if verdict[1] else True)
+    assert verdicts == {True, "efficiency", "monotonicity", MalformedScheme, IndexError}
+    forests = []
+    while len(forests) < 2:
+        g = random_star_pisces_forest(rng, max_edges=16)
+        if g.n_edges == 16:
+            forests.append(g)
+    for g in forests:
+        scheme = construct_pmas(g)
+        assert assert_fast_paths_match(VertexCoverGame(g), scheme, False) == (True, None)
+        raised = next(corrupted_rule_tables(rng, scheme))
+        assert (outcome(verify_pmas, VertexCoverGame(g), raised)
+                == outcome(verify_pmas, VertexCoverGame(g), through_allocation(raised)))
+
+
+def test_structural_verdict_builds_the_cost_table_and_scans_nothing(monkeypatch):
+    def no_scan(self):
+        raise AssertionError("scanned through allocation()")
+
+    monkeypatch.setattr(AllocationScheme, "_integer_rows", no_scan)
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e")])
+    integral = PreferenceSystem(g, {"b": (0, 1), "c": (3, 2, 1)})
+    for scheme in (construct_pmas(g), scheme_from_preferences(integral)):
+        game = VertexCoverGame(g)
+        assert verify_pmas(game, scheme) == (True, None)
+        # check_dual_optimal reads this table by mask instead of asking gamma
+        assert game._table is not None
+
+
+def test_overridden_allocation_is_what_gets_verified():
+    class Raised(_RuleTableScheme):
+        def allocation(self, coalition):
+            vec = super().allocation(coalition)
+            return {**vec, 0: vec[0] + 1} if 0 in vec else vec
+
+    scheme = construct_pmas(p4())
+    raised = Raised(scheme.cover, scheme.watch, scheme.pays)
+    ok, violation = verify_pmas(VertexCoverGame(p4()), raised)
+    assert not ok and violation.kind == "efficiency" and violation.coalition == {0}
+    assert raised.materialize()[frozenset({0})] == {0: 2}
+
+
+def test_inexact_rule_table_payments_name_their_edge():
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
+    scheme = construct_pmas(g)
+    watch, pays = scheme.watch, list(scheme.pays)
+    pays[0] = [0.5 if p == 1 else p for p in pays[0]]
+    bad = _RuleTableScheme(scheme.cover, watch, pays)
+    message = re.escape("payment of edge 0 on coalition [0] is 0.5, not an int or Fraction")
+    for call in (bad.materialize, lambda: verify_pmas(VertexCoverGame(g), bad)):
+        with pytest.raises(MalformedScheme, match=message):
+            call()
 
 
 def test_replaced_allocation_is_what_gets_verified():

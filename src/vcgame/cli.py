@@ -22,8 +22,17 @@ from .pmas import (AllocationScheme, classify_components, construct_pmas,
                    fraction_str, scheme_from_json, scheme_table_to_jsonable, verify_pmas)
 
 
+def _int(text: str) -> int:
+    """int(text), refusing what int() reads beyond ASCII digits, a minus sign
+    and surrounding spaces: "+1", "1_0" and non-ASCII digits."""
+    value = int(text)  # int()'s own error for what it refuses
+    if not (text.isascii() and text.strip().removeprefix("-").isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -85,7 +94,7 @@ def _load_graph(args) -> Graph:
 
 def _parse_coalition(text: str, graph: Graph):
     try:
-        indices = [int(part) for part in text.split(",")]
+        indices = [_int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ContractViolation(f"bad coalition list {text!r}: {exc}") from exc
     for i in indices:
@@ -205,6 +214,8 @@ def cmd_construct(args) -> tuple[int, str]:
     coalition = (_parse_coalition(args.coalition, graph)
                  if args.coalition is not None else graph.players())
     if args.materialize:
+        if args.coalition is not None:
+            raise ContractViolation("--materialize prints every coalition and takes no --coalition")
         jsonable = scheme_table_to_jsonable(scheme.materialize(max_edges=args.max_edges))
         return 0, _render(args, jsonable, _table_text_lines(jsonable))
     alloc = scheme.allocation(coalition)

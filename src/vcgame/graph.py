@@ -51,19 +51,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, pairs, extra_vertices=()) -> "Graph":
-        """Build a graph from (u, v) pairs; vertices ordered by first appearance."""
-        order: list[str] = []
-        seen: set[str] = set()
-        for u, v in pairs:
-            for w in (u, v):
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-        for w in extra_vertices:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-        return cls(vertices=tuple(order), edges=tuple((u, v) for u, v in pairs))
+        """Build a graph from (u, v) pairs, read once; vertices ordered by
+        first appearance."""
+        edges = tuple((u, v) for u, v in pairs)
+        order = dict.fromkeys([w for edge in edges for w in edge] + list(extra_vertices))
+        return cls(vertices=tuple(order), edges=edges)
 
     @property
     def n_vertices(self) -> int:

@@ -21,7 +21,7 @@ from itertools import permutations
 from .errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                      NotIntegralScheme, UnsupportedInstance)
 from .graph import Graph, _require_edges, _two_color
-from .pmas import AllocationScheme, _require_same_graph, classify_components
+from .pmas import AllocationScheme, _checked_orders, _require_same_graph, classify_components
 
 Matching = frozenset[int]
 
@@ -38,28 +38,7 @@ class PreferenceSystem:
 
     def __init__(self, graph: Graph, orders) -> None:
         self.graph = graph
-        normalized: dict[str, tuple[int, ...]] = {}
-        for v, seq in orders.items():
-            if not graph.has_vertex(v):
-                raise ContractViolation(f"unknown vertex {v!r} in preference orders")
-            expected = set(graph.incident_edges(v))
-            try:
-                seq = tuple(seq)
-            except TypeError:
-                raise ContractViolation(
-                    f"order for vertex {v!r} is {seq!r}, not a list of edge indices") from None
-            for i in seq:
-                if type(i) is not int:
-                    raise ContractViolation(
-                        f"order for vertex {v!r} ranks {i!r}, not an edge index")
-            if len(seq) != len(expected) or set(seq) != expected:
-                raise ContractViolation(
-                    f"order for vertex {v!r} must rank exactly its incident edges")
-            normalized[v] = seq
-        for v in graph.vertices:
-            if graph.degree(v) >= 2 and v not in normalized:
-                raise ContractViolation(f"missing preference order for vertex {v!r}")
-        self.orders = normalized
+        self.orders = _checked_orders(graph, orders)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PreferenceSystem)

@@ -9,14 +9,14 @@ The constructive scheme splits each chosen cover vertex's unit cost equally
 among the non-free-rider coalition edges it covers; an accompanied free rider
 pays nothing and a lone free rider pays the full unit.  CoverSystem states
 this rule once, as a per-edge table of watch masks, payments and selected
-vertices, and the per-coalition selector is the vertices the rule charges.
-Every scheme the library builds is such a table, built by
-CoverSystem.scheme; an integral scheme only has other watch masks and
-payments.  An AllocationScheme given a table stores it; its edge keys must be
-ints and its payments Fractions or ints.  materialize and verify_pmas answer
-a rule-table scheme whose allocation() is its table's from the table (its
-watch masks; its per-edge monotone and shape check); any other scheme is
-read as per-coalition integer rows through allocation().
+vertices.  It charges every coalition edge but an accompanied free rider, and
+the per-coalition selector is the vertices it charges.  Every scheme the
+library builds is such a table, built by CoverSystem.scheme, and an integral
+scheme only has other entries.  An AllocationScheme given a table stores it;
+its edge keys must be ints and its payments Fractions or ints.  materialize
+and verify_pmas answer a rule-table scheme that reads its own well-formed
+table from the table (its watch masks; its per-edge monotone and shape
+check); any other scheme is read coalition by coalition through allocation().
 The dual-side checks certify allocations against the fractional cover
 relaxation of the coalition subgraph: feasibility (nonnegative, per-vertex
 load at most one), optimality (total equal to the coalition cost), and
@@ -80,19 +80,46 @@ def classify_components(graph: Graph):
     return shapes, CoverSystem(graph, shapes)
 
 
+def _checked_orders(graph: Graph, orders) -> dict[str, tuple[int, ...]]:
+    """Per-vertex orders as tuples; each must rank exactly its vertex's
+    incident edges, and every vertex with two or more needs one."""
+    checked: dict[str, tuple[int, ...]] = {}
+    for v, seq in orders.items():
+        if not graph.has_vertex(v):
+            raise ContractViolation(f"unknown vertex {v!r} in preference orders")
+        expected = set(graph.incident_edges(v))
+        try:
+            seq = tuple(seq)
+        except TypeError:
+            raise ContractViolation(
+                f"order for vertex {v!r} is {seq!r}, not a list of edge indices") from None
+        for i in seq:
+            if type(i) is not int:
+                raise ContractViolation(
+                    f"order for vertex {v!r} ranks {i!r}, not an edge index")
+        if len(seq) != len(expected) or set(seq) != expected:
+            raise ContractViolation(
+                f"order for vertex {v!r} must rank exactly its incident edges")
+        checked[v] = seq
+    for v in graph.vertices:
+        if graph.degree(v) >= 2 and v not in checked:
+            raise ContractViolation(f"missing preference order for vertex {v!r}")
+    return checked
+
+
 class CoverSystem:
     """Global minimum cover made of centers and bases, and the rule-table
     schemes over it.
 
     The constructive rule is one per-edge table: edge i watches the bitmask
     watch[i], pays pays[i][k] in a coalition with k edges in it, and is
-    charged at vertex select[i] where charges[i][k], i.e. bool(pays[i][k]),
-    holds.  A non-free-rider edge watches its anchor's
-    group (the edges whose global cover vertex is that anchor), pays 1/k and
-    selects its anchor; a free rider watches both its bases' groups, pays 1
-    when k = 0 (lone) and 0 when k > 0 (accompanied), and selects its smaller
-    base.  The selector of a coalition is the vertices the rule charges, and
-    pi* is tight where the rule pays and zero where it does not.  scheme()
+    charged at vertex select[i] unless it is an accompanied free rider.  A
+    non-free-rider edge watches its anchor's group (the edges whose global
+    cover vertex is that anchor), pays 1/k and selects its anchor; a free
+    rider watches both its bases' groups, pays 1 when k = 0 (lone) and 0 when
+    k > 0 (accompanied), and selects its smaller base.  The selector of a
+    coalition is the vertices the rule charges, and pi* is tight where the
+    rule pays and zero where it does not.  scheme()
     builds the constructive scheme, or an integral scheme from per-vertex
     orders, as such a table.
     """
@@ -108,12 +135,9 @@ class CoverSystem:
         # lcm(1..widest) would have hundreds of digits on a large pisces
         shares = [ZERO] + [Fraction(1, k) for k in range(1, widest + 1)]
         rider_pays = [ONE] + [ZERO] * (2 * widest)
-        rider_charges = [True] + [False] * (2 * widest)
         n = graph.n_edges
         self.watch = [0] * n
         self.pays = [shares] * n
-        # charges[i][k] is bool(pays[i][k]), shared the way pays is
-        self.charges = [[False] + [True] * widest] * n
         self.select = [None] * n
         for c in self.components:
             for v, es in c.pendants.items():
@@ -124,7 +148,6 @@ class CoverSystem:
                 b1, b2 = c.cover
                 self.watch[c.free_rider] = group[b1] | group[b2]
                 self.pays[c.free_rider] = rider_pays
-                self.charges[c.free_rider] = rider_charges
                 self.select[c.free_rider] = b1
         self.free_riders = frozenset(c.free_rider for c in self.components) - {None}
 
@@ -134,17 +157,18 @@ class CoverSystem:
         s = frozenset(coalition)
         _require_edges(self.graph, s)
         m = coalition_mask(s)
-        watch, charges, select = self.watch, self.charges, self.select
-        return tuple(sorted({select[i] for i in s if charges[i][(m & watch[i]).bit_count()]}))
+        watch, select, riders = self.watch, self.select, self.free_riders
+        return tuple(sorted({select[i] for i in s if not (i in riders and m & watch[i])}))
 
     def scheme(self, orders=None) -> AllocationScheme:
         """The constructive scheme, or with per-vertex orders (most preferred
         first) the integral scheme in which each non-free-rider edge watches
         the edges ranked above it at its anchor and pays 1 when none is in
-        the coalition; free riders must rank last at both bases and keep
-        their entries."""
+        the coalition.  Orders are checked as PreferenceSystem checks them;
+        free riders must rank last at both bases and keep their entries."""
         if orders is None:
             return _RuleTableScheme(self, self.watch, self.pays)
+        orders = _checked_orders(self.graph, orders)
         watch, pays = list(self.watch), list(self.pays)
         first = [ONE] + [ZERO] * self.graph.n_edges
         for c in self.components:
@@ -167,19 +191,6 @@ def _known(scheme: AllocationScheme, s: Coalition) -> None:
         raise ContractViolation("the empty coalition has no allocation")
     if not s <= scheme._players:
         raise ContractViolation("coalition contains unknown players")
-
-
-class _Payments(dict):
-    """Numerator -> payment over one denominator, built on first lookup and
-    taken from shared so that equal payments are one Fraction."""
-
-    def __init__(self, den: int, shared: dict[Fraction, Fraction]) -> None:
-        self.den, self.shared = den, shared
-
-    def __missing__(self, x: int) -> Fraction:
-        value = Fraction(x, self.den)
-        self[x] = value = self.shared.setdefault(value, value)
-        return value
 
 
 class AllocationScheme:
@@ -210,11 +221,11 @@ class AllocationScheme:
         members = ",".join(str(i) for i in sorted(s))
         raise MalformedScheme(f"scheme is missing coalition {{{members}}}")
 
-    def _integer_rows(self):
-        """(row, den) for every nonempty coalition in ascending bitmask order,
-        row mapping each member edge to its payment's numerator over den (the
-        caller checks the edge cap).  Read through allocation(): a missing or
-        misindexed coalition raises MalformedScheme when the scan reaches it."""
+    def _rows(self):
+        """(coalition, allocation) for every nonempty coalition in ascending
+        bitmask order, read through allocation() (the caller checks the edge
+        cap and the payments): a missing or misindexed coalition or a key that
+        is not an int raises MalformedScheme when the scan reaches it."""
         allocation = self.allocation
         # a stored table's keys were checked when it was built
         stored = getattr(allocation, "__func__", None) is AllocationScheme.allocation
@@ -224,7 +235,7 @@ class AllocationScheme:
                 raise MalformedScheme(f"allocation for {sorted(s)} is not indexed by its members")
             if not stored:
                 _require_int_keys(a, MalformedScheme, s)
-            yield _numerators(a, MalformedScheme, s)
+            yield s, a
 
     def materialize(self, *, max_edges: int = DEFAULT_EDGE_CAP):
         """Full table over every nonempty coalition (capped by edge count),
@@ -233,13 +244,13 @@ class AllocationScheme:
         if n > max_edges:
             raise OracleCapError(
                 f"materializing a scheme over {n} edges exceeds the {max_edges}-edge cap")
-        coalitions = all_coalitions(n)
         shared: dict[Fraction, Fraction] = {}
-        by_den = {}  # den -> lookup of the payment for a numerator
         out = {}
-        for m, (row, den) in enumerate(self._integer_rows(), 1):
-            payment = by_den.get(den) or by_den.setdefault(den, _Payments(den, shared).__getitem__)
-            out[coalitions[m]] = dict(zip(row, map(payment, row.values())))
+        for s, a in self._rows():
+            row = out[s] = {}
+            for i, v in a.items():
+                v = v if type(v) is Fraction else _exact_payment(v, MalformedScheme, i, s)
+                row[i] = shared.setdefault(v, v)
         return out
 
 
@@ -248,7 +259,7 @@ class _RuleTableScheme(AllocationScheme):
     pays pays[i][k] in a coalition with k edges in the bitmask watch[i].
     allocation() evaluates the table on every query and caches nothing, so
     single queries stay cheap on forests of any size; materialize and
-    verify_pmas answer from the table while allocation() is the table's."""
+    verify_pmas answer from the table while _reads_table() holds."""
 
     def __init__(self, cover: CoverSystem, watch: list[int], pays: list[list[Fraction]]) -> None:
         self.cover = cover
@@ -264,39 +275,47 @@ class _RuleTableScheme(AllocationScheme):
         watch, pays = self.watch, self.pays
         return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
 
+    def _reads_table(self) -> bool:
+        """Whether allocation() is the table's own (not overridden, not
+        replaced) and each edge has an int watch mask over the graph's edges
+        and Fraction or int payments for every count up to its popcount."""
+        n = self.graph.n_edges
+        if (type(self).allocation is not _RuleTableScheme.allocation
+                or "allocation" in vars(self) or len(self.watch) != n or len(self.pays) != n):
+            return False
+        return all(type(w) is int and not w >> n and len(row) > w.bit_count()
+                   and all(type(p) is Fraction or type(p) is int for p in row[:w.bit_count() + 1])
+                   for w, row in zip(self.watch, self.pays))
+
     def materialize(self, *, max_edges: int = DEFAULT_EDGE_CAP):
         """AllocationScheme.materialize's table, read from the watch masks
-        while allocation() is the table's and every payment an int or
-        Fraction, else through allocation() (which names a bad payment's edge
-        and coalition)."""
+        while _reads_table() holds, else through allocation() (which names a
+        bad payment's edge and coalition)."""
         n = self.graph.n_edges
-        if (not _answers_from_table(self) or n > max_edges
-                or not all(type(p) is Fraction or type(p) is int for r in self.pays for p in r)):
+        if n > max_edges or not self._reads_table():
             return super().materialize(max_edges=max_edges)
         shared: dict[Fraction, Fraction] = {}
-        pays = [[shared.setdefault(q, q) for q in map(Fraction, row)] for row in self.pays]
+        # only the counts a mask can reach were checked exact
+        pays = [[shared.setdefault(q, q) for q in map(Fraction, row[:w.bit_count() + 1])]
+                for w, row in zip(self.watch, self.pays)]
         watch, coalitions = self.watch, all_coalitions(n)
         return {coalitions[m]: {i: pays[i][(m & watch[i]).bit_count()] for i in coalitions[m]}
                 for m in range(1, len(coalitions))}
 
     def _is_pmas_by_shape(self) -> bool:
-        """Whether the table is a PMAS by its shape (False decides nothing).
-        Monotone: each edge's payments over the counts it can reach, from
-        (i in watch[i]) to popcount(watch[i]), are exact and non-increasing.
-        Efficient: each anchor's group splits 1/k over the whole group or is
-        ranked (watch masks 0, e0, e0|e1, ...; pays 1 at count 0, else 0), and
-        each free rider pays 1 exactly when lone, so a coalition pays one per
-        anchor it reaches plus its lone free riders: its cover number."""
-        n = self.graph.n_edges
-        watch, pays = self.watch, self.pays
-        if len(watch) != n or len(pays) != n:
+        """Whether _reads_table() holds and the table is a PMAS by its shape
+        (False decides nothing).  Monotone: each edge's payments over the
+        counts it can reach, from (i in watch[i]) to popcount(watch[i]), are
+        non-increasing.  Efficient: each anchor's group splits 1/k over the
+        whole group or is ranked (watch masks 0, e0, e0|e1, ...; pays 1 at
+        count 0, else 0), and each free rider pays 1 exactly when lone, so a
+        coalition pays its cover number: its anchors and lone free riders."""
+        if not self._reads_table():
             return False
+        watch, pays = self.watch, self.pays
         for i, (w, row) in enumerate(zip(watch, pays)):
-            if type(w) is not int or w >> n or len(row) <= w.bit_count():
-                return False
             reach = row[(w >> i) & 1:w.bit_count() + 1]
-            if (not all(type(p) is Fraction or type(p) is int for p in reach)
-                    or any(map(operator.lt, reach, reach[1:]))):
+            if any(map(operator.lt, reach, reach[1:])):
                 return False
 
         def ranked(i: int, above: int) -> bool:
@@ -317,12 +336,6 @@ class _RuleTableScheme(AllocationScheme):
                                                        group[c.cover[0]] | group[c.cover[1]]):
                 return False
         return True
-
-
-def _answers_from_table(scheme: AllocationScheme) -> bool:
-    """Whether allocation() is scheme's rule table's: not overridden, not replaced."""
-    return (type(scheme).allocation is _RuleTableScheme.allocation
-            and "allocation" not in vars(scheme))
 
 
 def construct_pmas(graph: Graph) -> AllocationScheme:
@@ -379,9 +392,9 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
 
     A scheme of another graph is refused and OracleCapError raised above
     max_edges; below it the game's cost table is built (check_dual_optimal
-    then reads it), whichever path answers.  A rule-table scheme whose
-    allocation() is its table's and whose table passes its shape check is
-    accepted from the table.  Any other scheme is scanned through
+    then reads it), whichever path answers.  A rule-table scheme that reads
+    its own well-formed table and passes its shape check is accepted from
+    the table.  Any other scheme is scanned through
     allocation(): efficiency in ascending coalition bitmask order, then
     monotonicity in ascending (superset, dropped edge) order, on integer
     numerators over one common denominator; a missing or misindexed
@@ -392,15 +405,16 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     if n > max_edges:
         raise OracleCapError(f"verifying over {n} edges exceeds the {max_edges}-edge cap")
     table = game.cost_table(max_edges)
-    if _answers_from_table(scheme) and scheme._is_pmas_by_shape():
+    if isinstance(scheme, _RuleTableScheme) and scheme._is_pmas_by_shape():
         return True, None
     size = 1 << n
     coalitions = all_coalitions(n)
     rows, dens = [{}], [1]
-    for m, (row, d) in enumerate(scheme._integer_rows(), 1):
+    for m, (s, a) in enumerate(scheme._rows(), 1):
+        row, d = _numerators(a, MalformedScheme, s)
         total = sum(row.values())
         if total != table[m] * d:
-            return False, Violation("efficiency", coalitions[m], None, None,
+            return False, Violation("efficiency", s, None, None,
                                     Fraction(total, d), Fraction(table[m]))
         rows.append(row)
         dens.append(d)
@@ -517,12 +531,12 @@ def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
     loads, den, _, feasible, m = _scaled_profile(graph, s, x)
     if not feasible:
         return False
-    watch, charges, select = cover.watch, cover.charges, cover.select
+    watch, select, riders = cover.watch, cover.select, cover.free_riders
     for i in s:
-        if charges[i][(m & watch[i]).bit_count()]:
-            if loads[select[i]] != den:
+        if i in riders and m & watch[i]:
+            if x[i] != 0:
                 return False
-        elif x[i] != 0:
+        elif loads[select[i]] != den:
             return False
     return True
 

@@ -237,7 +237,7 @@ def test_bad_coalition_errors(graph_file, capsys, tmp_path):
     gpath = graph_file("g.txt", P4)
     prefs = tmp_path / "prefs.json"
     prefs.write_text(json.dumps({"b": [0, 1], "c": [2, 1]}))
-    # --materialize prints the whole table, but its coalition list is still checked
+    # --materialize takes no coalition list, but a malformed one is reported as such
     for command in (["construct"], ["construct", "--materialize"],
                     ["stable-match", "--prefs", str(prefs)]):
         code, out, err = run(capsys, *command, "--input", gpath, "--coalition", "0,9")
@@ -247,10 +247,27 @@ def test_bad_coalition_errors(graph_file, capsys, tmp_path):
             code, out, err = run(capsys, *command, "--input", gpath, "--coalition", text)
             assert code == 2 and out == ""
             assert err.startswith(f"error: bad coalition list {text!r}: invalid literal")
-        code, out, _ = run(capsys, *command, "--input", gpath, "--coalition", " 0 , 2")
-        assert code == 0 and out
-    table = run(capsys, "construct", "--materialize", "--input", gpath)
-    assert run(capsys, "construct", "--materialize", "--input", gpath, "--coalition", "0,2") == table
+        code, out, err = run(capsys, *command, "--input", gpath, "--coalition", " 0 , 2")
+        if "--materialize" in command:  # a valid list is refused, not ignored
+            assert (code, out) == (2, "")
+            assert err == "error: --materialize prints every coalition and takes no --coalition\n"
+        else:
+            assert code == 0 and out
+
+
+def test_integer_arguments_take_only_ascii_digits(graph_file, capsys):
+    gpath = graph_file("g.txt", P4)
+    # int() alone reads these as 1, 10, 3 and 16
+    for text in ("+1", "1_0", "0,\u0663", "\uff11"):
+        code, out, err = run(capsys, "construct", "--input", gpath, "--coalition", text)
+        assert code == 2 and out == "" and "invalid literal" in err
+    for value in ("1_6", "+16", "\u0661\u0666"):
+        with pytest.raises(SystemExit) as exited:
+            run(capsys, "construct", "--input", gpath, "--max-edges", value)
+        assert exited.value.code == 2
+        assert f"invalid _positive_int value: {value!r}" in capsys.readouterr().err
+    code, out, _ = run(capsys, "construct", "--input", gpath, "--max-edges", " 16 ")
+    assert code == 0 and out
 
 
 def test_preference_orders_that_are_not_lists_error(graph_file, capsys, tmp_path):

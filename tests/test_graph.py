@@ -68,6 +68,13 @@ def test_parse_bad_tokens():
         parse_graph("a b c")
 
 
+def test_from_edges_reads_its_pairs_once():
+    pairs = [("a", "b"), ("b", "c")]
+    g = Graph.from_edges(pairs, extra_vertices=("z", "a"))
+    assert g == Graph.from_edges(iter(pairs), extra_vertices=iter(("z", "a")))
+    assert g == Graph(vertices=("a", "b", "c", "z"), edges=(("a", "b"), ("b", "c")))
+
+
 # --- components and diameter -------------------------------------------------------
 
 

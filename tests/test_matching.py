@@ -15,7 +15,7 @@ from vcgame.graph import Graph, matching_number, vertex_cover_number
 from vcgame.matching import (PreferenceSystem, count_integral_pmas,
                              enumerate_integral_pmas, gale_shapley, is_stable,
                              preferences_from_scheme, scheme_from_preferences)
-from vcgame.pmas import AllocationScheme, construct_pmas, verify_pmas
+from vcgame.pmas import AllocationScheme, classify_components, construct_pmas, verify_pmas
 
 from oracles import (admissible_preference_systems, all_matchings, all_pm_graphs_up_to,
                      brute_integral_schemes, brute_stable_matchings, canonical_table,
@@ -265,6 +265,23 @@ def test_scheme_from_preferences_requires_rider_lowest():
     ps = PreferenceSystem(p4(), {"b": (1, 0), "c": (2, 1)})
     with pytest.raises(ContractViolation, match="free rider 1 must rank last"):
         scheme_from_preferences(ps)
+
+
+def test_cover_system_scheme_checks_its_orders():
+    g = star(3)
+    _, cover = classify_components(g)
+    for orders in ({"hub": (0,)}, {"hub": (0, 0, 1)}, {}, {"hub": (0, 1, 2, 7)}):
+        with pytest.raises(ContractViolation) as raised:
+            cover.scheme(orders)
+        with pytest.raises(ContractViolation) as expected:
+            PreferenceSystem(g, orders)
+        assert str(raised.value) == str(expected.value)
+    expected = scheme_from_preferences(PreferenceSystem(g, {"hub": (2, 1, 0)})).materialize()
+    assert cover.scheme({"hub": (2, 1, 0)}).materialize() == expected
+    # an edge of one star placed in the other's order
+    _, two = classify_components(Graph.from_edges([("b", "x"), ("b", "y"), ("c", "u"), ("c", "w")]))
+    with pytest.raises(ContractViolation, match="order for vertex 'b' must rank exactly"):
+        two.scheme({"b": (0, 1, 2), "c": (3, 2)})
 
 
 def test_scheme_from_preferences_requires_population_monotonic():

@@ -602,7 +602,7 @@ def test_dual_checks_retain_one_profile():
     game.cost_table()
     _, cover = classify_components(g)
     scheme = construct_pmas(g)
-    scheme.materialize()  # the integer rows and the coalition list stay with the scheme
+    scheme.materialize()  # all_coalitions(n) is built here once and stays cached
     check_dual_feasible(g, {0}, {0: 1})
     tracemalloc.start()
     try:
@@ -626,17 +626,10 @@ def large_pisces() -> Graph:
                             + [("b2", f"q{k}") for k in range(1000)])
 
 
-def test_charges_are_the_truth_of_pays():
-    for g in all_pm_graphs_up_to(6):
-        for h in (g, flipped(g)):
-            _, cover = classify_components(h)
-            for i, (pays, charges) in enumerate(zip(cover.pays, cover.charges)):
-                assert charges == [bool(p) for p in pays], (h.edges, i)
-                for pays_j, charges_j in zip(cover.pays, cover.charges):
-                    assert (pays is pays_j) == (charges is charges_j)
+def test_pays_rows_are_shared():
     # one shared list for every splitting edge and one for every free rider
     _, cover = classify_components(large_pisces())
-    assert len({id(c) for c in cover.charges}) == len({id(p) for p in cover.pays}) == 2
+    assert len({id(p) for p in cover.pays}) == 2
 
 
 def test_rule_table_matches_split_rule():
@@ -659,14 +652,14 @@ def test_cover_system_matches_reference_split():
     for g in all_pm_graphs_up_to(6):
         for h in (g, flipped(g)):
             _, cover = classify_components(h)
-            watch, charges, select = cover.watch, cover.charges, cover.select
+            watch, pays, select = cover.watch, cover.pays, cover.select
             for mask in range(1, 1 << h.n_edges):
                 s = mask_coalition(mask)
                 groups, _ = reference_split(cover, s)
                 assert cover.cover_for(s) == reference_cover_for(cover, s)
                 for r in cover.free_riders:
                     lone = not reference_split(cover, s | {r})[1][r]
-                    assert charges[r][(mask & watch[r]).bit_count()] == lone
+                    assert bool(pays[r][(mask & watch[r]).bit_count()]) == (not mask & watch[r]) == lone
                 for v, edges_in in groups.items():
                     for i in edges_in:
                         assert select[i] == v
@@ -742,8 +735,10 @@ def through_allocation(scheme: _RuleTableScheme) -> _RuleTableScheme:
 def corrupted_rule_tables(rng: random.Random, scheme: _RuleTableScheme):
     """Seeded broken copies of a rule table at one edge i: a payment it can
     reach raised or lowered, or turned into a float or a bool, one watch bit
-    flipped (bit n included), its payment row cut one entry short, and, when
-    i splits a whole group, a +1/-1 pair with another edge of that group."""
+    flipped (bit n included), its payment row cut one entry short, a NaN
+    past the counts it can reach (which nothing may read or convert), and,
+    when i splits a whole group, a +1/-1 pair with another edge of that
+    group."""
     n = scheme.graph.n_edges
     i = rng.randrange(n)
     w, row = scheme.watch[i], scheme.pays[i]
@@ -758,6 +753,7 @@ def corrupted_rule_tables(rng: random.Random, scheme: _RuleTableScheme):
         yield changed(pays_i=[*row[:k], new, *row[k + 1:]])
     yield changed(watch_i=w ^ 1 << rng.randrange(n + 1))
     yield changed(pays_i=row[:w.bit_count()])
+    yield changed(pays_i=[*row[:w.bit_count() + 1], float("nan")])
     # +1 and -1 to two edges i, j of one whole group, at their full count:
     # only coalitions holding the whole group see both, so the table stays
     # efficient and i pays more there than without one of the others
@@ -825,7 +821,7 @@ def test_structural_verdict_builds_the_cost_table_and_scans_nothing(monkeypatch)
     def no_scan(self):
         raise AssertionError("scanned through allocation()")
 
-    monkeypatch.setattr(AllocationScheme, "_integer_rows", no_scan)
+    monkeypatch.setattr(AllocationScheme, "_rows", no_scan)
     g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e")])
     integral = PreferenceSystem(g, {"b": (0, 1), "c": (3, 2, 1)})
     for scheme in (construct_pmas(g), scheme_from_preferences(integral)):

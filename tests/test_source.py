@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
@@ -80,3 +81,63 @@ def test_public_surface_is_exactly_all():
               if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert public == set(names)
     assert "SubgraphView" not in public and not hasattr(vcgame, "SubgraphView")
+
+
+
+def private_definitions(tree: ast.Module):
+    """(node, name) for every private module-level function, class or
+    assigned name and every private method; dunder names are not private."""
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            if private(node.name):
+                yield node, node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, FUNCTIONS) and private(item.name):
+                    yield item, item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and private(name.id):
+                        yield node, name.id
+
+
+def reads(node: ast.AST):
+    """Every name and attribute that node loads."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
+def unreferenced(modules: dict[str, ast.Module]):
+    """(module, line, name) for every private definition that no name or
+    attribute read in any of the modules refers to outside its own body."""
+    everywhere = Counter(name for tree in modules.values() for name in reads(tree))
+    for module, tree in modules.items():
+        for node, name in private_definitions(tree):
+            if everywhere[name] == sum(1 for read in reads(node) if read == name):
+                yield module, node.lineno, name
+
+
+def test_library_source_has_no_unreferenced_private_names():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert [f"{module}:{line}: {name}" for module, line, name in unreferenced(modules)] == []
+
+
+def test_unreferenced_scan_sees_each_form():
+    a = ("def _called():\n    return 1\n"
+         "def _recursive(n):\n    return _recursive(n - 1)\n"
+         "class _Kept:\n"
+         "    def _method(self):\n        return self._method\n"
+         "    def _read(self):\n        return 2\n"
+         "    def __init__(self):\n        pass\n"
+         "_LIMIT, _unused = 1, 2\n"
+         "_ANNOTATED: int = 3\n")
+    b = "from a import _called, _unused\nx = _called(), _Kept()._read, _LIMIT\n"
+    found = unreferenced({"a": ast.parse(a), "b": ast.parse(b)})
+    assert list(found) == [("a", 3, "_recursive"), ("a", 6, "_method"), ("a", 12, "_unused"),
+                           ("a", 13, "_ANNOTATED")]

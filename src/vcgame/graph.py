@@ -107,52 +107,46 @@ class Graph:
 
 
 def _require_edges(graph: Graph, s) -> None:
-    """Raise ContractViolation naming the smallest or largest index of s if not an edge."""
+    """Raise ContractViolation naming a member of s that is not an int, or the
+    smallest or largest index of s if it is not an edge."""
     if s:
+        for i in s:
+            if type(i) is not int:
+                raise ContractViolation(f"edge key {i!r} is not an int")
         for i in (min(s), max(s)):
             if not 0 <= i < len(graph.edges):
                 raise ContractViolation(f"edge index out of range: {i}")
 
 
-class _SubgraphView:
-    """Edge-induced subgraph of a coalition: vertex set plus per-vertex incident edges."""
+def _incidence(graph: Graph, s) -> dict[str, list[int]]:
+    """Each vertex of the subgraph s induces, mapped to its edges in s in ascending order."""
+    _require_edges(graph, s)
+    incident: dict[str, list[int]] = {}
+    for i in sorted(s):
+        u, v = graph.edges[i]
+        incident.setdefault(u, []).append(i)
+        incident.setdefault(v, []).append(i)
+    return incident
 
-    def __init__(self, graph: Graph, coalition) -> None:
-        s = frozenset(coalition)
-        _require_edges(graph, s)
-        self.graph = graph
-        self.coalition = s
-        incident: dict[str, list[int]] = {}
-        for i in sorted(s):
-            u, v = graph.edges[i]
-            incident.setdefault(u, []).append(i)
-            incident.setdefault(v, []).append(i)
-        self.incident = {v: tuple(es) for v, es in incident.items()}
-        self.vertex_set = tuple(sorted(self.incident))
 
-    def degree(self, v: str) -> int:
-        return len(self.incident.get(v, ()))
-
-    def components(self) -> list[Coalition]:
-        """Edge sets of the connected components, ordered by smallest edge index."""
-        seen: set[int] = set()
-        out: list[Coalition] = []
-        for start in sorted(self.coalition):
-            if start in seen:
-                continue
-            comp = {start}
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                i = queue.popleft()
-                for v in self.graph.edges[i]:
-                    for j in self.incident[v]:
-                        if j not in seen:
-                            seen.add(j)
-                            comp.add(j)
-                            queue.append(j)
-            out.append(frozenset(comp))
-        return out
+def _edge_components(graph: Graph, order, incident) -> list[Coalition]:
+    """Edge sets of the components that the edges of order (ascending) span,
+    ordered by smallest edge index; incident maps their vertices to their edges."""
+    seen: set[int] = set()
+    out: list[Coalition] = []
+    for start in order:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for i in comp:  # breadth first: comp grows while it is read
+            for v in graph.edges[i]:
+                for j in incident[v]:
+                    if j not in seen:
+                        seen.add(j)
+                        comp.append(j)
+        out.append(frozenset(comp))
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,13 +169,11 @@ def decompose(graph: Graph, coalition) -> list[ComponentClassification] | None:
     """Star/pisces shapes of the coalition subgraph's components, ordered by
     smallest edge index; None when some component is neither (it has a cycle
     or diameter above 3).
-
-    coalition is a set of edge indices or an already built _SubgraphView.
     """
-    view = coalition if isinstance(coalition, _SubgraphView) else _SubgraphView(graph, coalition)
-    incident = view.incident
+    s = frozenset(coalition)
+    incident = _incidence(graph, s)
     shapes: list[ComponentClassification] = []
-    for comp in view.components():
+    for comp in _edge_components(graph, sorted(s), incident):
         if len(comp) == 1:
             (i,) = comp
             center = min(graph.edges[i])
@@ -239,26 +231,27 @@ def parse_graph(text: str) -> Graph:
 
 def components(graph: Graph) -> list[Coalition]:
     """Edge sets of connected components, ordered by smallest edge index."""
-    return _SubgraphView(graph, graph.players()).components()
+    return _edge_components(graph, range(graph.n_edges), graph._incident)
 
 
 def diameter(graph: Graph, comp) -> int:
     """Largest pairwise shortest-path distance inside one connected component."""
-    view = _SubgraphView(graph, comp)
-    if not view.coalition:
+    s = frozenset(comp)
+    incident = _incidence(graph, s)
+    if not s:
         raise ContractViolation("diameter of an empty edge set is undefined")
     best = 0
-    for source in view.vertex_set:
+    for source in incident:
         dist = {source: 0}
         queue = deque([source])
         while queue:
             x = queue.popleft()
-            for i in view.incident[x]:
+            for i in incident[x]:
                 y = graph.other_end(i, x)
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     queue.append(y)
-        if len(dist) != len(view.vertex_set):
+        if len(dist) != len(incident):
             raise ContractViolation("coalition is not a single connected component")
         best = max(best, max(dist.values()))
     return best
@@ -390,14 +383,14 @@ def vertex_cover_number(graph: Graph, coalition, *,
     of each component's smallest cover, and anything else raises
     OracleCapError.
     """
-    view = _SubgraphView(graph, coalition)
-    if not view.coalition:
-        return 0, ()
-    if len(view.vertex_set) <= max_vertices:
-        pairs = [graph.edges[i] for i in sorted(view.coalition)]
+    s = frozenset(coalition)
+    _require_edges(graph, s)
+    pairs = [graph.edges[i] for i in sorted(s)]
+    labels = sorted({w for e in pairs for w in e})
+    if len(labels) <= max_vertices:
         size = _min_cover_size(pairs)
-        return size, _lex_min_cover(pairs, view.vertex_set, size)
-    shapes = decompose(graph, view)
+        return size, _lex_min_cover(pairs, labels, size)
+    shapes = decompose(graph, s)
     if shapes is None:
         raise OracleCapError("instance too large for exact oracle")
     cover: list[str] = []
@@ -461,31 +454,30 @@ def matching_number(graph: Graph, coalition, *,
     """Exact matching number with the lexicographically smallest witness
     (sorted edge-index tuple); augmenting paths on bipartite subgraphs,
     branch and bound otherwise, structural shortcut above the vertex cap."""
-    view = _SubgraphView(graph, coalition)
-    if not view.coalition:
-        return 0, ()
-    order = sorted(view.coalition)
-    if len(view.vertex_set) <= max_vertices:
-        size = _matching_size([graph.edges[i] for i in order])
+    s = frozenset(coalition)
+    _require_edges(graph, s)
+    order = sorted(s)
+    pairs = [graph.edges[i] for i in order]
+    if len({w for e in pairs for w in e}) <= max_vertices:
+        size = _matching_size(pairs)
         witness: list[int] = []
         used: set[str] = set()
         need = size
         for pos, i in enumerate(order):
             if need == 0:
                 break
-            u, v = graph.edges[i]
+            u, v = pairs[pos]
             if u in used or v in used:
                 continue
             blocked = used | {u, v}
-            rest = [graph.edges[j] for j in order[pos + 1:]
-                    if graph.edges[j][0] not in blocked and graph.edges[j][1] not in blocked]
+            rest = [e for e in pairs[pos + 1:] if e[0] not in blocked and e[1] not in blocked]
             if _matching_size(rest) >= need - 1:
                 witness.append(i)
                 used.update((u, v))
                 need -= 1
         return size, tuple(witness)
     # on star/pisces forests: the smallest pendant edge at each cover vertex
-    shapes = decompose(graph, view)
+    shapes = decompose(graph, s)
     if shapes is None:
         raise OracleCapError("instance too large for exact oracle")
     witness = sorted(min(es) for c in shapes for es in c.pendants.values())

@@ -304,19 +304,17 @@ class _RuleTableScheme(AllocationScheme):
 
     def _is_pmas_by_shape(self) -> bool:
         """Whether _reads_table() holds and the table is a PMAS by its shape
-        (False decides nothing).  Monotone: each edge's payments over the
-        counts it can reach, from (i in watch[i]) to popcount(watch[i]), are
-        non-increasing.  Efficient: each anchor's group splits 1/k over the
-        whole group or is ranked (watch masks 0, e0, e0|e1, ...; pays 1 at
-        count 0, else 0), and each free rider pays 1 exactly when lone, so a
-        coalition pays its cover number: its anchors and lone free riders."""
+        (False decides nothing).  Efficient: each anchor's group splits 1/k
+        over the whole group or is ranked (watch masks 0, e0, e0|e1, ...; pays
+        1 at count 0, else 0), and each free rider pays 1 exactly when lone,
+        so a coalition pays its cover number: its anchors and lone free
+        riders.  Monotone by the same checks: every edge is a pendant of one
+        cover vertex or a free rider, so the payments it can reach are 1/k
+        for k = 1..|group|, or [1, 0, ..., 0] over counts 0..popcount(watch),
+        each non-increasing."""
         if not self._reads_table():
             return False
         watch, pays = self.watch, self.pays
-        for i, (w, row) in enumerate(zip(watch, pays)):
-            reach = row[(w >> i) & 1:w.bit_count() + 1]
-            if any(map(operator.lt, reach, reach[1:])):
-                return False
 
         def ranked(i: int, above: int) -> bool:
             return (watch[i] == above and pays[i][0] == 1
@@ -489,9 +487,8 @@ def _scaled_profile(graph: Graph, coalition, x):
         try:
             u, w = ends[i]
         except KeyError:
-            _require_edges(graph, s)
-            # only a non-integer index is in range and still not an edge
-            raise ContractViolation(f"edge index out of range: {i}") from None
+            _require_edges(graph, s)  # i is out of range or not an int: this raises
+            raise
         if type(i) is not int:  # True, 0.0 and Fraction(0) look edges up too
             raise ContractViolation(f"edge key {i!r} is not an int")
         mask |= 1 << i
@@ -579,8 +576,8 @@ def scheme_from_json(graph: Graph, text: str) -> AllocationScheme:
 
     Keys must be canonical: each coalition key its in-range edge indices in
     ascending order, comma-joined, and no key repeated.  Payments must be
-    rational strings such as "1/2".  Anything else raises MalformedScheme
-    naming the key.
+    canonical "p/q" strings, exactly as fraction_str writes them ("1/2",
+    "-1/3", "0/1").  Anything else raises MalformedScheme naming the key.
     """
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
@@ -605,7 +602,15 @@ def scheme_from_json(graph: Graph, text: str) -> AllocationScheme:
                 if type(v) is not str:
                     raise MalformedScheme(
                         f"payment of edge {i} in coalition {key!r} is {v!r}, not a \"p/q\" string")
-                entries[edge] = Fraction(v)
+                num, _, den = v.partition("/")
+                try:
+                    value = Fraction(int(num), int(den))
+                except (ValueError, ZeroDivisionError):
+                    value = None
+                if value is None or fraction_str(value) != v:
+                    raise MalformedScheme(f"payment of edge {i} in coalition {key!r} is {v!r}, "
+                                          "not a canonical \"p/q\" string")
+                entries[edge] = value
         except (ValueError, TypeError, ZeroDivisionError, AttributeError) as exc:
             raise MalformedScheme(f"bad scheme entry for coalition {key!r}: {exc}") from exc
         table[s] = entries

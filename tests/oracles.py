@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from vcgame.errors import ContractViolation, MalformedScheme, OracleCapError
 from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions, mask_coalition
-from vcgame.graph import PATTERNS, Graph, _SubgraphView
+from vcgame.graph import PATTERNS, Graph, components
 from vcgame.matching import PreferenceSystem, gale_shapley
 from vcgame.pmas import AllocationScheme, CoverSystem, Violation, verify_pmas
 
@@ -442,11 +442,10 @@ def canonical_table(table) -> tuple:
 def admissible_preference_systems(g: Graph):
     """All preference systems with free riders pinned last, derived from
     degree counts alone (independent of the library's classification)."""
-    view = _SubgraphView(g, g.players())
     slots = []  # (vertex, permutable edges, forced-last edge or None)
-    for comp in view.components():
+    for comp in components(g):
         comp_vertices = sorted({w for i in comp for w in g.edges[i]})
-        non_pendant = [v for v in comp_vertices if view.degree(v) >= 2]
+        non_pendant = [v for v in comp_vertices if g.degree(v) >= 2]
         if len(comp) == 1:
             i = next(iter(comp))
             slots.append((min(g.edges[i]), (i,), None))
@@ -456,7 +455,7 @@ def admissible_preference_systems(g: Graph):
             pair = set(non_pendant)
             rider = next(i for i in comp if set(g.edges[i]) == pair)
             for b in non_pendant:
-                pend = tuple(i for i in view.incident[b] if i != rider)
+                pend = tuple(i for i in g.incident_edges(b) if i != rider)
                 slots.append((b, pend, rider))
         else:
             raise AssertionError("not a star/pisces forest")

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+import vcgame.graph
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
-from vcgame.graph import (PATTERNS, Graph, _SubgraphView, components, diameter,
+from vcgame.graph import (PATTERNS, Graph, _incidence, components, decompose, diameter,
                           find_forbidden_subgraph, is_bipartite, matching_number,
                           parse_graph, vertex_cover_number)
 
@@ -115,10 +116,31 @@ def test_diameter_matches_networkx_on_atlas():
     assert checked == 995
 
 
-def test_subgraph_view_vertices():
-    view = _SubgraphView(p5(), frozenset({0, 3}))
-    assert view.vertex_set == ("a", "b", "d", "e")
-    assert view.incident["b"] == (0,)
+def test_incidence_maps_coalition_vertices_to_their_edges():
+    assert _incidence(p5(), frozenset({0, 3})) == {"a": [0], "b": [0], "d": [3], "e": [3]}
+    assert _incidence(p5(), frozenset({2, 1})) == {"b": [1], "c": [1, 2], "d": [2]}
+
+
+def test_decompose_reads_any_iterable_of_edge_indices():
+    g = p5()
+    for coalition, kinds in (((0, 1, 2), ["pisces"]), ((3, 1, 0), ["star", "single-edge"])):
+        shapes = decompose(g, frozenset(coalition))
+        assert [c.kind for c in shapes] == kinds
+        assert decompose(g, list(coalition)) == shapes
+        assert decompose(g, (i for i in coalition)) == shapes
+
+
+def test_oracles_build_an_incidence_only_above_the_cap(monkeypatch):
+    built = []
+    incidence = vcgame.graph._incidence
+    monkeypatch.setattr(vcgame.graph, "_incidence", lambda g, s: built.append(s) or incidence(g, s))
+    g = star(3)
+    assert vertex_cover_number(g, g.players()) == (1, ("hub",))
+    assert matching_number(g, g.players()) == (1, (0,))
+    assert built == []
+    assert vertex_cover_number(g, g.players(), max_vertices=3) == (1, ("hub",))
+    assert matching_number(g, g.players(), max_vertices=3) == (1, (0,))
+    assert built == [g.players(), g.players()]
 
 
 # --- cover number -------------------------------------------------------------------

@@ -14,12 +14,13 @@ import pytest
 from vcgame.errors import (ContractViolation, MalformedScheme,
                            NotPopulationMonotonic, OracleCapError)
 from vcgame.game import VertexCoverGame, mask_coalition
-from vcgame.graph import Graph, find_forbidden_subgraph, vertex_cover_number
+from vcgame.graph import (Graph, diameter, find_forbidden_subgraph, matching_number,
+                          vertex_cover_number)
 from vcgame.matching import (PreferenceSystem, enumerate_integral_pmas, gale_shapley,
                              is_stable, scheme_from_preferences)
 from vcgame.pmas import (AllocationScheme, _RuleTableScheme, _scaled_profile, check_dual_feasible,
                          check_dual_optimal, check_pi_star, classify_components, construct_pmas,
-                         recognize_population_monotonic, scheme_from_json,
+                         fraction_str, recognize_population_monotonic, scheme_from_json,
                          scheme_table_to_jsonable, scheme_to_json, verify_pmas)
 
 from oracles import (all_pm_graphs_up_to, atlas_graphs, flipped, random_star_pisces_forest,
@@ -189,18 +190,24 @@ def test_every_entry_point_names_the_same_out_of_range_index():
     g = p4()
     _, cover = classify_components(g)
     ps = PreferenceSystem(g, {"b": (0, 1), "c": (2, 1)})
-    s = frozenset({0, -1, 99})
-    x = {i: Fraction(0) for i in s}
-    calls = [lambda: vertex_cover_number(g, s),
-             lambda: check_dual_feasible(g, s, x),
-             lambda: check_pi_star(g, s, x, cover),
-             lambda: cover.cover_for(s),
-             lambda: is_stable(ps, s, frozenset()),
-             lambda: gale_shapley(ps, s)]
-    for call in calls:
-        with pytest.raises(ContractViolation) as info:
-            call()
-        assert str(info.value) == "edge index out of range: -1"
+    # a member that is not an int is refused by name, not coerced or let through
+    for s, message in ((frozenset({0, -1, 99}), "edge index out of range: -1"),
+                       (frozenset({0, True}), "edge key True is not an int"),
+                       (frozenset({2, 1.0}), "edge key 1.0 is not an int"),
+                       (frozenset({0, "a"}), "edge key 'a' is not an int")):
+        x = {i: Fraction(0) for i in s}
+        calls = [lambda: vertex_cover_number(g, s),
+                 lambda: matching_number(g, s),
+                 lambda: diameter(g, s),
+                 lambda: check_dual_feasible(g, s, x),
+                 lambda: check_pi_star(g, s, x, cover),
+                 lambda: cover.cover_for(s),
+                 lambda: is_stable(ps, s, frozenset()),
+                 lambda: gale_shapley(ps, s)]
+        for call in calls:
+            with pytest.raises(ContractViolation) as info:
+                call()
+            assert str(info.value) == message
 
 
 # --- construction ---------------------------------------------------------------------
@@ -1105,6 +1112,19 @@ def test_scheme_json_rejects_noncanonical_keys():
             scheme_from_json(star(2), json.dumps({key: {"0": "1/1"}}))
     with pytest.raises(MalformedScheme, match="edge key '00' in coalition '0'"):
         scheme_from_json(star(2), '{"0": {"00": "1/1"}}')
+
+
+def test_scheme_json_rejects_noncanonical_payments():
+    one_edge = Graph.from_edges([("a", "b")])
+    for payment in ("1e0", "1.0", "\u0661/\u0661", "1_0/1_0", " 1/1 ", "+1/1", "2/2", "1",
+                    "01/1", "1/01", "-0/1", "1/-1", "1/0", "/1", "1/", "one", ""):
+        text = json.dumps({"0": {"0": payment}})
+        with pytest.raises(MalformedScheme,
+                           match=re.escape(f"payment of edge 0 in coalition '0' is {payment!r}")):
+            scheme_from_json(one_edge, text)
+    for payment in ("1/1", "0/1", "-1/2", "3/7"):
+        loaded = scheme_from_json(one_edge, json.dumps({"0": {"0": payment}}))
+        assert fraction_str(loaded.allocation({0})[0]) == payment
 
 
 def test_scheme_json_rejects_repeated_keys():

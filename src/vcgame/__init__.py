@@ -8,12 +8,12 @@ from .errors import (ContractViolation, EnumerationTruncated, GraphFormatError,
                      MalformedScheme, NotBalanced, NotIntegralScheme,
                      NotPopulationMonotonic, OracleCapError, UnsupportedInstance,
                      VertexCoverGameError)
-from .game import (VertexCoverGame, coalition_mask, core_element_from_matching,
-                   core_membership, is_balanced, is_monotone_game,
-                   is_submodular_game, is_submodular_graph, is_totally_balanced,
-                   mask_coalition)
-from .graph import (Coalition, Graph, components, diameter, find_forbidden_subgraph,
-                    is_bipartite, matching_number, parse_graph, vertex_cover_number)
+from .game import (VertexCoverGame, core_element_from_matching, core_membership,
+                   is_balanced, is_monotone_game, is_submodular_game, is_submodular_graph,
+                   is_totally_balanced)
+from .graph import (Coalition, Graph, coalition_mask, components, diameter,
+                    find_forbidden_subgraph, is_bipartite, mask_coalition, matching_number,
+                    parse_graph, vertex_cover_number)
 from .matching import (Matching, PreferenceSystem, count_integral_pmas,
                        enumerate_integral_pmas, gale_shapley, is_stable,
                        preferences_from_scheme, scheme_from_preferences)

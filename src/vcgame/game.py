@@ -13,32 +13,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ContractViolation, NotBalanced, OracleCapError
-from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, find_forbidden_subgraph,
-                    is_bipartite, matching_number, vertex_cover_number)
+from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, _coalition, find_forbidden_subgraph,
+                    is_bipartite, mask_coalition, matching_number, vertex_cover_number)
 
 DEFAULT_EDGE_CAP = 16
 _MEMO_SIZE = 256  # gamma's memo keeps at most this many coalitions, evicting the oldest
-
-
-def coalition_mask(coalition) -> int:
-    mask = 0
-    for i in coalition:
-        mask |= 1 << i
-    return mask
-
-
-def mask_coalition(mask: int) -> Coalition:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
 
 
 def _exact_payment(value, error: type[Exception], edge, coalition) -> Fraction:
@@ -72,13 +53,6 @@ def _numerators(payments: dict, error: type[Exception], coalition) -> tuple[dict
     return {i: v.numerator * (den // v.denominator) for i, v in zip(payments, values)}, den
 
 
-@lru_cache(maxsize=8)
-def all_coalitions(n: int) -> tuple[Coalition, ...]:
-    """Every coalition over n players, indexed by bitmask (interned per n so
-    exhaustive scans share one table)."""
-    return tuple(mask_coalition(m) for m in range(1 << n))
-
-
 def _full_cost_table(graph: Graph) -> list[int]:
     """Cover number of every edge subset, indexed by bitmask.
 
@@ -104,33 +78,31 @@ def _full_cost_table(graph: Graph) -> list[int]:
 class VertexCoverGame:
     """Characteristic function wrapper: coalition costs are read from the
     cost table once it is built, else from the cover oracle through a memo
-    of the last _MEMO_SIZE coalitions it computed."""
+    of the last _MEMO_SIZE frozensets it checked, hit only by the same object."""
 
     def __init__(self, graph: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
         self.graph = graph
         self.n = graph.n_edges
         self.max_vertices = max_vertices
         self._players = graph.players()
-        self._memo: dict[Coalition, int] = {frozenset(): 0}
+        self._memo: dict[Coalition, tuple[Coalition, int]] = {}
         self._table: list[int] | None = None
 
     def players(self) -> Coalition:
         return self._players
 
     def gamma(self, coalition) -> int:
-        s = frozenset(coalition)
-        if self._table is not None and s <= self._players:
-            return self._table[coalition_mask(s)]
-        hit = self._memo.get(s)
-        if hit is not None:
-            return hit
-        if not s <= self._players:
-            raise ContractViolation("coalition contains unknown players")
-        value, _ = vertex_cover_number(self.graph, s, max_vertices=self.max_vertices)
+        if self._table is not None:
+            return self._table[_coalition(self.graph, coalition)[1]]
         memo = self._memo
-        if len(memo) >= _MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[s] = value
+        hit = memo.get(coalition) if type(coalition) is frozenset else None
+        if hit is not None and hit[0] is coalition:
+            return hit[1]
+        value, _ = vertex_cover_number(self.graph, coalition, max_vertices=self.max_vertices)
+        if type(coalition) is frozenset:  # no other type can be the object the memo holds
+            if len(memo) >= _MEMO_SIZE and coalition not in memo:
+                del memo[next(iter(memo))]
+            memo[coalition] = coalition, value
         return value
 
     def cost_table(self, max_edges: int = DEFAULT_EDGE_CAP) -> list[int]:

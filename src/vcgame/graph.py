@@ -24,6 +24,8 @@ DEFAULT_VERTEX_CAP = 24
 
 PATTERNS = ("K3", "C4", "P4", "P5")
 
+_INTERNED: dict = {}  # n -> (all_coalitions(n), the bitmask of each of its members)
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -74,11 +76,6 @@ class Graph:
         return {v: tuple(es) for v, es in table.items()}
 
     @cached_property
-    def _ends(self) -> dict[int, tuple[str, str]]:
-        """Endpoints by edge index; unlike edges[i], looking up -1 fails."""
-        return dict(enumerate(self.edges))
-
-    @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
@@ -106,21 +103,72 @@ class Graph:
         return frozenset(range(len(self.edges)))
 
 
-def _require_edges(graph: Graph, s) -> None:
-    """Raise ContractViolation naming a member of s that is not an int, or the
-    smallest or largest index of s if it is not an edge."""
-    if s:
-        for i in s:
-            if type(i) is not int:
-                raise ContractViolation(f"edge key {i!r} is not an int")
-        for i in (min(s), max(s)):
-            if not 0 <= i < len(graph.edges):
-                raise ContractViolation(f"edge index out of range: {i}")
+def coalition_mask(coalition) -> int:
+    mask = 0
+    for i in coalition:
+        mask |= 1 << i
+    return mask
 
 
-def _incidence(graph: Graph, s) -> dict[str, list[int]]:
+def mask_coalition(mask: int) -> Coalition:
+    if type(mask) is not int or mask < 0:
+        raise ContractViolation(f"coalition mask {mask!r} is not a nonnegative int")
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return frozenset(out)
+
+
+def all_coalitions(n: int) -> tuple[Coalition, ...]:
+    """Every coalition over n players, indexed by bitmask, interned per n with
+    each member's bitmask (for _coalition) so exhaustive scans share one
+    table; the last 8 sizes used are kept, as n = 16 alone holds 45 MiB."""
+    interned = _INTERNED.pop(n, None)
+    if interned is None:
+        coalitions = tuple(map(mask_coalition, range(1 << n)))
+        interned = coalitions, dict(zip(coalitions, range(1 << n)))
+        if len(_INTERNED) >= 8:
+            del _INTERNED[next(iter(_INTERNED))]
+    _INTERNED[n] = interned
+    return interned[0]
+
+
+def _require_edges(graph: Graph, s: Coalition) -> int:
+    """The bitmask of s; raise ContractViolation naming a member of s that is
+    not an int, else the smallest or largest index of s if it is not an edge."""
+    n = len(graph.edges)
+    mask = 0
+    for i in s:
+        if type(i) is not int:
+            raise ContractViolation(f"edge key {i!r} is not an int")
+        if 0 <= i < n:
+            mask |= 1 << i
+    if mask.bit_count() != len(s):
+        low = min(s)
+        raise ContractViolation(f"edge index out of range: {low if low < 0 else max(s)}")
+    return mask
+
+
+def _coalition(graph: Graph, coalition) -> tuple[Coalition, int]:
+    """The checked coalition of every per-coalition entry point, as a frozenset
+    and its bitmask: read from an all_coalitions table already built for the
+    graph only for that very object (an equal frozenset may hold True), else
+    checked by _require_edges."""
+    interned = _INTERNED.get(len(graph.edges))
+    if interned is not None and type(coalition) is frozenset:
+        m = interned[1].get(coalition)
+        if m is not None and interned[0][m] is coalition:
+            return coalition, m
+    s = frozenset(coalition)
+    return s, _require_edges(graph, s)
+
+
+def _incidence(graph: Graph, s: Coalition) -> dict[str, list[int]]:
     """Each vertex of the subgraph s induces, mapped to its edges in s in ascending order."""
-    _require_edges(graph, s)
     incident: dict[str, list[int]] = {}
     for i in sorted(s):
         u, v = graph.edges[i]
@@ -170,7 +218,7 @@ def decompose(graph: Graph, coalition) -> list[ComponentClassification] | None:
     smallest edge index; None when some component is neither (it has a cycle
     or diameter above 3).
     """
-    s = frozenset(coalition)
+    s = _coalition(graph, coalition)[0]
     incident = _incidence(graph, s)
     shapes: list[ComponentClassification] = []
     for comp in _edge_components(graph, sorted(s), incident):
@@ -236,7 +284,7 @@ def components(graph: Graph) -> list[Coalition]:
 
 def diameter(graph: Graph, comp) -> int:
     """Largest pairwise shortest-path distance inside one connected component."""
-    s = frozenset(comp)
+    s = _coalition(graph, comp)[0]
     incident = _incidence(graph, s)
     if not s:
         raise ContractViolation("diameter of an empty edge set is undefined")
@@ -383,8 +431,7 @@ def vertex_cover_number(graph: Graph, coalition, *,
     of each component's smallest cover, and anything else raises
     OracleCapError.
     """
-    s = frozenset(coalition)
-    _require_edges(graph, s)
+    s = _coalition(graph, coalition)[0]
     pairs = [graph.edges[i] for i in sorted(s)]
     labels = sorted({w for e in pairs for w in e})
     if len(labels) <= max_vertices:
@@ -454,8 +501,7 @@ def matching_number(graph: Graph, coalition, *,
     """Exact matching number with the lexicographically smallest witness
     (sorted edge-index tuple); augmenting paths on bipartite subgraphs,
     branch and bound otherwise, structural shortcut above the vertex cap."""
-    s = frozenset(coalition)
-    _require_edges(graph, s)
+    s = _coalition(graph, coalition)[0]
     order = sorted(s)
     pairs = [graph.edges[i] for i in order]
     if len({w for e in pairs for w in e}) <= max_vertices:

@@ -20,7 +20,7 @@ from itertools import permutations
 
 from .errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                      NotIntegralScheme, UnsupportedInstance)
-from .graph import Graph, _require_edges, _two_color
+from .graph import Graph, _coalition, _two_color
 from .pmas import AllocationScheme, _checked_orders, _require_same_graph, classify_components
 
 Matching = frozenset[int]
@@ -66,10 +66,9 @@ def gale_shapley(ps: PreferenceSystem, coalition) -> Matching:
     proposal side does not affect the result.
     """
     graph = ps.graph
-    s = frozenset(coalition)
+    s = _coalition(graph, coalition)[0]
     if not s:
         return frozenset()
-    _require_edges(graph, s)
     color = _two_color([graph.edges[i] for i in sorted(s)])
     if color is None:
         raise UnsupportedInstance("coalition subgraph is not bipartite")
@@ -106,11 +105,10 @@ def is_stable(ps: PreferenceSystem, coalition, matching):
 
     Returns (True, None) or (False, first blocking edge by index).
     """
-    s = frozenset(coalition)
-    m = frozenset(matching)
+    s = _coalition(ps.graph, coalition)[0]
+    m = _coalition(ps.graph, matching)[0]
     if not m <= s:
         raise ContractViolation("matching must be a subset of the coalition")
-    _require_edges(ps.graph, s)
     edges = ps.graph.edges
     partner: dict[str, int] = {}
     for i in m:

@@ -36,8 +36,8 @@ from fractions import Fraction
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
 from .game import (DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, _numerators,
-                   _require_int_keys, all_coalitions, coalition_mask)
-from .graph import (ComponentClassification, Coalition, Graph, _require_edges,
+                   _require_int_keys)
+from .graph import (ComponentClassification, Coalition, Graph, _coalition, all_coalitions,
                     decompose, find_forbidden_subgraph)
 
 ZERO = Fraction(0)
@@ -154,9 +154,7 @@ class CoverSystem:
     def cover_for(self, coalition) -> tuple[str, ...]:
         """Deterministic minimum cover of the coalition subgraph within the
         global cover, as a sorted label tuple: the vertices the rule charges."""
-        s = frozenset(coalition)
-        _require_edges(self.graph, s)
-        m = coalition_mask(s)
+        s, m = _coalition(self.graph, coalition)
         watch, select, riders = self.watch, self.select, self.free_riders
         return tuple(sorted({select[i] for i in s if not (i in riders and m & watch[i])}))
 
@@ -185,14 +183,6 @@ class CoverSystem:
         return _RuleTableScheme(self, watch, pays)
 
 
-def _known(scheme: AllocationScheme, s: Coalition) -> None:
-    """Refuse the empty coalition and coalitions with unknown players."""
-    if not s:
-        raise ContractViolation("the empty coalition has no allocation")
-    if not s <= scheme._players:
-        raise ContractViolation("coalition contains unknown players")
-
-
 class AllocationScheme:
     """Per-coalition payment vectors from a stored table.
 
@@ -203,7 +193,6 @@ class AllocationScheme:
 
     def __init__(self, graph: Graph, *, table) -> None:
         self.graph = graph
-        self._players = graph.players()
         self._table = {}
         for s, vec in table.items():
             s = frozenset(s)
@@ -213,24 +202,26 @@ class AllocationScheme:
                               for i, v in vec.items()}
 
     def allocation(self, coalition) -> dict[int, Fraction]:
-        s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
+        s = _coalition(self.graph, coalition)[0]
         hit = self._table.get(s)
         if hit is not None:
             return hit
-        _known(self, s)
+        if not s:
+            raise ContractViolation("the empty coalition has no allocation")
         members = ",".join(str(i) for i in sorted(s))
         raise MalformedScheme(f"scheme is missing coalition {{{members}}}")
 
     def _rows(self):
         """(coalition, allocation) for every nonempty coalition in ascending
-        bitmask order, read through allocation() (the caller checks the edge
-        cap and the payments): a missing or misindexed coalition or a key that
-        is not an int raises MalformedScheme when the scan reaches it."""
+        bitmask order, from a stored table's rows or allocation() (the caller
+        checks the edge cap and the payments): a missing or misindexed coalition
+        or a key that is not an int raises MalformedScheme when the scan reaches it."""
         allocation = self.allocation
-        # a stored table's keys were checked when it was built
+        # a stored table's keys were checked when it was built; its rows need no gate
         stored = getattr(allocation, "__func__", None) is AllocationScheme.allocation
+        rows = self._table if stored else {}
         for s in all_coalitions(self.graph.n_edges)[1:]:
-            a = allocation(s)
+            a = rows.get(s) or allocation(s)
             if a.keys() != s:
                 raise MalformedScheme(f"allocation for {sorted(s)} is not indexed by its members")
             if not stored:
@@ -264,14 +255,13 @@ class _RuleTableScheme(AllocationScheme):
     def __init__(self, cover: CoverSystem, watch: list[int], pays: list[list[Fraction]]) -> None:
         self.cover = cover
         self.graph = cover.graph
-        self._players = self.graph.players()
         self.watch = watch
         self.pays = pays
 
     def allocation(self, coalition) -> dict[int, Fraction]:
-        s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-        _known(self, s)
-        m = coalition_mask(s)
+        s, m = _coalition(self.graph, coalition)
+        if not s:
+            raise ContractViolation("the empty coalition has no allocation")
         watch, pays = self.watch, self.pays
         return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
 
@@ -442,20 +432,23 @@ def _scaled_profile(graph: Graph, coalition, x):
     """Exact per-vertex loads of an allocation as integers over a common
     denominator; comparisons against 0/1 then reduce to integer arithmetic.
 
-    Returns (loads, den, total, feasible, mask) with loads[v]/den the true
+    Returns (loads, den, total, feasible, mask, s) with loads[v]/den the true
     rational load at v, total/den the payment sum, feasible whether every
-    payment is nonnegative and every load at most one, and mask the
-    coalition's bitmask.  Raises when x is not indexed by the coalition, a
-    key is not an int or an index is not an edge.  The last profile is
-    returned again for the same graph object, an equal coalition and the
-    same key and payment objects in order, so the three dual checks of one
-    allocation convert it once; objects, not values, are compared, as
-    False == 0 and 0.5 == Fraction(1, 2) must miss.
+    payment is nonnegative and every load at most one, and (s, mask) the
+    coalition as _coalition returns it.  Raises when a member or key is not
+    an int, an index is not an edge or x is not indexed by the coalition.
+    The last profile is returned again for the same graph object, the same
+    key and payment objects in order and its own coalition object or an equal
+    one that passes _coalition, so the three dual checks of one allocation
+    convert it once (False == 0 and 0.5 == Fraction(1, 2) must miss).
     """
     global _last_profile
-    s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
     entries = [*x, *x.values()]  # a list: freed tuples would stay on the tuple free lists
     last = _last_profile
+    if last is not None and last[0] is graph and last[1] is coalition:
+        s, mask = coalition, last[3][4]  # it passed _coalition when it was stored
+    else:
+        s, mask = _coalition(graph, coalition)
     if (last is not None and last[0] is graph and (last[1] is s or last[1] == s)
             and len(last[2]) == len(entries) and all(map(operator.is_, last[2], entries))):
         return last[3]
@@ -475,23 +468,17 @@ def _scaled_profile(graph: Graph, coalition, x):
             den = den * d // math.gcd(den, d)
     loads: dict[str, int] = {}
     total = 0
-    mask = 0
     negative = False
-    ends = graph._ends
+    edges = graph.edges
     get = loads.get
     for i, value in x.items():
         num = value._numerator * (den // value._denominator)
         if num < 0:
             negative = True
         total += num
-        try:
-            u, w = ends[i]
-        except KeyError:
-            _require_edges(graph, s)  # i is out of range or not an int: this raises
-            raise
-        if type(i) is not int:  # True, 0.0 and Fraction(0) look edges up too
+        if type(i) is not int:  # True, 0.0 and Fraction(0) equal members of s
             raise ContractViolation(f"edge key {i!r} is not an int")
-        mask |= 1 << i
+        u, w = edges[i]
         loads[u] = get(u, 0) + num
         loads[w] = get(w, 0) + num
     feasible = not negative
@@ -499,7 +486,7 @@ def _scaled_profile(graph: Graph, coalition, x):
         if load > den:
             feasible = False
             break
-    _last_profile = graph, s, entries, (loads, den, total, feasible, mask)
+    _last_profile = graph, s, entries, (loads, den, total, feasible, mask, s)
     return _last_profile[3]
 
 
@@ -512,8 +499,7 @@ def check_dual_feasible(graph: Graph, coalition, x) -> bool:
 def check_dual_optimal(game: VertexCoverGame, coalition, x) -> bool:
     """Dual feasibility plus total payment equal to the coalition cost
     (the dual optimum on the bipartite subgraphs in scope)."""
-    s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-    _, den, total, feasible, mask = _scaled_profile(game.graph, s, x)
+    _, den, total, feasible, mask, s = _scaled_profile(game.graph, coalition, x)
     table = game._table  # read by mask when built, as gamma would read it
     return feasible and total == (game.gamma(s) if table is None else table[mask]) * den
 
@@ -524,8 +510,7 @@ def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
     load at its selected vertex; an edge it does not charge (an accompanied
     free rider) must pay 0.  A cover system of another graph is refused."""
     _require_same_graph(graph, cover.graph, "cover system")
-    s = coalition if isinstance(coalition, frozenset) else frozenset(coalition)
-    loads, den, _, feasible, m = _scaled_profile(graph, s, x)
+    loads, den, _, feasible, m, s = _scaled_profile(graph, coalition, x)
     if not feasible:
         return False
     watch, select, riders = cover.watch, cover.select, cover.free_riders

@@ -24,8 +24,8 @@ import random
 from fractions import Fraction
 
 from vcgame.errors import ContractViolation, MalformedScheme, OracleCapError
-from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame, all_coalitions, mask_coalition
-from vcgame.graph import PATTERNS, Graph, components
+from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame
+from vcgame.graph import PATTERNS, Graph, all_coalitions, components, mask_coalition
 from vcgame.matching import PreferenceSystem, gale_shapley
 from vcgame.pmas import AllocationScheme, CoverSystem, Violation, verify_pmas
 

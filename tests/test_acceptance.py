@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import vcgame as vc
-from vcgame.game import all_coalitions, mask_coalition
+from vcgame.graph import all_coalitions, mask_coalition
 
 from oracles import (admissible_preference_systems, all_pm_graphs_up_to,
                      atlas_graphs, brute_integral_schemes, canonical_table,

@@ -85,6 +85,15 @@ def test_gamma_memo_keeps_the_latest_coalitions():
     assert list(game._memo) == queried[-_MEMO_SIZE + 2:] + [frozenset(), queried[0]]
 
 
+def test_mask_coalition_takes_only_nonnegative_ints():
+    assert mask_coalition(0) == frozenset() and mask_coalition(0b1011) == frozenset({0, 1, 3})
+    # -1 would shift right forever, and True would read as the mask 1
+    for bad in (-1, -8, True, 1.0, "3"):
+        with pytest.raises(ContractViolation) as info:
+            mask_coalition(bad)
+        assert str(info.value) == f"coalition mask {bad!r} is not a nonnegative int"
+
+
 def test_cost_table_cap():
     big = Graph.from_edges([("hub", f"x{k}") for k in range(17)])
     with pytest.raises(OracleCapError):

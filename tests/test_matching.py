@@ -10,8 +10,8 @@ import vcgame.matching
 from vcgame.errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                            NotIntegralScheme, NotPopulationMonotonic,
                            UnsupportedInstance)
-from vcgame.game import VertexCoverGame, all_coalitions
-from vcgame.graph import Graph, matching_number, vertex_cover_number
+from vcgame.game import VertexCoverGame
+from vcgame.graph import Graph, all_coalitions, matching_number, vertex_cover_number
 from vcgame.matching import (PreferenceSystem, count_integral_pmas,
                              enumerate_integral_pmas, gale_shapley, is_stable,
                              preferences_from_scheme, scheme_from_preferences)

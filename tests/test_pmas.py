@@ -14,8 +14,8 @@ import pytest
 from vcgame.errors import (ContractViolation, MalformedScheme,
                            NotPopulationMonotonic, OracleCapError)
 from vcgame.game import VertexCoverGame, mask_coalition
-from vcgame.graph import (Graph, diameter, find_forbidden_subgraph, matching_number,
-                          vertex_cover_number)
+from vcgame.graph import (_INTERNED, Graph, _coalition, all_coalitions, coalition_mask, diameter,
+                          find_forbidden_subgraph, matching_number, vertex_cover_number)
 from vcgame.matching import (PreferenceSystem, enumerate_integral_pmas, gale_shapley,
                              is_stable, scheme_from_preferences)
 from vcgame.pmas import (AllocationScheme, _RuleTableScheme, _scaled_profile, check_dual_feasible,
@@ -190,24 +190,79 @@ def test_every_entry_point_names_the_same_out_of_range_index():
     g = p4()
     _, cover = classify_components(g)
     ps = PreferenceSystem(g, {"b": (0, 1), "c": (2, 1)})
+    scheme = construct_pmas(g)
+    stored = scheme_from_json(g, scheme_to_json(scheme))
+    fresh, memoized, tabled = VertexCoverGame(g), VertexCoverGame(g), VertexCoverGame(g)
+    # the memo then holds {0, 1}, {1, 2} and {1}, equal to {0, True}, {2, 1.0} and {True}
+    for s in all_coalitions(g.n_edges):
+        memoized.gamma(s)
+    tabled.cost_table()
     # a member that is not an int is refused by name, not coerced or let through
     for s, message in ((frozenset({0, -1, 99}), "edge index out of range: -1"),
+                       (frozenset({0, 5}), "edge index out of range: 5"),
                        (frozenset({0, True}), "edge key True is not an int"),
                        (frozenset({2, 1.0}), "edge key 1.0 is not an int"),
-                       (frozenset({0, "a"}), "edge key 'a' is not an int")):
+                       (frozenset({0, "a"}), "edge key 'a' is not an int"),
+                       ([True], "edge key True is not an int")):
         x = {i: Fraction(0) for i in s}
         calls = [lambda: vertex_cover_number(g, s),
                  lambda: matching_number(g, s),
                  lambda: diameter(g, s),
+                 lambda: fresh.gamma(s),
+                 lambda: memoized.gamma(s),
+                 lambda: tabled.gamma(s),
+                 lambda: scheme.allocation(s),
+                 lambda: stored.allocation(s),
                  lambda: check_dual_feasible(g, s, x),
+                 lambda: check_dual_optimal(tabled, s, x),
                  lambda: check_pi_star(g, s, x, cover),
                  lambda: cover.cover_for(s),
                  lambda: is_stable(ps, s, frozenset()),
+                 lambda: is_stable(ps, g.players(), s),
                  lambda: gale_shapley(ps, s)]
         for call in calls:
             with pytest.raises(ContractViolation) as info:
                 call()
             assert str(info.value) == message
+    # the profile of {1} is not handed to [True], although {True} == {1}
+    x = {1: Fraction(1)}
+    assert check_dual_feasible(g, {1}, x)
+    for call in (lambda: check_dual_feasible(g, [True], x),
+                 lambda: check_dual_optimal(tabled, [True], x),
+                 lambda: check_pi_star(g, [True], x, cover)):
+        with pytest.raises(ContractViolation, match="^edge key True is not an int$"):
+            call()
+
+
+def pisces16() -> Graph:
+    return Graph.from_edges([("b1", "b2")] + [("b1", f"p{k}") for k in range(7)]
+                            + [("b2", f"q{k}") for k in range(8)])
+
+
+def test_coalition_gate_matches_the_plain_conversion():
+    # every form of every coalition: interned, equal but another object, set, list
+    for g in [star(n) for n in range(1, 7)] + [pisces16()]:
+        coalitions = all_coalitions(g.n_edges)
+        for c in coalitions:
+            expected = (frozenset(c), coalition_mask(c))
+            assert _coalition(g, c) == expected and _coalition(g, c)[0] is c
+            for form in (frozenset(sorted(c)), set(c), sorted(c)):
+                assert _coalition(g, form) == expected
+
+
+def test_coalition_gate_builds_no_coalition_table():
+    g = pisces16()
+    _, cover = classify_components(g)
+    game = VertexCoverGame(g)
+    saved = _INTERNED.pop(g.n_edges, None)  # n = 16 may be interned by an earlier test
+    try:
+        sizes = list(_INTERNED)
+        assert game.gamma(frozenset({0, 3, 15})) == 2
+        assert cover.cover_for([0, 3, 15]) == ("b1", "b2")
+        assert list(_INTERNED) == sizes
+    finally:
+        if saved is not None:
+            _INTERNED[g.n_edges] = saved
 
 
 # --- construction ---------------------------------------------------------------------

@@ -141,3 +141,34 @@ def test_unreferenced_scan_sees_each_form():
     found = unreferenced({"a": ast.parse(a), "b": ast.parse(b)})
     assert list(found) == [("a", 3, "_recursive"), ("a", 6, "_method"), ("a", 12, "_unused"),
                            ("a", 13, "_ANNOTATED")]
+
+
+def referrers(tree: ast.Module, name: str):
+    """The top-level definition (None at module level) around each import
+    or read of name in tree."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (*FUNCTIONS, ast.ClassDef)) else None
+        imports = [alias.name for node in ast.walk(top) if isinstance(node, ast.ImportFrom)
+                   for alias in node.names]
+        for found in [*imports, *reads(top)]:
+            if found == name:
+                yield owner
+
+
+def test_only_the_coalition_gate_checks_and_masks_coalitions():
+    # every per-coalition entry point reads (frozenset, bitmask) from graph._coalition
+    found = sorted(((path.name, name, owner) for path in SOURCES
+                    for name in ("_require_edges", "coalition_mask")
+                    for owner in referrers(ast.parse(path.read_text(encoding="utf-8")), name)),
+                   key=str)
+    assert found == [("__init__.py", "coalition_mask", None),
+                     ("graph.py", "_require_edges", "_coalition")]
+
+
+def test_referrer_scan_sees_each_form():
+    text = ("from .graph import mask as m, mask\n"
+            "def f(g):\n    return g.mask + mask(g)\n"
+            "class C:\n    def h(self):\n        return mask\n"
+            "def mask(x):\n    return x\n"
+            "y = m(2)\n")
+    assert list(referrers(ast.parse(text), "mask")) == [None, None, "f", "f", "C"]

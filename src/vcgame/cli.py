@@ -15,7 +15,7 @@ import sys
 from .errors import (ContractViolation, EnumerationTruncated, NotPopulationMonotonic,
                      OracleCapError, VertexCoverGameError)
 from .game import DEFAULT_EDGE_CAP, VertexCoverGame, is_submodular_graph
-from .graph import Graph, is_bipartite, matching_number, parse_graph, vertex_cover_number
+from .graph import Graph, _coalition, is_bipartite, matching_number, parse_graph
 from .matching import (DEFAULT_ENUM_CAP, PreferenceSystem, count_integral_pmas,
                        enumerate_integral_pmas, gale_shapley, scheme_from_preferences)
 from .pmas import (AllocationScheme, classify_components, construct_pmas,
@@ -97,10 +97,7 @@ def _parse_coalition(text: str, graph: Graph):
         indices = [_int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ContractViolation(f"bad coalition list {text!r}: {exc}") from exc
-    for i in indices:
-        if not 0 <= i < graph.n_edges:
-            raise ContractViolation(f"edge index {i} out of range")
-    s = frozenset(indices)
+    s = _coalition(graph, indices)[0]
     if len(s) != len(indices):
         raise ContractViolation(f"bad coalition list {text!r}: repeated edge index")
     return s
@@ -167,7 +164,7 @@ def cmd_game_info(args) -> tuple[int, str]:
     bipartite = is_bipartite(graph)
     try:
         nu, _ = matching_number(graph, graph.players())
-        tau, _ = vertex_cover_number(graph, graph.players())
+        tau = VertexCoverGame(graph).gamma(graph.players())
     except OracleCapError:
         nu = tau = None
     balanced = None if nu is None else (nu == tau)

@@ -4,9 +4,9 @@ number of its induced subgraph.
 Cost allocations are plain dicts mapping edge index to an exact Fraction.
 Exhaustive verdicts (monotonicity, submodularity, core membership) run off a
 full cost table computed by a bitmask recursion over edge subsets; the table
-is only built below the configured edge cap.  Per-coalition costs on larger
-instances fall back to the cover-number oracle, which handles star/pisces
-forests of any size structurally.
+is only built below the configured edge cap.  Until it is built, coalition
+costs come from a size-only cover search, which builds no witness and
+handles star/pisces forests of any size structurally.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import math
 from fractions import Fraction
 
 from .errors import ContractViolation, NotBalanced, OracleCapError
-from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, _coalition, find_forbidden_subgraph,
-                    is_bipartite, mask_coalition, matching_number, vertex_cover_number)
+from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, _coalition, _cover_size,
+                    find_forbidden_subgraph, is_bipartite, mask_coalition, matching_number)
 
 DEFAULT_EDGE_CAP = 16
-_MEMO_SIZE = 256  # gamma's memo keeps at most this many coalitions, evicting the oldest
 
 
 def _exact_payment(value, error: type[Exception], edge, coalition) -> Fraction:
@@ -77,15 +76,14 @@ def _full_cost_table(graph: Graph) -> list[int]:
 
 class VertexCoverGame:
     """Characteristic function wrapper: coalition costs are read from the
-    cost table once it is built, else from the cover oracle through a memo
-    of the last _MEMO_SIZE frozensets it checked, hit only by the same object."""
+    cost table once it is built, else asked of the size-only cover search
+    under the game's vertex cap; nothing is kept per coalition."""
 
     def __init__(self, graph: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
         self.graph = graph
         self.n = graph.n_edges
         self.max_vertices = max_vertices
         self._players = graph.players()
-        self._memo: dict[Coalition, tuple[Coalition, int]] = {}
         self._table: list[int] | None = None
 
     def players(self) -> Coalition:
@@ -94,16 +92,7 @@ class VertexCoverGame:
     def gamma(self, coalition) -> int:
         if self._table is not None:
             return self._table[_coalition(self.graph, coalition)[1]]
-        memo = self._memo
-        hit = memo.get(coalition) if type(coalition) is frozenset else None
-        if hit is not None and hit[0] is coalition:
-            return hit[1]
-        value, _ = vertex_cover_number(self.graph, coalition, max_vertices=self.max_vertices)
-        if type(coalition) is frozenset:  # no other type can be the object the memo holds
-            if len(memo) >= _MEMO_SIZE and coalition not in memo:
-                del memo[next(iter(memo))]
-            memo[coalition] = coalition, value
-        return value
+        return _cover_size(self.graph, coalition, self.max_vertices)
 
     def cost_table(self, max_edges: int = DEFAULT_EDGE_CAP) -> list[int]:
         """Costs of all coalitions indexed by bitmask; built on first use."""
@@ -166,10 +155,8 @@ def is_submodular_graph(graph: Graph) -> bool:
 
 def is_balanced(game: VertexCoverGame) -> bool:
     """Nonempty core iff the matching number equals the cover number."""
-    players = game.players()
-    nu, _ = matching_number(game.graph, players, max_vertices=game.max_vertices)
-    tau, _ = vertex_cover_number(game.graph, players, max_vertices=game.max_vertices)
-    return nu == tau
+    nu, _ = matching_number(game.graph, game.players(), max_vertices=game.max_vertices)
+    return nu == game.gamma(game.players())
 
 
 def is_totally_balanced(game: VertexCoverGame) -> bool:
@@ -210,8 +197,7 @@ def core_element_from_matching(game: VertexCoverGame) -> dict[int, Fraction]:
     matching number equals the cover number (raises NotBalanced otherwise)."""
     players = game.players()
     nu, witness = matching_number(game.graph, players, max_vertices=game.max_vertices)
-    tau, _ = vertex_cover_number(game.graph, players, max_vertices=game.max_vertices)
-    if nu != tau:
+    if nu != game.gamma(players):
         raise NotBalanced("game is not balanced")
     matched = set(witness)
     one = Fraction(1)

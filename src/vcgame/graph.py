@@ -421,6 +421,32 @@ def _shape_cover(graph: Graph, c: ComponentClassification) -> tuple[str, ...]:
     return best
 
 
+def _oracle_input(graph: Graph, coalition, max_vertices: int):
+    """Both exact oracles' head: the coalition's ascending edge indices, their
+    edge pairs, and None within the vertex cap, else the star/pisces shapes of
+    the coalition subgraph, or OracleCapError when it is not a star/pisces forest."""
+    s = _coalition(graph, coalition)[0]
+    order = sorted(s)
+    pairs = [graph.edges[i] for i in order]
+    n = len({w for e in pairs for w in e})
+    if n <= max_vertices:
+        return order, pairs, None
+    shapes = decompose(graph, s)
+    if shapes is None:
+        raise OracleCapError(
+            f"instance too large for exact oracle: the coalition subgraph has {n} vertices,"
+            f" above the {max_vertices}-vertex cap, and is not a star/pisces forest")
+    return order, pairs, shapes
+
+
+def _cover_size(graph: Graph, coalition, max_vertices: int) -> int:
+    """vertex_cover_number's size alone, found without building a witness."""
+    _, pairs, shapes = _oracle_input(graph, coalition, max_vertices)
+    if shapes is None:
+        return _min_cover_size(pairs)
+    return sum(len(c.cover) for c in shapes)
+
+
 def vertex_cover_number(graph: Graph, coalition, *,
                         max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[int, tuple[str, ...]]:
     """Exact cover number of the coalition subgraph, with a deterministic witness.
@@ -431,15 +457,10 @@ def vertex_cover_number(graph: Graph, coalition, *,
     of each component's smallest cover, and anything else raises
     OracleCapError.
     """
-    s = _coalition(graph, coalition)[0]
-    pairs = [graph.edges[i] for i in sorted(s)]
-    labels = sorted({w for e in pairs for w in e})
-    if len(labels) <= max_vertices:
-        size = _min_cover_size(pairs)
-        return size, _lex_min_cover(pairs, labels, size)
-    shapes = decompose(graph, s)
+    _, pairs, shapes = _oracle_input(graph, coalition, max_vertices)
     if shapes is None:
-        raise OracleCapError("instance too large for exact oracle")
+        size = _min_cover_size(pairs)
+        return size, _lex_min_cover(pairs, sorted({w for e in pairs for w in e}), size)
     cover: list[str] = []
     for c in shapes:
         cover.extend(_shape_cover(graph, c))
@@ -501,10 +522,8 @@ def matching_number(graph: Graph, coalition, *,
     """Exact matching number with the lexicographically smallest witness
     (sorted edge-index tuple); augmenting paths on bipartite subgraphs,
     branch and bound otherwise, structural shortcut above the vertex cap."""
-    s = _coalition(graph, coalition)[0]
-    order = sorted(s)
-    pairs = [graph.edges[i] for i in order]
-    if len({w for e in pairs for w in e}) <= max_vertices:
+    order, pairs, shapes = _oracle_input(graph, coalition, max_vertices)
+    if shapes is None:
         size = _matching_size(pairs)
         witness: list[int] = []
         used: set[str] = set()
@@ -523,9 +542,6 @@ def matching_number(graph: Graph, coalition, *,
                 need -= 1
         return size, tuple(witness)
     # on star/pisces forests: the smallest pendant edge at each cover vertex
-    shapes = decompose(graph, s)
-    if shapes is None:
-        raise OracleCapError("instance too large for exact oracle")
     witness = sorted(min(es) for c in shapes for es in c.pendants.values())
     return len(witness), tuple(witness)
 

@@ -537,6 +537,17 @@ def random_star_pisces_forest(rng: random.Random, max_edges: int = 16) -> Graph:
     return Graph.from_edges(oriented)
 
 
+def large_star_pisces_forests(rng: random.Random, count: int) -> list[Graph]:
+    """count random star/pisces forests above both caps: more than 16 edges
+    (the cost table's) and more than 24 vertices (the exact oracles')."""
+    out: list[Graph] = []
+    while len(out) < count:
+        g = random_star_pisces_forest(rng, max_edges=40)
+        if g.n_edges > 16 and g.n_vertices > 24:
+            out.append(g)
+    return out
+
+
 def flipped(g: Graph) -> Graph:
     """The same edges with vertex labels in reversed order."""
     labels = sorted(g.vertices)

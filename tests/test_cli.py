@@ -242,6 +242,7 @@ def test_bad_coalition_errors(graph_file, capsys, tmp_path):
                     ["stable-match", "--prefs", str(prefs)]):
         code, out, err = run(capsys, *command, "--input", gpath, "--coalition", "0,9")
         assert code == 2 and out == "" and "out of range" in err
+        assert err == "error: edge index out of range: 9\n"  # the library's own wording
         # an empty item is malformed, never dropped; an empty list is not "all players"
         for text in ("", ",", "0,,1", "1,"):
             code, out, err = run(capsys, *command, "--input", gpath, "--coalition", text)

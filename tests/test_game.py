@@ -1,4 +1,4 @@
-"""Characteristic function, memoization, and the exhaustive game verdicts."""
+"""Characteristic function and the exhaustive game verdicts."""
 
 import itertools
 import os
@@ -10,13 +10,15 @@ from fractions import Fraction
 import pytest
 
 import vcgame
+import vcgame.graph
 from vcgame.errors import ContractViolation, NotBalanced, OracleCapError
-from vcgame.game import (_MEMO_SIZE, VertexCoverGame, core_element_from_matching,
-                         core_membership, is_balanced, is_monotone_game, is_submodular_game,
-                         is_submodular_graph, is_totally_balanced, mask_coalition)
+from vcgame.game import (VertexCoverGame, core_element_from_matching, core_membership,
+                         is_balanced, is_monotone_game, is_submodular_game, is_submodular_graph,
+                         is_totally_balanced, mask_coalition)
 from vcgame.graph import Graph, vertex_cover_number
 
-from oracles import random_graph, reference_core_membership
+from oracles import (atlas_graphs, large_star_pisces_forests, random_graph,
+                     reference_core_membership)
 
 
 def k3() -> Graph:
@@ -56,33 +58,47 @@ def test_gamma_rejects_unknown_players():
         VertexCoverGame(k3()).gamma({5})
 
 
-def test_gamma_memo_and_table_agree_with_oracle():
+def test_gamma_and_table_agree_with_oracle():
+    # every coalition of the atlas graphs with at most 8 edges and of random
+    # general graphs, read from the size-only search and from the cost table
     rng = random.Random(21)
-    for _ in range(20):
-        g = random_graph(rng, max_edges=7)
+    graphs = list(atlas_graphs(max_edges=8)) + [random_graph(rng, max_edges=7) for _ in range(20)]
+    for g in graphs:
+        game = VertexCoverGame(g)
         tabled = VertexCoverGame(g)
         tabled.cost_table()
-        for mask in range(1, 1 << g.n_edges):
+        for mask in range(1 << g.n_edges):
             s = mask_coalition(mask)
-            fresh = VertexCoverGame(g)
             expected = vertex_cover_number(g, s)[0]
-            assert fresh.gamma(s) == expected
-            assert fresh.gamma(s) == expected  # memo hit
-            assert tabled.gamma(s) == expected
+            assert game.gamma(s) == tabled.gamma(s) == expected
+    # sampled coalitions of forests above both caps: the structural route
+    # (max_vertices=0, or above the default vertex cap) and the search agree
+    for g in large_star_pisces_forests(random.Random(1701), 12):
+        games = [VertexCoverGame(g, max_vertices=cap) for cap in (0, 24, g.n_vertices)]
+        coalitions = [g.players()] + [frozenset(i for i in range(g.n_edges) if rng.random() < p)
+                                      for p in (0.2, 0.5, 0.8) for _ in range(10)]
+        for s in coalitions:
+            expected = vertex_cover_number(g, s)[0]
+            assert [game.gamma(s) for game in games] == [expected] * 3
 
 
-def test_gamma_memo_keeps_the_latest_coalitions():
-    g = star(9)
-    game = VertexCoverGame(g)
-    queried = [mask_coalition(m) for m in range(1, 300)]
-    for s in queried:
-        assert game.gamma(s) == 1
-        assert game.gamma(s) == 1  # a hit does not move s
-    assert list(game._memo) == queried[-_MEMO_SIZE:]
-    assert frozenset() not in game._memo  # the seed entry was the oldest
-    assert game.gamma(frozenset()) == 0
-    assert game.gamma(queried[0]) == 1
-    assert list(game._memo) == queried[-_MEMO_SIZE + 2:] + [frozenset(), queried[0]]
+def test_gamma_builds_no_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gamma built a cover witness")
+
+    monkeypatch.setattr(vcgame.graph, "_lex_min_cover", refuse)
+    monkeypatch.setattr(vcgame.graph, "_shape_cover", refuse)
+    pisces = Graph.from_edges([("b1", "b2")] + [("b1", f"l{k}") for k in range(14)]
+                              + [("b2", f"r{k}") for k in range(14)])
+    small = frozenset({0, 1, 15})
+    for g, s in ((p5(), p5().players()), (pisces, small), (pisces, pisces.players())):
+        with pytest.raises(AssertionError, match="witness"):
+            vertex_cover_number(g, s)  # the witness routes do reach the patched functions
+    # below the vertex cap, then above it (30 vertices) and below it with max_vertices=0
+    assert VertexCoverGame(p5()).gamma(p5().players()) == 2
+    assert VertexCoverGame(pisces).gamma(small) == 2
+    assert VertexCoverGame(pisces).gamma(pisces.players()) == 2
+    assert VertexCoverGame(pisces, max_vertices=0).gamma(small) == 2
 
 
 def test_mask_coalition_takes_only_nonnegative_ints():

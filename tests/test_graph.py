@@ -7,13 +7,14 @@ import pytest
 
 import vcgame.graph
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
+from vcgame.game import VertexCoverGame
 from vcgame.graph import (PATTERNS, Graph, _incidence, components, decompose, diameter,
                           find_forbidden_subgraph, is_bipartite, matching_number,
                           parse_graph, vertex_cover_number)
 
 from oracles import (all_pm_graphs_up_to, atlas_graphs, brute_cover_number,
-                     brute_matching_number, random_bipartite_graph, random_graph,
-                     reference_forbidden_subgraph)
+                     brute_matching_number, large_star_pisces_forests, random_bipartite_graph,
+                     random_graph, reference_forbidden_subgraph)
 
 
 def k3() -> Graph:
@@ -288,6 +289,19 @@ def test_structural_witnesses_equal_exact_witnesses():
                 assert (vertex_cover_number(h, s, max_vertices=0)
                         == vertex_cover_number(h, s))
                 assert matching_number(h, s, max_vertices=0) == matching_number(h, s)
+                assert VertexCoverGame(h, max_vertices=0).gamma(s) == vertex_cover_number(h, s)[0]
+    # forests above both caps, on sampled coalitions, against the search with
+    # the vertex cap lifted
+    rng = random.Random(1702)
+    for h in large_star_pisces_forests(rng, 12):
+        lifted = h.n_vertices
+        for s in [h.players()] + [frozenset(i for i in range(h.n_edges) if rng.random() < p)
+                                  for p in (0.2, 0.5, 0.8) for _ in range(10)]:
+            cover = vertex_cover_number(h, s, max_vertices=lifted)
+            assert vertex_cover_number(h, s, max_vertices=0) == vertex_cover_number(h, s) == cover
+            assert (matching_number(h, s, max_vertices=0) == matching_number(h, s)
+                    == matching_number(h, s, max_vertices=lifted))
+            assert VertexCoverGame(h, max_vertices=0).gamma(s) == cover[0]
 
 
 def test_cap_error_on_long_path():
@@ -296,6 +310,15 @@ def test_cap_error_on_long_path():
         vertex_cover_number(path, path.players())
     with pytest.raises(OracleCapError):
         matching_number(path, path.players())
+    # the one error of both oracles and gamma says why it fired
+    for call in (lambda: vertex_cover_number(path, path.players()),
+                 lambda: matching_number(path, path.players()),
+                 lambda: VertexCoverGame(path).gamma(path.players())):
+        with pytest.raises(OracleCapError) as info:
+            call()
+        assert str(info.value) == (
+            "instance too large for exact oracle: the coalition subgraph has 30 vertices,"
+            " above the 24-vertex cap, and is not a star/pisces forest")
 
 
 # --- bipartiteness ---------------------------------------------------------------------

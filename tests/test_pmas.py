@@ -192,10 +192,7 @@ def test_every_entry_point_names_the_same_out_of_range_index():
     ps = PreferenceSystem(g, {"b": (0, 1), "c": (2, 1)})
     scheme = construct_pmas(g)
     stored = scheme_from_json(g, scheme_to_json(scheme))
-    fresh, memoized, tabled = VertexCoverGame(g), VertexCoverGame(g), VertexCoverGame(g)
-    # the memo then holds {0, 1}, {1, 2} and {1}, equal to {0, True}, {2, 1.0} and {True}
-    for s in all_coalitions(g.n_edges):
-        memoized.gamma(s)
+    fresh, tabled = VertexCoverGame(g), VertexCoverGame(g)
     tabled.cost_table()
     # a member that is not an int is refused by name, not coerced or let through
     for s, message in ((frozenset({0, -1, 99}), "edge index out of range: -1"),
@@ -209,7 +206,6 @@ def test_every_entry_point_names_the_same_out_of_range_index():
                  lambda: matching_number(g, s),
                  lambda: diameter(g, s),
                  lambda: fresh.gamma(s),
-                 lambda: memoized.gamma(s),
                  lambda: tabled.gamma(s),
                  lambda: scheme.allocation(s),
                  lambda: stored.allocation(s),
@@ -1058,8 +1054,8 @@ def test_construct_on_a_large_pisces_retains_little_memory():
 
 
 def test_dual_optimal_queries_on_a_large_pisces_retain_bounded_memory():
-    # above the table cap gamma asks the cover oracle; its memo keeps only
-    # the latest coalitions (an unbounded memo retained about 192 KiB here)
+    # above the table cap gamma asks the size-only cover search, which keeps
+    # nothing per coalition
     g = large_pisces()
     game = VertexCoverGame(g)
     scheme = construct_pmas(g)

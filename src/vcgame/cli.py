@@ -109,8 +109,6 @@ def _load_prefs(graph: Graph, path: str) -> PreferenceSystem:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ContractViolation(f"preference file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ContractViolation("preference JSON must map vertex labels to edge lists")
     return PreferenceSystem(graph, raw)
 
 

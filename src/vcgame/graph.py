@@ -218,7 +218,11 @@ def decompose(graph: Graph, coalition) -> list[ComponentClassification] | None:
     smallest edge index; None when some component is neither (it has a cycle
     or diameter above 3).
     """
-    s = _coalition(graph, coalition)[0]
+    return _shapes(graph, _coalition(graph, coalition)[0])
+
+
+def _shapes(graph: Graph, s: Coalition) -> list[ComponentClassification] | None:
+    """decompose for a frozenset that has already passed the coalition gate."""
     incident = _incidence(graph, s)
     shapes: list[ComponentClassification] = []
     for comp in _edge_components(graph, sorted(s), incident):
@@ -431,7 +435,7 @@ def _oracle_input(graph: Graph, coalition, max_vertices: int):
     n = len({w for e in pairs for w in e})
     if n <= max_vertices:
         return order, pairs, None
-    shapes = decompose(graph, s)
+    shapes = _shapes(graph, s)
     if shapes is None:
         raise OracleCapError(
             f"instance too large for exact oracle: the coalition subgraph has {n} vertices,"

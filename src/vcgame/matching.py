@@ -141,7 +141,8 @@ def scheme_from_preferences(ps: PreferenceSystem) -> AllocationScheme:
 def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
     """Recover the preference system of an integral scheme by iterated peeling:
     on each cover vertex's incident set, the unit-paying edge is the next most
-    preferred; remove it and repeat.  A scheme of another graph is refused."""
+    preferred; remove it and repeat.  A scheme of another graph is refused,
+    and an allocation not indexed by its coalition raises MalformedScheme."""
     graph = game.graph
     _require_same_graph(graph, scheme.graph, "scheme")
     _, cover = classify_components(graph)
@@ -151,6 +152,9 @@ def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
         seq: list[int] = []
         while remaining:
             alloc = scheme.allocation(remaining)
+            if alloc.keys() != remaining:
+                raise MalformedScheme(
+                    f"allocation for {sorted(remaining)} is not indexed by its members")
             units: list[int] = []
             for i in sorted(remaining):
                 value = alloc[i]

@@ -12,11 +12,11 @@ this rule once, as a per-edge table of watch masks, payments and selected
 vertices.  It charges every coalition edge but an accompanied free rider, and
 the per-coalition selector is the vertices it charges.  Every scheme the
 library builds is such a table, built by CoverSystem.scheme, and an integral
-scheme only has other entries.  An AllocationScheme given a table stores it;
-its edge keys must be ints and its payments Fractions or ints.  materialize
-and verify_pmas answer a rule-table scheme that reads its own well-formed
-table from the table (its watch masks; its per-edge monotone and shape
-check); any other scheme is read coalition by coalition through allocation().
+scheme only has other entries.  An AllocationScheme given a table stores it
+under gated coalition keys; its edge keys must be ints and its payments
+Fractions or ints.  materialize reads a well-formed rule table from its watch
+masks, and verify_pmas accepts it when CoverSystem.scheme builds that table;
+any other scheme is read coalition by coalition through allocation().
 The dual-side checks certify allocations against the fractional cover
 relaxation of the coalition subgraph: feasibility (nonnegative, per-vertex
 load at most one), optimality (total equal to the coalition cost), and
@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,6 +84,9 @@ def classify_components(graph: Graph):
 def _checked_orders(graph: Graph, orders) -> dict[str, tuple[int, ...]]:
     """Per-vertex orders as tuples; each must rank exactly its vertex's
     incident edges, and every vertex with two or more needs one."""
+    if not isinstance(orders, Mapping):
+        raise ContractViolation(
+            f"preference orders must map vertex labels to edge lists, not {type(orders).__name__}")
     checked: dict[str, tuple[int, ...]] = {}
     for v, seq in orders.items():
         if not graph.has_vertex(v):
@@ -186,16 +190,16 @@ class CoverSystem:
 class AllocationScheme:
     """Per-coalition payment vectors from a stored table.
 
-    Edge keys must be ints and payments Fractions or ints; allocation()
-    returns the stored vectors by reference, so callers must treat them as
-    read-only.
+    Coalition keys pass the coalition gate, edge keys must be ints and
+    payments Fractions or ints; allocation() returns the stored vectors by
+    reference, so callers must treat them as read-only.
     """
 
     def __init__(self, graph: Graph, *, table) -> None:
         self.graph = graph
         self._table = {}
         for s, vec in table.items():
-            s = frozenset(s)
+            s = _coalition(graph, s)[0]
             _require_int_keys(vec, MalformedScheme, s)
             self._table[s] = {i: v if type(v) is Fraction
                               else _exact_payment(v, MalformedScheme, i, s)
@@ -250,7 +254,8 @@ class _RuleTableScheme(AllocationScheme):
     pays pays[i][k] in a coalition with k edges in the bitmask watch[i].
     allocation() evaluates the table on every query and caches nothing, so
     single queries stay cheap on forests of any size; materialize and
-    verify_pmas answer from the table while _reads_table() holds."""
+    verify_pmas answer from the table while _reads_table() holds.  Only
+    CoverSystem.scheme builds one."""
 
     def __init__(self, cover: CoverSystem, watch: list[int], pays: list[list[Fraction]]) -> None:
         self.cover = cover
@@ -293,37 +298,20 @@ class _RuleTableScheme(AllocationScheme):
                 for m in range(1, len(coalitions))}
 
     def _is_pmas_by_shape(self) -> bool:
-        """Whether _reads_table() holds and the table is a PMAS by its shape
-        (False decides nothing).  Efficient: each anchor's group splits 1/k
-        over the whole group or is ranked (watch masks 0, e0, e0|e1, ...; pays
-        1 at count 0, else 0), and each free rider pays 1 exactly when lone,
-        so a coalition pays its cover number: its anchors and lone free
-        riders.  Monotone by the same checks: every edge is a pendant of one
-        cover vertex or a free rider, so the payments it can reach are 1/k
-        for k = 1..|group|, or [1, 0, ..., 0] over counts 0..popcount(watch),
-        each non-increasing."""
+        """Whether _reads_table() holds and the table is one scheme() builds:
+        the cover's constructive table, or the integral one for the orders its
+        watch masks rank (free riders last), on every count a mask reaches.
+        Both are PMASes by the paper's construction; False decides nothing."""
         if not self._reads_table():
             return False
-        watch, pays = self.watch, self.pays
-
-        def ranked(i: int, above: int) -> bool:
-            return (watch[i] == above and pays[i][0] == 1
-                    and not any(pays[i][1:above.bit_count() + 1]))
-
-        group = {}
-        for c in self.cover.components:
-            for v, es in c.pendants.items():
-                group[v] = mask = sum(1 << i for i in es)
-                ks = range(1, len(es) + 1)
-                order = sorted(es, key=lambda i: watch[i].bit_count())
-                if not (all(watch[i] == mask and all(pays[i][k] * k == 1 for k in ks) for i in es)
-                        or all(ranked(i, sum(1 << j for j in order[:at]))
-                               for at, i in enumerate(order))):
-                    return False
-            if c.free_rider is not None and not ranked(c.free_rider,
-                                                       group[c.cover[0]] | group[c.cover[1]]):
-                return False
-        return True
+        cover, watch = self.cover, self.watch
+        orders = None if watch == cover.watch else {
+            v: (*sorted(es, key=watch.__getitem__), *{c.free_rider} - {None})
+            for c in cover.components for v, es in c.pendants.items()}
+        built = cover.scheme(orders)
+        return built.watch == watch and all(
+            row[:w.bit_count() + 1] == ref[:w.bit_count() + 1]
+            for w, row, ref in zip(watch, self.pays, built.pays))
 
 
 def construct_pmas(graph: Graph) -> AllocationScheme:
@@ -381,12 +369,12 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     A scheme of another graph is refused and OracleCapError raised above
     max_edges; below it the game's cost table is built (check_dual_optimal
     then reads it), whichever path answers.  A rule-table scheme that reads
-    its own well-formed table and passes its shape check is accepted from
-    the table.  Any other scheme is scanned through
-    allocation(): efficiency in ascending coalition bitmask order, then
-    monotonicity in ascending (superset, dropped edge) order, on integer
-    numerators over one common denominator; a missing or misindexed
-    coalition raises MalformedScheme.
+    its own well-formed table, and whose table is the constructive or an
+    integral one that its cover system builds, is accepted without a scan.
+    Any other scheme is scanned through allocation(): efficiency in
+    ascending coalition bitmask order, then monotonicity in ascending
+    (superset, dropped edge) order, on integer numerators over one common
+    denominator; a missing or misindexed coalition raises MalformedScheme.
     """
     _require_same_graph(game.graph, scheme.graph, "scheme")
     n = game.n

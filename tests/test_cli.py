@@ -274,13 +274,16 @@ def test_integer_arguments_take_only_ascii_digits(graph_file, capsys):
 def test_preference_orders_that_are_not_lists_error(graph_file, capsys, tmp_path):
     gpath = graph_file("g.txt", P4)
     prefs = tmp_path / "prefs.json"
-    for order in (5, None):
-        prefs.write_text(json.dumps({"b": order, "c": [2, 1]}))
+    cases = [({"b": order, "c": [2, 1]},
+              f"order for vertex 'b' is {order}, not a list of edge indices") for order in (5, None)]
+    cases.append(([["b", [0, 1]], ["c", [2, 1]]],
+                  "preference orders must map vertex labels to edge lists, not list"))
+    for doc, message in cases:
+        prefs.write_text(json.dumps(doc))
         for command in ("construct", "stable-match"):
             code, out, err = run(capsys, command, "--input", gpath, "--prefs", str(prefs))
             assert code == 2 and out == ""
-            assert err == (f"error: order for vertex 'b' is {order}, "
-                           "not a list of edge indices\n")
+            assert err == f"error: {message}\n"
 
 
 def test_repeated_coalition_index_errors(graph_file, capsys):

@@ -76,6 +76,21 @@ def test_orders_that_are_not_lists_are_refused():
         assert str(info.value) == f"order for vertex 'hub' is {order}, not a list of edge indices"
 
 
+def test_orders_that_are_not_a_mapping_are_refused():
+    g = p4()
+    _, cover = classify_components(g)
+    for orders in (None, [("b", (0, 1)), ("c", (2, 1))], "bc"):
+        message = ("preference orders must map vertex labels to edge lists, "
+                   f"not {type(orders).__name__}")
+        with pytest.raises(ContractViolation) as info:
+            PreferenceSystem(g, orders)
+        assert str(info.value) == message
+        if orders is not None:  # cover.scheme(None) is the constructive scheme
+            with pytest.raises(ContractViolation) as info:
+                cover.scheme(orders)
+            assert str(info.value) == message
+
+
 def test_pendant_orders_are_optional_and_restrictable():
     ps = PreferenceSystem(star(2), {"hub": (1, 0)})
     assert ps.order_in("hub", {0}) == (0,)
@@ -384,6 +399,15 @@ def test_preferences_from_scheme_rejects_no_unit():
              frozenset({0}): {0: 1}, frozenset({1}): {1: 0}}
     with pytest.raises(MalformedScheme, match="no edge pays"):
         preferences_from_scheme(game, AllocationScheme(g, table=table))
+
+
+def test_preferences_from_scheme_refuses_a_misindexed_allocation():
+    g = p4()
+    table = construct_pmas(g).materialize()
+    table[frozenset({0, 1})] = {0: 1, 2: 0}
+    with pytest.raises(MalformedScheme) as info:
+        preferences_from_scheme(VertexCoverGame(g), AllocationScheme(g, table=table))
+    assert str(info.value) == "allocation for [0, 1] is not indexed by its members"
 
 
 def test_preferences_from_scheme_refuses_a_scheme_of_another_graph():

@@ -213,6 +213,7 @@ def test_every_entry_point_names_the_same_out_of_range_index():
                  lambda: check_dual_optimal(tabled, s, x),
                  lambda: check_pi_star(g, s, x, cover),
                  lambda: cover.cover_for(s),
+                 lambda: AllocationScheme(g, table={tuple(s): x}),
                  lambda: is_stable(ps, s, frozenset()),
                  lambda: is_stable(ps, g.players(), s),
                  lambda: gale_shapley(ps, s)]
@@ -887,6 +888,40 @@ def test_structural_verdict_builds_the_cost_table_and_scans_nothing(monkeypatch)
         assert verify_pmas(game, scheme) == (True, None)
         # check_dual_optimal reads this table by mask instead of asking gamma
         assert game._table is not None
+
+
+def test_tables_the_cover_system_does_not_build_are_scanned(monkeypatch):
+    # pisces b-c with pendants {0, 4} at b and {2, 3} at c, free rider 1
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("b", "f")])
+    game = VertexCoverGame(g)
+    scheme = construct_pmas(g)
+    first = [Fraction(1)] + [Fraction(0)] * g.n_edges
+    # b's group ranked (0 before 4) while c's group splits whole
+    watch, pays = list(scheme.watch), list(scheme.pays)
+    watch[0], pays[0] = 0, first
+    watch[4], pays[4] = 1 << 0, first
+    mixed = _RuleTableScheme(scheme.cover, watch, pays)
+    # a whole-group edge paying 5 at count 0, which its own bit never lets it reach
+    pays = list(scheme.pays)
+    pays[2] = [Fraction(5), *pays[2][1:]]
+    unreachable = _RuleTableScheme(scheme.cover, scheme.watch, pays)
+    rows = AllocationScheme._rows
+    scans = []
+
+    def counted(self):
+        scans.append(self)
+        return rows(self)
+
+    monkeypatch.setattr(AllocationScheme, "_rows", counted)
+    for bad in (mixed, unreachable):
+        assert not bad._is_pmas_by_shape()
+        assert verify_pmas(game, bad) == reference_verify_pmas(game, bad) == (True, None)
+        assert scans == [bad]
+        scans.clear()
+        table = bad.materialize()
+        assert scans == []  # still read from the watch masks
+        assert table == {s: bad.allocation(s) for s in all_coalitions(g.n_edges)[1:]}
+    assert verify_pmas(game, scheme) == (True, None) and scans == []
 
 
 def test_overridden_allocation_is_what_gets_verified():

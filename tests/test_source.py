@@ -172,3 +172,29 @@ def test_referrer_scan_sees_each_form():
             "def mask(x):\n    return x\n"
             "y = m(2)\n")
     assert list(referrers(ast.parse(text), "mask")) == [None, None, "f", "f", "C"]
+
+
+def callers(tree: ast.Module, name: str):
+    """The top-level definition (None at module level) around each call of name."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (*FUNCTIONS, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == name):
+                yield owner
+
+
+def test_only_the_cover_system_builds_rule_tables():
+    # the rule-table shapes are decided in one place: CoverSystem.scheme
+    # builds every rule table, and verify_pmas skips its scan only for a
+    # table equal to one that scheme() builds
+    found = [(path.name, owner) for path in SOURCES
+             for owner in callers(ast.parse(path.read_text(encoding="utf-8")), "_RuleTableScheme")]
+    assert found == [("pmas.py", "CoverSystem"), ("pmas.py", "CoverSystem")]
+
+
+def test_caller_scan_sees_each_form():
+    text = ("x = make(1)\n"
+            "def f():\n    return make, g.make(2), [make(3) for _ in ()]\n"
+            "class C:\n    def h(self):\n        return make(make(4))\n")
+    assert list(callers(ast.parse(text), "make")) == [None, "f", "C", "C"]

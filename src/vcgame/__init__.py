@@ -11,18 +11,16 @@ from .errors import (ContractViolation, EnumerationTruncated, GraphFormatError,
 from .game import (VertexCoverGame, core_element_from_matching, core_membership,
                    is_balanced, is_monotone_game, is_submodular_game, is_submodular_graph,
                    is_totally_balanced)
-from .graph import (Coalition, Graph, coalition_mask, components, diameter,
-                    find_forbidden_subgraph, is_bipartite, mask_coalition, matching_number,
-                    parse_graph, vertex_cover_number)
+from .graph import (Coalition, ComponentClassification, Graph, coalition_mask, components,
+                    diameter, find_forbidden_subgraph, is_bipartite, mask_coalition,
+                    matching_number, parse_graph, vertex_cover_number)
 from .matching import (Matching, PreferenceSystem, count_integral_pmas,
                        enumerate_integral_pmas, gale_shapley, is_stable,
                        preferences_from_scheme, scheme_from_preferences)
-from .pmas import (AllocationScheme, ComponentClassification, CoverSystem,
-                   Violation, check_dual_feasible, check_dual_optimal,
-                   check_pi_star, classify_components, construct_pmas,
-                   fraction_str, recognize_population_monotonic,
-                   scheme_from_json, scheme_table_to_jsonable, scheme_to_json,
-                   verify_pmas)
+from .pmas import (AllocationScheme, CoverSystem, Violation, check_dual_feasible,
+                   check_dual_optimal, check_pi_star, classify_components, construct_pmas,
+                   fraction_str, recognize_population_monotonic, scheme_from_json,
+                   scheme_table_to_jsonable, scheme_to_json, verify_pmas)
 
 __all__ = [
     "AllocationScheme", "Coalition", "ComponentClassification", "ContractViolation",

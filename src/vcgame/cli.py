@@ -97,10 +97,7 @@ def _parse_coalition(text: str, graph: Graph):
         indices = [_int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ContractViolation(f"bad coalition list {text!r}: {exc}") from exc
-    s = _coalition(graph, indices)[0]
-    if len(s) != len(indices):
-        raise ContractViolation(f"bad coalition list {text!r}: repeated edge index")
-    return s
+    return _coalition(graph, indices)[0]
 
 
 def _load_prefs(graph: Graph, path: str) -> PreferenceSystem:

@@ -157,20 +157,25 @@ def _coalition(graph: Graph, coalition) -> tuple[Coalition, int]:
     """The checked coalition of every per-coalition entry point, as a frozenset
     and its bitmask: read from an all_coalitions table already built for the
     graph only for that very object (an equal frozenset may hold True), else
-    checked by _require_edges."""
+    checked by _require_edges; a member repeated in a sequence or iterator
+    raises ContractViolation naming the smallest such index."""
     interned = _INTERNED.get(len(graph.edges))
     if interned is not None and type(coalition) is frozenset:
         m = interned[1].get(coalition)
         if m is not None and interned[0][m] is coalition:
             return coalition, m
-    s = frozenset(coalition)
-    return s, _require_edges(graph, s)
+    items = coalition if isinstance(coalition, (set, frozenset)) else tuple(coalition)
+    s = frozenset(items)
+    mask = _require_edges(graph, s)
+    if len(s) != len(items):
+        raise ContractViolation(f"repeated edge index: {min(i for i in s if items.count(i) > 1)}")
+    return s, mask
 
 
-def _incidence(graph: Graph, s: Coalition) -> dict[str, list[int]]:
-    """Each vertex of the subgraph s induces, mapped to its edges in s in ascending order."""
+def _incidence(graph: Graph, order) -> dict[str, list[int]]:
+    """Each vertex that the edges of order span, mapped to its edges in that order."""
     incident: dict[str, list[int]] = {}
-    for i in sorted(s):
+    for i in order:
         u, v = graph.edges[i]
         incident.setdefault(u, []).append(i)
         incident.setdefault(v, []).append(i)
@@ -218,14 +223,14 @@ def decompose(graph: Graph, coalition) -> list[ComponentClassification] | None:
     smallest edge index; None when some component is neither (it has a cycle
     or diameter above 3).
     """
-    return _shapes(graph, _coalition(graph, coalition)[0])
+    return _shapes(graph, sorted(_coalition(graph, coalition)[0]))
 
 
-def _shapes(graph: Graph, s: Coalition) -> list[ComponentClassification] | None:
-    """decompose for a frozenset that has already passed the coalition gate."""
-    incident = _incidence(graph, s)
+def _shapes(graph: Graph, order: list[int]) -> list[ComponentClassification] | None:
+    """decompose for the ascending edges of a coalition that passed the gate."""
+    incident = _incidence(graph, order)
     shapes: list[ComponentClassification] = []
-    for comp in _edge_components(graph, sorted(s), incident):
+    for comp in _edge_components(graph, order, incident):
         if len(comp) == 1:
             (i,) = comp
             center = min(graph.edges[i])
@@ -429,13 +434,12 @@ def _oracle_input(graph: Graph, coalition, max_vertices: int):
     """Both exact oracles' head: the coalition's ascending edge indices, their
     edge pairs, and None within the vertex cap, else the star/pisces shapes of
     the coalition subgraph, or OracleCapError when it is not a star/pisces forest."""
-    s = _coalition(graph, coalition)[0]
-    order = sorted(s)
+    order = sorted(_coalition(graph, coalition)[0])
     pairs = [graph.edges[i] for i in order]
     n = len({w for e in pairs for w in e})
     if n <= max_vertices:
         return order, pairs, None
-    shapes = _shapes(graph, s)
+    shapes = _shapes(graph, order)
     if shapes is None:
         raise OracleCapError(
             f"instance too large for exact oracle: the coalition subgraph has {n} vertices,"

@@ -21,7 +21,7 @@ from itertools import permutations
 from .errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                      NotIntegralScheme, UnsupportedInstance)
 from .graph import Graph, _coalition, _two_color
-from .pmas import AllocationScheme, _checked_orders, _require_same_graph, classify_components
+from .pmas import AllocationScheme, CoverSystem, _checked_orders, _require_same_graph
 
 Matching = frozenset[int]
 
@@ -134,8 +134,7 @@ def scheme_from_preferences(ps: PreferenceSystem) -> AllocationScheme:
     highest-ranked coalition edge and a free rider is matched only when lone.
     Requires a population-monotonic graph and free riders ranked last at both
     bases."""
-    _, cover = classify_components(ps.graph)
-    return cover.scheme(ps.orders)
+    return CoverSystem(ps.graph).scheme(ps.orders)
 
 
 def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
@@ -145,7 +144,7 @@ def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
     and an allocation not indexed by its coalition raises MalformedScheme."""
     graph = game.graph
     _require_same_graph(graph, scheme.graph, "scheme")
-    _, cover = classify_components(graph)
+    cover = CoverSystem(graph)
     orders: dict[str, tuple[int, ...]] = {}
     for v in cover.cover:
         remaining = frozenset(graph.incident_edges(v))
@@ -178,12 +177,8 @@ def count_integral_pmas(graph: Graph) -> int:
     """Number of integral schemes: the product over cover vertices of the
     factorial of their non-free-rider degree (one scheme per admissible
     preference system)."""
-    comps, _ = classify_components(graph)
-    total = 1
-    for c in comps:
-        for v in c.cover:
-            total *= math.factorial(len(c.pendants[v]))
-    return total
+    return math.prod(math.factorial(len(es)) for c in CoverSystem(graph).components
+                     for es in c.pendants.values())
 
 
 def _orders(by_vertex, vertices: list[str], orders: dict[str, tuple[int, ...]]):
@@ -209,11 +204,9 @@ def enumerate_integral_pmas(graph: Graph, *, max_enumerate: int = DEFAULT_ENUM_C
     read into the graph's cover system as a rule table.  The stream is lazy;
     after max_enumerate schemes it raises EnumerationTruncated if more remain.
     """
-    comps, cover = classify_components(graph)
-    by_vertex: dict[str, tuple[tuple[int, ...], int | None]] = {}
-    for c in comps:
-        for v in c.cover:
-            by_vertex[v] = (tuple(sorted(c.pendants[v])), c.free_rider)
+    cover = CoverSystem(graph)
+    by_vertex = {v: (tuple(sorted(es)), c.free_rider)
+                 for c in cover.components for v, es in c.pendants.items()}
     yielded = 0
     for orders in _orders(by_vertex, sorted(by_vertex), {}):
         if yielded >= max_enumerate:

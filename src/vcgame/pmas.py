@@ -15,8 +15,9 @@ library builds is such a table, built by CoverSystem.scheme, and an integral
 scheme only has other entries.  An AllocationScheme given a table stores it
 under gated coalition keys; its edge keys must be ints and its payments
 Fractions or ints.  materialize reads a well-formed rule table from its watch
-masks, and verify_pmas accepts it when CoverSystem.scheme builds that table;
-any other scheme is read coalition by coalition through allocation().
+masks, and verify_pmas accepts it when the graph's own cover system,
+CoverSystem(graph) rebuilt from the graph alone, builds that table; any other
+scheme is read coalition by coalition through allocation().
 The dual-side checks certify allocations against the fractional cover
 relaxation of the coalition subgraph: feasibility (nonnegative, per-vertex
 load at most one), optimality (total equal to the coalition cost), and
@@ -38,8 +39,7 @@ from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
 from .game import (DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, _numerators,
                    _require_int_keys)
-from .graph import (ComponentClassification, Coalition, Graph, _coalition, all_coalitions,
-                    decompose, find_forbidden_subgraph)
+from .graph import Coalition, Graph, _coalition, all_coalitions, decompose, find_forbidden_subgraph
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -71,14 +71,10 @@ def recognize_population_monotonic(graph: Graph):
 
 
 def classify_components(graph: Graph):
-    """Component classifications plus the cover system.
-
-    Raises NotPopulationMonotonic (with the witness) on unrecognizable graphs.
-    """
-    shapes, witness = _classify(graph)
-    if witness is not None:
-        raise NotPopulationMonotonic(*witness)
-    return shapes, CoverSystem(graph, shapes)
+    """The graph's component classifications plus its cover system; raises
+    NotPopulationMonotonic (with the witness) as CoverSystem(graph) does."""
+    cover = CoverSystem(graph)
+    return cover.components, cover
 
 
 def _checked_orders(graph: Graph, orders) -> dict[str, tuple[int, ...]]:
@@ -112,8 +108,10 @@ def _checked_orders(graph: Graph, orders) -> dict[str, tuple[int, ...]]:
 
 
 class CoverSystem:
-    """Global minimum cover made of centers and bases, and the rule-table
-    schemes over it.
+    """The graph's global minimum cover made of centers and bases, and the
+    rule-table schemes over it.  CoverSystem(graph) decomposes the graph
+    itself and raises NotPopulationMonotonic (with the witness) when it is
+    not a star/pisces forest.
 
     The constructive rule is one per-edge table: edge i watches the bitmask
     watch[i], pays pays[i][k] in a coalition with k edges in it, and is
@@ -128,9 +126,11 @@ class CoverSystem:
     orders, as such a table.
     """
 
-    def __init__(self, graph: Graph, comps: list[ComponentClassification]) -> None:
+    def __init__(self, graph: Graph) -> None:
+        self.components, witness = _classify(graph)
+        if witness is not None:
+            raise NotPopulationMonotonic(*witness)
         self.graph = graph
-        self.components = list(comps)
         self.cover = tuple(sorted(v for c in self.components for v in c.cover))
         group = {v: sum(1 << i for i in es) for c in self.components
                  for v, es in c.pendants.items()}
@@ -169,7 +169,7 @@ class CoverSystem:
         the coalition.  Orders are checked as PreferenceSystem checks them;
         free riders must rank last at both bases and keep their entries."""
         if orders is None:
-            return _RuleTableScheme(self, self.watch, self.pays)
+            return _RuleTableScheme(self.graph, self.watch, self.pays)
         orders = _checked_orders(self.graph, orders)
         watch, pays = list(self.watch), list(self.pays)
         first = [ONE] + [ZERO] * self.graph.n_edges
@@ -184,7 +184,7 @@ class CoverSystem:
                     if i != c.free_rider:
                         watch[i], pays[i] = above, first
                         above |= 1 << i
-        return _RuleTableScheme(self, watch, pays)
+        return _RuleTableScheme(self.graph, watch, pays)
 
 
 class AllocationScheme:
@@ -250,16 +250,15 @@ class AllocationScheme:
 
 
 class _RuleTableScheme(AllocationScheme):
-    """A scheme given by a per-edge rule table over a cover system: edge i
-    pays pays[i][k] in a coalition with k edges in the bitmask watch[i].
+    """A scheme given by a per-edge rule table over a graph: edge i pays
+    pays[i][k] in a coalition with k edges in the bitmask watch[i].
     allocation() evaluates the table on every query and caches nothing, so
     single queries stay cheap on forests of any size; materialize and
     verify_pmas answer from the table while _reads_table() holds.  Only
-    CoverSystem.scheme builds one."""
+    CoverSystem.scheme builds one, and the lists it passes may be its own."""
 
-    def __init__(self, cover: CoverSystem, watch: list[int], pays: list[list[Fraction]]) -> None:
-        self.cover = cover
-        self.graph = cover.graph
+    def __init__(self, graph: Graph, watch: list[int], pays: list[list[Fraction]]) -> None:
+        self.graph = graph
         self.watch = watch
         self.pays = pays
 
@@ -298,13 +297,18 @@ class _RuleTableScheme(AllocationScheme):
                 for m in range(1, len(coalitions))}
 
     def _is_pmas_by_shape(self) -> bool:
-        """Whether _reads_table() holds and the table is one scheme() builds:
-        the cover's constructive table, or the integral one for the orders its
-        watch masks rank (free riders last), on every count a mask reaches.
-        Both are PMASes by the paper's construction; False decides nothing."""
+        """Whether _reads_table() holds and the table is one that the graph's
+        own cover system, CoverSystem(self.graph) built afresh, builds: its
+        constructive table, or the integral one for the orders the watch masks
+        rank (free riders last), on every count a mask reaches.  Both are
+        PMASes by the paper's construction; False decides nothing."""
         if not self._reads_table():
             return False
-        cover, watch = self.cover, self.watch
+        try:
+            cover = CoverSystem(self.graph)
+        except NotPopulationMonotonic:
+            return False
+        watch = self.watch
         orders = None if watch == cover.watch else {
             v: (*sorted(es, key=watch.__getitem__), *{c.free_rider} - {None})
             for c in cover.components for v, es in c.pendants.items()}
@@ -321,8 +325,7 @@ def construct_pmas(graph: Graph) -> AllocationScheme:
     and every other edge pays 1/k where k counts the non-free-rider coalition
     edges at its covering vertex.
     """
-    _, cover = classify_components(graph)
-    return cover.scheme()
+    return CoverSystem(graph).scheme()
 
 
 def _require_same_graph(graph: Graph, other: Graph, what: str) -> None:
@@ -370,7 +373,8 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     max_edges; below it the game's cost table is built (check_dual_optimal
     then reads it), whichever path answers.  A rule-table scheme that reads
     its own well-formed table, and whose table is the constructive or an
-    integral one that its cover system builds, is accepted without a scan.
+    integral one that the graph's own cover system builds (rebuilt from the
+    graph, not taken from the scheme), is accepted without a scan.
     Any other scheme is scanned through allocation(): efficiency in
     ascending coalition bitmask order, then monotonicity in ascending
     (superset, dropped edge) order, on integer numerators over one common

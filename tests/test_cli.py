@@ -289,7 +289,7 @@ def test_preference_orders_that_are_not_lists_error(graph_file, capsys, tmp_path
 def test_repeated_coalition_index_errors(graph_file, capsys):
     code, out, err = run(capsys, "construct", "--input", graph_file("g.txt", P4),
                          "--coalition", "0,0")
-    assert code == 2 and out == "" and "repeated edge index" in err
+    assert code == 2 and out == "" and err == "error: repeated edge index: 0\n"
 
 
 def test_output_file_writing(graph_file, capsys, tmp_path):

@@ -14,13 +14,15 @@ import pytest
 from vcgame.errors import (ContractViolation, MalformedScheme,
                            NotPopulationMonotonic, OracleCapError)
 from vcgame.game import VertexCoverGame, mask_coalition
-from vcgame.graph import (_INTERNED, Graph, _coalition, all_coalitions, coalition_mask, diameter,
-                          find_forbidden_subgraph, matching_number, vertex_cover_number)
+from vcgame.graph import (_INTERNED, Graph, _coalition, all_coalitions, coalition_mask, decompose,
+                          diameter, find_forbidden_subgraph, matching_number,
+                          vertex_cover_number)
 from vcgame.matching import (PreferenceSystem, enumerate_integral_pmas, gale_shapley,
                              is_stable, scheme_from_preferences)
-from vcgame.pmas import (AllocationScheme, _RuleTableScheme, _scaled_profile, check_dual_feasible,
-                         check_dual_optimal, check_pi_star, classify_components, construct_pmas,
-                         fraction_str, recognize_population_monotonic, scheme_from_json,
+from vcgame.pmas import (AllocationScheme, CoverSystem, _RuleTableScheme, _scaled_profile,
+                         check_dual_feasible, check_dual_optimal, check_pi_star,
+                         classify_components, construct_pmas, fraction_str,
+                         recognize_population_monotonic, scheme_from_json,
                          scheme_table_to_jsonable, scheme_to_json, verify_pmas)
 
 from oracles import (all_pm_graphs_up_to, atlas_graphs, flipped, random_star_pisces_forest,
@@ -120,6 +122,17 @@ def test_classify_raises_on_forbidden():
         classify_components(k3())
 
 
+def test_cover_system_is_the_graphs_own_decomposition():
+    for g in atlas_graphs():
+        ok, witness = recognize_population_monotonic(g)
+        if ok:
+            assert CoverSystem(g).components == decompose(g, g.players())
+        else:
+            with pytest.raises(NotPopulationMonotonic) as info:
+                CoverSystem(g)
+            assert (info.value.pattern, info.value.vertices) == witness
+
+
 # --- cover selection and split counts -----------------------------------------------
 
 
@@ -200,7 +213,8 @@ def test_every_entry_point_names_the_same_out_of_range_index():
                        (frozenset({0, True}), "edge key True is not an int"),
                        (frozenset({2, 1.0}), "edge key 1.0 is not an int"),
                        (frozenset({0, "a"}), "edge key 'a' is not an int"),
-                       ([True], "edge key True is not an int")):
+                       ([True], "edge key True is not an int"),
+                       ([0, 0], "repeated edge index: 0")):
         x = {i: Fraction(0) for i in s}
         calls = [lambda: vertex_cover_number(g, s),
                  lambda: matching_number(g, s),
@@ -243,7 +257,7 @@ def test_coalition_gate_matches_the_plain_conversion():
         for c in coalitions:
             expected = (frozenset(c), coalition_mask(c))
             assert _coalition(g, c) == expected and _coalition(g, c)[0] is c
-            for form in (frozenset(sorted(c)), set(c), sorted(c)):
+            for form in (frozenset(sorted(c)), set(c), sorted(c), iter(sorted(c))):
                 assert _coalition(g, form) == expected
 
 
@@ -786,7 +800,7 @@ def test_verify_matches_reference_scan():
 def through_allocation(scheme: _RuleTableScheme) -> _RuleTableScheme:
     """The same rule table with allocation() replaced on the instance by its
     own rule, so materialize and verify_pmas read it by the exhaustive path."""
-    twin = _RuleTableScheme(scheme.cover, scheme.watch, scheme.pays)
+    twin = _RuleTableScheme(scheme.graph, scheme.watch, scheme.pays)
     twin.allocation = twin.allocation
     return twin
 
@@ -806,7 +820,7 @@ def corrupted_rule_tables(rng: random.Random, scheme: _RuleTableScheme):
     def changed(watch_i=w, pays_i=row):
         watch, pays = list(scheme.watch), list(scheme.pays)
         watch[i], pays[i] = watch_i, pays_i
-        return _RuleTableScheme(scheme.cover, watch, pays)
+        return _RuleTableScheme(scheme.graph, watch, pays)
 
     for new in (row[k] + Fraction(1, 2), row[k] - 1, float(row[k]), bool(row[k])):
         yield changed(pays_i=[*row[:k], new, *row[k + 1:]])
@@ -822,7 +836,7 @@ def corrupted_rule_tables(rng: random.Random, scheme: _RuleTableScheme):
         pays = list(scheme.pays)
         for e, delta in ((i, 1), (rng.choice(others), -1)):
             pays[e] = [*pays[e][:top], pays[e][top] + delta, *pays[e][top + 1:]]
-        yield _RuleTableScheme(scheme.cover, scheme.watch, pays)
+        yield _RuleTableScheme(scheme.graph, scheme.watch, pays)
 
 
 def assert_fast_paths_match(game, scheme, exact: bool):
@@ -900,11 +914,11 @@ def test_tables_the_cover_system_does_not_build_are_scanned(monkeypatch):
     watch, pays = list(scheme.watch), list(scheme.pays)
     watch[0], pays[0] = 0, first
     watch[4], pays[4] = 1 << 0, first
-    mixed = _RuleTableScheme(scheme.cover, watch, pays)
+    mixed = _RuleTableScheme(scheme.graph, watch, pays)
     # a whole-group edge paying 5 at count 0, which its own bit never lets it reach
     pays = list(scheme.pays)
     pays[2] = [Fraction(5), *pays[2][1:]]
-    unreachable = _RuleTableScheme(scheme.cover, scheme.watch, pays)
+    unreachable = _RuleTableScheme(scheme.graph, scheme.watch, pays)
     rows = AllocationScheme._rows
     scans = []
 
@@ -924,6 +938,45 @@ def test_tables_the_cover_system_does_not_build_are_scanned(monkeypatch):
     assert verify_pmas(game, scheme) == (True, None) and scans == []
 
 
+def test_cover_data_changed_after_building_is_not_trusted():
+    # the 3-star: its lone edge 0 pays nothing once the shared watch mask is cleared
+    cover = classify_components(star(3))[1]
+    scheme = cover.scheme()
+    cover.watch[0] = 0
+    assert scheme.allocation({0}) == {0: 0}
+    assert verify_pmas(VertexCoverGame(star(3)), scheme)[1].kind == "efficiency"
+    # pisces b-c with pendants {0, 4} at b and {2, 3} at c, free rider 1
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("b", "f")])
+    game = VertexCoverGame(g)
+
+    def watch(cover):
+        cover.watch[0] = 0
+
+    def pays(cover):
+        cover.pays[0][1] = Fraction(1, 3)  # the share row of every splitting edge
+        cover.pays[1][0] = Fraction(0)  # the free rider's row
+
+    def pendants(cover):
+        cover.components[0].pendants["b"] = (0,)
+
+    verdicts = []
+    for change in (watch, pays, pendants):
+        for orders in (None, {"b": (4, 0, 1), "c": (3, 2, 1)}):
+            cover = CoverSystem(g)
+            scheme = cover.scheme(orders)
+            change(cover)
+            verdict = verify_pmas(game, scheme)
+            assert verdict == reference_verify_pmas(game, scheme)
+            verdicts.append(verdict[1].kind if verdict[1] else True)
+    assert verdicts == ["efficiency", True, "efficiency", "efficiency", True, True]
+    # a P4 scheme handed the triangle, which has no cover system, is scanned
+    scheme = construct_pmas(p4())
+    scheme.graph = k3()
+    verdict = verify_pmas(VertexCoverGame(k3()), scheme)
+    assert verdict == reference_verify_pmas(VertexCoverGame(k3()), scheme)
+    assert verdict[1].kind == "efficiency"
+
+
 def test_overridden_allocation_is_what_gets_verified():
     class Raised(_RuleTableScheme):
         def allocation(self, coalition):
@@ -931,7 +984,7 @@ def test_overridden_allocation_is_what_gets_verified():
             return {**vec, 0: vec[0] + 1} if 0 in vec else vec
 
     scheme = construct_pmas(p4())
-    raised = Raised(scheme.cover, scheme.watch, scheme.pays)
+    raised = Raised(scheme.graph, scheme.watch, scheme.pays)
     ok, violation = verify_pmas(VertexCoverGame(p4()), raised)
     assert not ok and violation.kind == "efficiency" and violation.coalition == {0}
     assert raised.materialize()[frozenset({0})] == {0: 2}
@@ -942,7 +995,7 @@ def test_inexact_rule_table_payments_name_their_edge():
     scheme = construct_pmas(g)
     watch, pays = scheme.watch, list(scheme.pays)
     pays[0] = [0.5 if p == 1 else p for p in pays[0]]
-    bad = _RuleTableScheme(scheme.cover, watch, pays)
+    bad = _RuleTableScheme(scheme.graph, watch, pays)
     message = re.escape("payment of edge 0 on coalition [0] is 0.5, not an int or Fraction")
     for call in (bad.materialize, lambda: verify_pmas(VertexCoverGame(g), bad)):
         with pytest.raises(MalformedScheme, match=message):

@@ -191,6 +191,10 @@ def test_only_the_cover_system_builds_rule_tables():
     found = [(path.name, owner) for path in SOURCES
              for owner in callers(ast.parse(path.read_text(encoding="utf-8")), "_RuleTableScheme")]
     assert found == [("pmas.py", "CoverSystem"), ("pmas.py", "CoverSystem")]
+    # one decomposition of the graph into a cover system: CoverSystem(graph)
+    found = [(path.name, owner) for path in SOURCES
+             for owner in callers(ast.parse(path.read_text(encoding="utf-8")), "_classify")]
+    assert found == [("pmas.py", "recognize_population_monotonic"), ("pmas.py", "CoverSystem")]
 
 
 def test_caller_scan_sees_each_form():

@@ -97,7 +97,7 @@ def _parse_coalition(text: str, graph: Graph):
         indices = [_int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ContractViolation(f"bad coalition list {text!r}: {exc}") from exc
-    return _coalition(graph, indices)[0]
+    return _coalition(graph, indices)
 
 
 def _load_prefs(graph: Graph, path: str) -> PreferenceSystem:
@@ -281,10 +281,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = COMMANDS[args.command](args)
-    except VertexCoverGameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (VertexCoverGameError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:

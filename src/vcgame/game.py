@@ -91,7 +91,7 @@ class VertexCoverGame:
 
     def gamma(self, coalition) -> int:
         if self._table is not None:
-            return self._table[_coalition(self.graph, coalition)[1]]
+            return self._table[_coalition(self.graph, coalition)._mask]
         return _cover_size(self.graph, coalition, self.max_vertices)
 
     def cost_table(self, max_edges: int = DEFAULT_EDGE_CAP) -> list[int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import ContractViolation, GraphFormatError, OracleCapError
 
@@ -23,8 +23,6 @@ Coalition = frozenset[int]
 DEFAULT_VERTEX_CAP = 24
 
 PATTERNS = ("K3", "C4", "P4", "P5")
-
-_INTERNED: dict = {}  # n -> (all_coalitions(n), the bitmask of each of its members)
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,24 @@ class Graph:
         return w if v == u else u
 
     def players(self) -> Coalition:
-        return frozenset(range(len(self.edges)))
+        return _masked(range(len(self.edges)), (1 << len(self.edges)) - 1)
+
+
+class _MaskedCoalition(frozenset):
+    """A coalition whose int members are the set bits of _mask; it compares
+    and hashes as a frozenset, and only _masked builds one."""
+
+    __slots__ = ("_mask",)
+
+    def __reduce__(self):  # frozenset's own drops the slot before Python 3.11
+        return mask_coalition, (self._mask,)
+
+
+def _masked(members, mask: int) -> Coalition:
+    # frozenset's own constructor then a slot store: a Python-level __new__ costs twice as much
+    c = _MaskedCoalition(members)
+    c._mask = mask
+    return c
 
 
 def coalition_mask(coalition) -> int:
@@ -111,36 +126,33 @@ def coalition_mask(coalition) -> int:
 
 
 def mask_coalition(mask: int) -> Coalition:
+    """The coalition of a nonnegative int bitmask, carrying that mask."""
     if type(mask) is not int or mask < 0:
         raise ContractViolation(f"coalition mask {mask!r} is not a nonnegative int")
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return _masked([i for i in range(mask.bit_length()) if mask >> i & 1], mask)
 
 
+@lru_cache(maxsize=8)
 def all_coalitions(n: int) -> tuple[Coalition, ...]:
-    """Every coalition over n players, indexed by bitmask, interned per n with
-    each member's bitmask (for _coalition) so exhaustive scans share one
-    table; the last 8 sizes used are kept, as n = 16 alone holds 45 MiB."""
-    interned = _INTERNED.pop(n, None)
-    if interned is None:
-        coalitions = tuple(map(mask_coalition, range(1 << n)))
-        interned = coalitions, dict(zip(coalitions, range(1 << n)))
-        if len(_INTERNED) >= 8:
-            del _INTERNED[next(iter(_INTERNED))]
-    _INTERNED[n] = interned
-    return interned[0]
+    """Every coalition over n players, indexed by bitmask, so exhaustive scans
+    share one table; each carries its mask, and the last 8 sizes used are
+    kept, as n = 16 alone holds 47 MiB."""
+    return tuple(map(mask_coalition, range(1 << n)))
 
 
-def _require_edges(graph: Graph, s: Coalition) -> int:
-    """The bitmask of s; raise ContractViolation naming a member of s that is
-    not an int, else the smallest or largest index of s if it is not an edge."""
+def _coalition(graph: Graph, coalition) -> Coalition:
+    """The checked coalition of every per-coalition entry point, carrying its
+    bitmask as _mask: a coalition that mask_coalition, all_coalitions or
+    players() built is returned as is when its mask is within the graph's
+    edges; anything else is checked and rebuilt as one, or raises
+    ContractViolation naming a member that is not an int, else the smallest
+    or largest index if it is not an edge, else the smallest index repeated
+    in a sequence or iterator."""
     n = len(graph.edges)
+    if type(coalition) is _MaskedCoalition and not coalition._mask >> n:
+        return coalition
+    items = coalition if isinstance(coalition, (set, frozenset)) else tuple(coalition)
+    s = frozenset(items)
     mask = 0
     for i in s:
         if type(i) is not int:
@@ -150,26 +162,9 @@ def _require_edges(graph: Graph, s: Coalition) -> int:
     if mask.bit_count() != len(s):
         low = min(s)
         raise ContractViolation(f"edge index out of range: {low if low < 0 else max(s)}")
-    return mask
-
-
-def _coalition(graph: Graph, coalition) -> tuple[Coalition, int]:
-    """The checked coalition of every per-coalition entry point, as a frozenset
-    and its bitmask: read from an all_coalitions table already built for the
-    graph only for that very object (an equal frozenset may hold True), else
-    checked by _require_edges; a member repeated in a sequence or iterator
-    raises ContractViolation naming the smallest such index."""
-    interned = _INTERNED.get(len(graph.edges))
-    if interned is not None and type(coalition) is frozenset:
-        m = interned[1].get(coalition)
-        if m is not None and interned[0][m] is coalition:
-            return coalition, m
-    items = coalition if isinstance(coalition, (set, frozenset)) else tuple(coalition)
-    s = frozenset(items)
-    mask = _require_edges(graph, s)
     if len(s) != len(items):
         raise ContractViolation(f"repeated edge index: {min(i for i in s if items.count(i) > 1)}")
-    return s, mask
+    return _masked(s, mask)
 
 
 def _incidence(graph: Graph, order) -> dict[str, list[int]]:
@@ -223,7 +218,7 @@ def decompose(graph: Graph, coalition) -> list[ComponentClassification] | None:
     smallest edge index; None when some component is neither (it has a cycle
     or diameter above 3).
     """
-    return _shapes(graph, sorted(_coalition(graph, coalition)[0]))
+    return _shapes(graph, sorted(_coalition(graph, coalition)))
 
 
 def _shapes(graph: Graph, order: list[int]) -> list[ComponentClassification] | None:
@@ -293,7 +288,7 @@ def components(graph: Graph) -> list[Coalition]:
 
 def diameter(graph: Graph, comp) -> int:
     """Largest pairwise shortest-path distance inside one connected component."""
-    s = _coalition(graph, comp)[0]
+    s = _coalition(graph, comp)
     incident = _incidence(graph, s)
     if not s:
         raise ContractViolation("diameter of an empty edge set is undefined")
@@ -434,7 +429,7 @@ def _oracle_input(graph: Graph, coalition, max_vertices: int):
     """Both exact oracles' head: the coalition's ascending edge indices, their
     edge pairs, and None within the vertex cap, else the star/pisces shapes of
     the coalition subgraph, or OracleCapError when it is not a star/pisces forest."""
-    order = sorted(_coalition(graph, coalition)[0])
+    order = sorted(_coalition(graph, coalition))
     pairs = [graph.edges[i] for i in order]
     n = len({w for e in pairs for w in e})
     if n <= max_vertices:

@@ -66,7 +66,7 @@ def gale_shapley(ps: PreferenceSystem, coalition) -> Matching:
     proposal side does not affect the result.
     """
     graph = ps.graph
-    s = _coalition(graph, coalition)[0]
+    s = _coalition(graph, coalition)
     if not s:
         return frozenset()
     color = _two_color([graph.edges[i] for i in sorted(s)])
@@ -105,8 +105,8 @@ def is_stable(ps: PreferenceSystem, coalition, matching):
 
     Returns (True, None) or (False, first blocking edge by index).
     """
-    s = _coalition(ps.graph, coalition)[0]
-    m = _coalition(ps.graph, matching)[0]
+    s = _coalition(ps.graph, coalition)
+    m = _coalition(ps.graph, matching)
     if not m <= s:
         raise ContractViolation("matching must be a subset of the coalition")
     edges = ps.graph.edges

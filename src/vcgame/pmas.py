@@ -158,8 +158,8 @@ class CoverSystem:
     def cover_for(self, coalition) -> tuple[str, ...]:
         """Deterministic minimum cover of the coalition subgraph within the
         global cover, as a sorted label tuple: the vertices the rule charges."""
-        s, m = _coalition(self.graph, coalition)
-        watch, select, riders = self.watch, self.select, self.free_riders
+        s = _coalition(self.graph, coalition)
+        m, watch, select, riders = s._mask, self.watch, self.select, self.free_riders
         return tuple(sorted({select[i] for i in s if not (i in riders and m & watch[i])}))
 
     def scheme(self, orders=None) -> AllocationScheme:
@@ -199,14 +199,14 @@ class AllocationScheme:
         self.graph = graph
         self._table = {}
         for s, vec in table.items():
-            s = _coalition(graph, s)[0]
+            s = _coalition(graph, s)
             _require_int_keys(vec, MalformedScheme, s)
             self._table[s] = {i: v if type(v) is Fraction
                               else _exact_payment(v, MalformedScheme, i, s)
                               for i, v in vec.items()}
 
     def allocation(self, coalition) -> dict[int, Fraction]:
-        s = _coalition(self.graph, coalition)[0]
+        s = _coalition(self.graph, coalition)
         hit = self._table.get(s)
         if hit is not None:
             return hit
@@ -263,10 +263,10 @@ class _RuleTableScheme(AllocationScheme):
         self.pays = pays
 
     def allocation(self, coalition) -> dict[int, Fraction]:
-        s, m = _coalition(self.graph, coalition)
+        s = _coalition(self.graph, coalition)
         if not s:
             raise ContractViolation("the empty coalition has no allocation")
-        watch, pays = self.watch, self.pays
+        m, watch, pays = s._mask, self.watch, self.pays
         return {i: pays[i][(m & watch[i]).bit_count()] for i in s}
 
     def _reads_table(self) -> bool:
@@ -424,24 +424,25 @@ def _scaled_profile(graph: Graph, coalition, x):
     """Exact per-vertex loads of an allocation as integers over a common
     denominator; comparisons against 0/1 then reduce to integer arithmetic.
 
-    Returns (loads, den, total, feasible, mask, s) with loads[v]/den the true
+    Returns (loads, den, total, feasible, s) with loads[v]/den the true
     rational load at v, total/den the payment sum, feasible whether every
-    payment is nonnegative and every load at most one, and (s, mask) the
-    coalition as _coalition returns it.  Raises when a member or key is not
-    an int, an index is not an edge or x is not indexed by the coalition.
-    The last profile is returned again for the same graph object, the same
-    key and payment objects in order and its own coalition object or an equal
-    one that passes _coalition, so the three dual checks of one allocation
+    payment is nonnegative and every load at most one, and s the coalition
+    as _coalition returns it, carrying its bitmask.  Raises when a member or
+    key is not an int, an index is not an edge or x is not indexed by the
+    coalition.  The last profile is returned again for the same graph object,
+    the same key and payment objects in order and a coalition of the same
+    bitmask; the caller's own object is remembered when it is a frozenset,
+    which cannot change, so the three dual checks of one allocation gate and
     convert it once (False == 0 and 0.5 == Fraction(1, 2) must miss).
     """
     global _last_profile
     entries = [*x, *x.values()]  # a list: freed tuples would stay on the tuple free lists
     last = _last_profile
     if last is not None and last[0] is graph and last[1] is coalition:
-        s, mask = coalition, last[3][4]  # it passed _coalition when it was stored
+        s = last[3][4]  # it passed _coalition when it was stored
     else:
-        s, mask = _coalition(graph, coalition)
-    if (last is not None and last[0] is graph and (last[1] is s or last[1] == s)
+        s = _coalition(graph, coalition)
+    if (last is not None and last[0] is graph and last[3][4]._mask == s._mask
             and len(last[2]) == len(entries) and all(map(operator.is_, last[2], entries))):
         return last[3]
     if x.keys() != s:
@@ -478,7 +479,8 @@ def _scaled_profile(graph: Graph, coalition, x):
         if load > den:
             feasible = False
             break
-    _last_profile = graph, s, entries, (loads, den, total, feasible, mask, s)
+    remembered = coalition if type(coalition) is frozenset else s
+    _last_profile = graph, remembered, entries, (loads, den, total, feasible, s)
     return _last_profile[3]
 
 
@@ -491,9 +493,9 @@ def check_dual_feasible(graph: Graph, coalition, x) -> bool:
 def check_dual_optimal(game: VertexCoverGame, coalition, x) -> bool:
     """Dual feasibility plus total payment equal to the coalition cost
     (the dual optimum on the bipartite subgraphs in scope)."""
-    _, den, total, feasible, mask, s = _scaled_profile(game.graph, coalition, x)
+    _, den, total, feasible, s = _scaled_profile(game.graph, coalition, x)
     table = game._table  # read by mask when built, as gamma would read it
-    return feasible and total == (game.gamma(s) if table is None else table[mask]) * den
+    return feasible and total == (game.gamma(s) if table is None else table[s._mask]) * den
 
 
 def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
@@ -502,10 +504,10 @@ def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
     load at its selected vertex; an edge it does not charge (an accompanied
     free rider) must pay 0.  A cover system of another graph is refused."""
     _require_same_graph(graph, cover.graph, "cover system")
-    loads, den, _, feasible, m, s = _scaled_profile(graph, coalition, x)
+    loads, den, _, feasible, s = _scaled_profile(graph, coalition, x)
     if not feasible:
         return False
-    watch, select, riders = cover.watch, cover.select, cover.free_riders
+    m, watch, select, riders = s._mask, cover.watch, cover.select, cover.free_riders
     for i in s:
         if i in riders and m & watch[i]:
             if x[i] != 0:

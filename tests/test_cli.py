@@ -292,6 +292,19 @@ def test_repeated_coalition_index_errors(graph_file, capsys):
     assert code == 2 and out == "" and err == "error: repeated edge index: 0\n"
 
 
+@pytest.mark.parametrize("kind", ["graph", "prefs", "scheme"])
+def test_input_file_that_is_not_utf8_errors(graph_file, capsys, tmp_path, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a b\n\xff\n")
+    gpath = graph_file("g.txt", P4)
+    argv = {"graph": ("classify", "--input", str(bad)),
+            "prefs": ("construct", "--input", gpath, "--prefs", str(bad)),
+            "scheme": ("verify", "--input", gpath, str(bad))}[kind]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"
+
+
 def test_output_file_writing(graph_file, capsys, tmp_path):
     out_path = tmp_path / "result.json"
     code, out, _ = run(capsys, "count", "--input", graph_file("g.txt", STAR2),

@@ -1,8 +1,10 @@
 """Recognition, classification, the constructive scheme, the exhaustive
 verifier, and the dual-side certificates."""
 
+import copy
 import gc
 import json
+import pickle
 import random
 import re
 import tracemalloc
@@ -14,7 +16,8 @@ import pytest
 from vcgame.errors import (ContractViolation, MalformedScheme,
                            NotPopulationMonotonic, OracleCapError)
 from vcgame.game import VertexCoverGame, mask_coalition
-from vcgame.graph import (_INTERNED, Graph, _coalition, all_coalitions, coalition_mask, decompose,
+import vcgame.pmas
+from vcgame.graph import (Graph, _coalition, all_coalitions, coalition_mask, decompose,
                           diameter, find_forbidden_subgraph, matching_number,
                           vertex_cover_number)
 from vcgame.matching import (PreferenceSystem, enumerate_integral_pmas, gale_shapley,
@@ -214,7 +217,8 @@ def test_every_entry_point_names_the_same_out_of_range_index():
                        (frozenset({2, 1.0}), "edge key 1.0 is not an int"),
                        (frozenset({0, "a"}), "edge key 'a' is not an int"),
                        ([True], "edge key True is not an int"),
-                       ([0, 0], "repeated edge index: 0")):
+                       ([0, 0], "repeated edge index: 0"),
+                       (mask_coalition(1 << 20), "edge index out of range: 20")):
         x = {i: Fraction(0) for i in s}
         calls = [lambda: vertex_cover_number(g, s),
                  lambda: matching_number(g, s),
@@ -251,29 +255,52 @@ def pisces16() -> Graph:
 
 
 def test_coalition_gate_matches_the_plain_conversion():
-    # every form of every coalition: interned, equal but another object, set, list
+    # every form of every coalition: built from its mask, an equal plain frozenset, set, list
     for g in [star(n) for n in range(1, 7)] + [pisces16()]:
         coalitions = all_coalitions(g.n_edges)
         for c in coalitions:
-            expected = (frozenset(c), coalition_mask(c))
-            assert _coalition(g, c) == expected and _coalition(g, c)[0] is c
+            mask = coalition_mask(c)
+            assert c._mask == mask and _coalition(g, c) is c
             for form in (frozenset(sorted(c)), set(c), sorted(c), iter(sorted(c))):
-                assert _coalition(g, form) == expected
+                checked = _coalition(g, form)
+                assert checked == c and checked._mask == mask
 
 
 def test_coalition_gate_builds_no_coalition_table():
     g = pisces16()
     _, cover = classify_components(g)
     game = VertexCoverGame(g)
-    saved = _INTERNED.pop(g.n_edges, None)  # n = 16 may be interned by an earlier test
-    try:
-        sizes = list(_INTERNED)
-        assert game.gamma(frozenset({0, 3, 15})) == 2
-        assert cover.cover_for([0, 3, 15]) == ("b1", "b2")
-        assert list(_INTERNED) == sizes
-    finally:
-        if saved is not None:
-            _INTERNED[g.n_edges] = saved
+    before = all_coalitions.cache_info()
+    assert game.gamma(frozenset({0, 3, 15})) == 2
+    assert cover.cover_for([0, 3, 15]) == ("b1", "b2")
+    assert all_coalitions.cache_info() == before
+
+
+def test_coalitions_the_library_built_pass_the_gate_as_they_are():
+    g, small = pisces16(), star(3)
+    built = [mask_coalition(0b1001), all_coalitions(g.n_edges)[0b1011], g.players(),
+             small.players(), *all_coalitions(small.n_edges)]
+    for c in built:
+        assert _coalition(g, c) is c
+    for c in built[3:]:  # built for 3 edges, read as they are on 16
+        assert _coalition(small, c) is c
+    assert repr(mask_coalition(5)) == "_MaskedCoalition({0, 2})"
+    assert mask_coalition(5) == frozenset({0, 2})
+    assert hash(mask_coalition(5)) == hash(frozenset({0, 2}))
+
+
+def test_copied_and_pickled_tables_keep_each_coalitions_mask():
+    g = p4()
+    game = VertexCoverGame(g)
+    integral = scheme_from_preferences(PreferenceSystem(g, {"b": (0, 1), "c": (2, 1)}))
+    for scheme in (construct_pmas(g), integral):
+        table = scheme.materialize()
+        table[frozenset({0, 1})] = {0: Fraction(1), 1: Fraction(1)}  # not a PMAS: efficiency fails
+        for copied in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            for s in copied:
+                assert s._mask == coalition_mask(s) and _coalition(g, s) is s
+            assert (verify_pmas(game, AllocationScheme(g, table=copied))
+                    == verify_pmas(game, AllocationScheme(g, table=table)))
 
 
 # --- construction ---------------------------------------------------------------------
@@ -641,7 +668,7 @@ def test_profile_hits_for_any_form_of_the_same_coalition():
     expected = (reference_dual_feasible(g, s, x), reference_dual_optimal(VertexCoverGame(g), s, x),
                 reference_pi_star(g, s, x, cover))
     profile = _scaled_profile(g, s, x)
-    assert profile[4] == 0b1011
+    assert profile[4]._mask == 0b1011
     for form in (s, frozenset(sorted(s)), set(s), sorted(s)):
         assert _scaled_profile(g, form, x) is profile  # a hit, with the same mask
         assert (check_dual_feasible(g, form, x), check_dual_optimal(game, form, x),
@@ -649,6 +676,20 @@ def test_profile_hits_for_any_form_of_the_same_coalition():
     # the same payment objects under another coalition of the same size miss
     with pytest.raises(ContractViolation, match="indexed by the coalition"):
         check_dual_feasible(g, {0, 1, 2}, x)
+
+
+def test_dual_checks_gate_a_callers_frozenset_once(monkeypatch):
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("b", "d"), ("c", "e")])
+    game = VertexCoverGame(g)
+    game.cost_table()
+    _, cover = classify_components(g)
+    s = frozenset({0, 1, 3})
+    x = construct_pmas(g).allocation(s)
+    gate, seen = vcgame.pmas._coalition, []
+    monkeypatch.setattr(vcgame.pmas, "_coalition", lambda graph, c: seen.append(c) or gate(graph, c))
+    assert (check_dual_feasible(g, s, x), check_dual_optimal(game, s, x),
+            check_pi_star(g, s, x, cover)) == (True, True, True)
+    assert len(seen) == 1 and seen[0] is s
 
 
 def test_a_raising_check_keeps_no_profile():

@@ -156,13 +156,14 @@ def referrers(tree: ast.Module, name: str):
 
 
 def test_only_the_coalition_gate_checks_and_masks_coalitions():
-    # every per-coalition entry point reads (frozenset, bitmask) from graph._coalition
+    # every per-coalition entry point reads its checked coalition, carrying its bitmask,
+    # from graph._coalition; only coalitions the gate checked or built from a mask carry one
     found = sorted(((path.name, name, owner) for path in SOURCES
-                    for name in ("_require_edges", "coalition_mask")
+                    for name in ("_masked", "coalition_mask")
                     for owner in referrers(ast.parse(path.read_text(encoding="utf-8")), name)),
                    key=str)
-    assert found == [("__init__.py", "coalition_mask", None),
-                     ("graph.py", "_require_edges", "_coalition")]
+    assert found == [("__init__.py", "coalition_mask", None), ("graph.py", "_masked", "Graph"),
+                     ("graph.py", "_masked", "_coalition"), ("graph.py", "_masked", "mask_coalition")]
 
 
 def test_referrer_scan_sees_each_form():

@@ -11,9 +11,9 @@ from .errors import (ContractViolation, EnumerationTruncated, GraphFormatError,
 from .game import (VertexCoverGame, core_element_from_matching, core_membership,
                    is_balanced, is_monotone_game, is_submodular_game, is_submodular_graph,
                    is_totally_balanced)
-from .graph import (Coalition, ComponentClassification, Graph, coalition_mask, components,
-                    diameter, find_forbidden_subgraph, is_bipartite, mask_coalition,
-                    matching_number, parse_graph, vertex_cover_number)
+from .graph import (Coalition, ComponentClassification, Graph, components, diameter,
+                    find_forbidden_subgraph, is_bipartite, mask_coalition, matching_number,
+                    parse_graph, vertex_cover_number)
 from .matching import (Matching, PreferenceSystem, count_integral_pmas,
                        enumerate_integral_pmas, gale_shapley, is_stable,
                        preferences_from_scheme, scheme_from_preferences)
@@ -28,9 +28,8 @@ __all__ = [
     "MalformedScheme", "Matching", "NotBalanced", "NotIntegralScheme",
     "NotPopulationMonotonic", "OracleCapError", "PreferenceSystem",
     "UnsupportedInstance", "VertexCoverGame", "VertexCoverGameError", "Violation",
-    "check_dual_feasible", "check_dual_optimal", "check_pi_star",
-    "classify_components", "coalition_mask", "components",
-    "construct_pmas", "core_element_from_matching", "core_membership",
+    "check_dual_feasible", "check_dual_optimal", "check_pi_star", "classify_components",
+    "components", "construct_pmas", "core_element_from_matching", "core_membership",
     "count_integral_pmas", "diameter", "enumerate_integral_pmas",
     "find_forbidden_subgraph", "fraction_str", "gale_shapley", "is_balanced",
     "is_bipartite", "is_monotone_game", "is_stable", "is_submodular_game",

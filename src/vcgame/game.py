@@ -4,9 +4,9 @@ number of its induced subgraph.
 Cost allocations are plain dicts mapping edge index to an exact Fraction.
 Exhaustive verdicts (monotonicity, submodularity, core membership) run off a
 full cost table computed by a bitmask recursion over edge subsets; the table
-is only built below the configured edge cap.  Until it is built, coalition
-costs come from a size-only cover search, which builds no witness and
-handles star/pisces forests of any size structurally.
+is only built below the configured edge cap.  Until it is built, a star/pisces
+forest's coalition costs the vertices its cover rule charges, and any other
+coalition's cost comes from a size-only cover search that builds no witness.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import ContractViolation, NotBalanced, OracleCapError
-from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, _coalition, _cover_size,
+from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, _charged, _coalition, _cover_size,
                     find_forbidden_subgraph, is_bipartite, mask_coalition, matching_number)
 
 DEFAULT_EDGE_CAP = 16
@@ -75,9 +75,9 @@ def _full_cost_table(graph: Graph) -> list[int]:
 
 
 class VertexCoverGame:
-    """Characteristic function wrapper: coalition costs are read from the
-    cost table once it is built, else asked of the size-only cover search
-    under the game's vertex cap; nothing is kept per coalition."""
+    """Characteristic function wrapper: coalition costs are read from the cost
+    table once it is built, else counted from the graph's star/pisces structure,
+    else asked of the size-only cover search under the game's vertex cap."""
 
     def __init__(self, graph: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
         self.graph = graph
@@ -92,6 +92,8 @@ class VertexCoverGame:
     def gamma(self, coalition) -> int:
         if self._table is not None:
             return self._table[_coalition(self.graph, coalition)._mask]
+        if self.graph._structure is not None:
+            return len(_charged(self.graph, _coalition(self.graph, coalition)))
         return _cover_size(self.graph, coalition, self.max_vertices)
 
     def cost_table(self, max_edges: int = DEFAULT_EDGE_CAP) -> list[int]:

@@ -6,12 +6,13 @@ edge-induced subgraph of a coalition.  The exact engines are deliberately
 small: branch-and-bound search below a configurable vertex cap, with a
 structural shortcut above it for star/pisces forests (trees of diameter at
 most 3), where minimum covers and maximum matchings are read off the shapes
-that ``decompose`` finds.
+that ``decompose`` finds.  Recognition, the cover system and the game's
+costs all read one private structure that each graph decomposes once.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -100,6 +101,28 @@ class Graph:
     def players(self) -> Coalition:
         return _masked(range(len(self.edges)), (1 << len(self.edges)) - 1)
 
+    @cached_property
+    def _structure(self) -> _Structure | None:
+        """The graph's star/pisces shapes, sorted global cover, per-edge watch masks and
+        selected vertices (as CoverSystem describes them) and free riders, or None when it
+        is not a star/pisces forest; made on first use, never handed out (callers copy)."""
+        shapes = _shapes(self, range(len(self.edges)))
+        if shapes is None:
+            return None
+        watch = [0] * len(self.edges)
+        select: list[str | None] = [None] * len(self.edges)
+        for c in shapes:
+            group = {v: sum(1 << i for i in es) for v, es in c.pendants.items()}
+            for v, es in c.pendants.items():
+                for i in es:
+                    watch[i], select[i] = group[v], v
+            if c.free_rider is not None:
+                b1, b2 = c.cover
+                watch[c.free_rider], select[c.free_rider] = group[b1] | group[b2], b1
+        riders = frozenset(c.free_rider for c in shapes) - {None}
+        cover = tuple(sorted(v for c in shapes for v in c.cover))
+        return _Structure(tuple(shapes), cover, tuple(watch), tuple(select), riders)
+
 
 class _MaskedCoalition(frozenset):
     """A coalition whose int members are the set bits of _mask; it compares
@@ -116,13 +139,6 @@ def _masked(members, mask: int) -> Coalition:
     c = _MaskedCoalition(members)
     c._mask = mask
     return c
-
-
-def coalition_mask(coalition) -> int:
-    mask = 0
-    for i in coalition:
-        mask |= 1 << i
-    return mask
 
 
 def mask_coalition(mask: int) -> Coalition:
@@ -178,22 +194,23 @@ def _incidence(graph: Graph, order) -> dict[str, list[int]]:
 
 
 def _edge_components(graph: Graph, order, incident) -> list[Coalition]:
-    """Edge sets of the components that the edges of order (ascending) span,
-    ordered by smallest edge index; incident maps their vertices to their edges."""
-    seen: set[int] = set()
+    """Edge sets of the components that the edges of order (ascending) span, ordered
+    by smallest edge index, in linear time; incident maps their vertices to their edges."""
+    edges = graph.edges
+    marked: set[str] = set()
     out: list[Coalition] = []
     for start in order:
-        if start in seen:
+        if edges[start][0] in marked:
             continue
-        seen.add(start)
-        comp = [start]
-        for i in comp:  # breadth first: comp grows while it is read
-            for v in graph.edges[i]:
-                for j in incident[v]:
-                    if j not in seen:
-                        seen.add(j)
-                        comp.append(j)
-        out.append(frozenset(comp))
+        reached = list(edges[start])
+        marked.update(reached)
+        for v in reached:  # breadth first: reached grows while it is read
+            for i in incident[v]:
+                for w in edges[i]:
+                    if w not in marked:
+                        marked.add(w)
+                        reached.append(w)
+        out.append(frozenset(i for v in reached for i in incident[v]))
     return out
 
 
@@ -211,6 +228,17 @@ class ComponentClassification:
     cover: tuple[str, ...]
     free_rider: int | None
     pendants: dict[str, tuple[int, ...]]
+
+
+_Structure = namedtuple("_Structure", "shapes cover watch select free_riders")
+
+
+def _charged(graph: Graph, s: Coalition) -> set[str]:
+    """The vertices the rule charges on a checked coalition of a star/pisces forest, a
+    minimum cover: each edge's selected vertex but an accompanied free rider's."""
+    structure = graph._structure
+    m, watch, select, riders = s._mask, structure.watch, structure.select, structure.free_riders
+    return {select[i] for i in s if not (i in riders and m & watch[i])}
 
 
 def decompose(graph: Graph, coalition) -> list[ComponentClassification] | None:

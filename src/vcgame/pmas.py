@@ -32,14 +32,14 @@ import json
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
 from .game import (DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, _numerators,
                    _require_int_keys)
-from .graph import Coalition, Graph, _coalition, all_coalitions, decompose, find_forbidden_subgraph
+from .graph import Coalition, Graph, _charged, _coalition, all_coalitions, find_forbidden_subgraph
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -51,23 +51,16 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _classify(graph: Graph):
-    """All component shapes, or a forbidden-subgraph witness."""
-    shapes = decompose(graph, graph.players())
-    if shapes is not None:
-        return shapes, None
+def recognize_population_monotonic(graph: Graph):
+    """(True, None) when the graph's own structure has every component a star
+    or pisces, else (False, (pattern, vertex sequence)) with a concrete forbidden subgraph."""
+    if graph._structure is not None:
+        return True, None
     for pattern in FORBIDDEN:
         witness = find_forbidden_subgraph(graph, pattern)
         if witness is not None:
-            return None, (pattern, witness)
+            return False, (pattern, witness)
     raise AssertionError("graph is not star/pisces but has no forbidden subgraph")
-
-
-def recognize_population_monotonic(graph: Graph):
-    """(True, None) when every component is a star or pisces, else
-    (False, (pattern, vertex sequence)) with a concrete forbidden subgraph."""
-    shapes, witness = _classify(graph)
-    return witness is None, witness
 
 
 def classify_components(graph: Graph):
@@ -109,9 +102,9 @@ def _checked_orders(graph: Graph, orders) -> dict[str, tuple[int, ...]]:
 
 class CoverSystem:
     """The graph's global minimum cover made of centers and bases, and the
-    rule-table schemes over it.  CoverSystem(graph) decomposes the graph
-    itself and raises NotPopulationMonotonic (with the witness) when it is
-    not a star/pisces forest.
+    rule-table schemes over it, copied from the graph's own star/pisces structure,
+    which no change to them reaches.  CoverSystem(graph) raises NotPopulationMonotonic
+    (with the witness) when the graph is not a star/pisces forest.
 
     The constructive rule is one per-edge table: edge i watches the bitmask
     watch[i], pays pays[i][k] in a coalition with k edges in it, and is
@@ -127,40 +120,26 @@ class CoverSystem:
     """
 
     def __init__(self, graph: Graph) -> None:
-        self.components, witness = _classify(graph)
-        if witness is not None:
-            raise NotPopulationMonotonic(*witness)
+        structure = graph._structure
+        if structure is None:
+            raise NotPopulationMonotonic(*recognize_population_monotonic(graph)[1])
         self.graph = graph
-        self.cover = tuple(sorted(v for c in self.components for v in c.cover))
-        group = {v: sum(1 << i for i in es) for c in self.components
-                 for v, es in c.pendants.items()}
-        widest = max((m.bit_count() for m in group.values()), default=1)
+        self.components = [replace(c, pendants=dict(c.pendants)) for c in structure.shapes]
+        self.cover = structure.cover
+        self.watch = list(structure.watch)
+        self.select = list(structure.select)
+        self.free_riders = structure.free_riders
+        widest = max((len(es) for c in structure.shapes for es in c.pendants.values()), default=1)
         # shared Fractions, one list for every splitting edge: numerators over
         # lcm(1..widest) would have hundreds of digits on a large pisces
         shares = [ZERO] + [Fraction(1, k) for k in range(1, widest + 1)]
         rider_pays = [ONE] + [ZERO] * (2 * widest)
-        n = graph.n_edges
-        self.watch = [0] * n
-        self.pays = [shares] * n
-        self.select = [None] * n
-        for c in self.components:
-            for v, es in c.pendants.items():
-                for i in es:
-                    self.watch[i] = group[v]
-                    self.select[i] = v
-            if c.free_rider is not None:
-                b1, b2 = c.cover
-                self.watch[c.free_rider] = group[b1] | group[b2]
-                self.pays[c.free_rider] = rider_pays
-                self.select[c.free_rider] = b1
-        self.free_riders = frozenset(c.free_rider for c in self.components) - {None}
+        self.pays = [rider_pays if i in self.free_riders else shares for i in range(graph.n_edges)]
 
     def cover_for(self, coalition) -> tuple[str, ...]:
-        """Deterministic minimum cover of the coalition subgraph within the
-        global cover, as a sorted label tuple: the vertices the rule charges."""
-        s = _coalition(self.graph, coalition)
-        m, watch, select, riders = s._mask, self.watch, self.select, self.free_riders
-        return tuple(sorted({select[i] for i in s if not (i in riders and m & watch[i])}))
+        """Deterministic minimum cover of the coalition subgraph within the global
+        cover, as a sorted label tuple: the vertices the graph's structure charges."""
+        return tuple(sorted(_charged(self.graph, _coalition(self.graph, coalition))))
 
     def scheme(self, orders=None) -> AllocationScheme:
         """The constructive scheme, or with per-vertex orders (most preferred
@@ -297,17 +276,14 @@ class _RuleTableScheme(AllocationScheme):
                 for m in range(1, len(coalitions))}
 
     def _is_pmas_by_shape(self) -> bool:
-        """Whether _reads_table() holds and the table is one that the graph's
-        own cover system, CoverSystem(self.graph) built afresh, builds: its
-        constructive table, or the integral one for the orders the watch masks
-        rank (free riders last), on every count a mask reaches.  Both are
-        PMASes by the paper's construction; False decides nothing."""
-        if not self._reads_table():
+        """Whether _reads_table() holds and the table is one that the graph's own cover
+        system, CoverSystem(self.graph) built afresh, builds: its constructive table, or the
+        integral one for the orders the watch masks rank (free riders last), on every count
+        a mask reaches.  Both are PMASes by the paper's construction; False decides nothing,
+        and a graph that is not a star/pisces forest gives it without a witness search."""
+        if not self._reads_table() or self.graph._structure is None:
             return False
-        try:
-            cover = CoverSystem(self.graph)
-        except NotPopulationMonotonic:
-            return False
+        cover = CoverSystem(self.graph)
         watch = self.watch
         orders = None if watch == cover.watch else {
             v: (*sorted(es, key=watch.__getitem__), *{c.free_rider} - {None})

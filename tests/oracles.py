@@ -7,9 +7,10 @@ and core membership by Fraction scans, and the constructive rule, its
 selector and the pi* check by one split per coalition.  The only library
 pieces used are the data types, the cover system's component shapes and,
 for the integral-scheme search, the final verify_pmas filter that the search
-is defined against.  Five earlier library implementations are kept as
+is defined against.  Six earlier library implementations are kept as
 references for differential tests: the coalition split that grouped edges by
-anchor, the forbidden-pattern search with its own K3 and C4 loops, the
+anchor, the component search that rescanned a vertex's edges once per edge
+there, the forbidden-pattern search with its own K3 and C4 loops, the
 stability scan with a per-vertex rank cache, the integral scheme that ran
 deferred acceptance per coalition, and core membership on Fraction sums.
 The dual checks keep their Fraction semantics here too, as references for
@@ -264,6 +265,27 @@ def brute_stable_matchings(ps: PreferenceSystem, coalition):
 
 
 # --- earlier library implementations, kept as references ------------------------------
+
+
+def reference_edge_components(graph: Graph, order, incident) -> list[frozenset[int]]:
+    """Edge sets of the components that the edges of order (ascending) span,
+    ordered by smallest edge index, found by reading every incident list once
+    per edge at its vertex (quadratic in a vertex's degree)."""
+    seen: set[int] = set()
+    out: list[frozenset[int]] = []
+    for start in order:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for i in comp:  # breadth first: comp grows while it is read
+            for v in graph.edges[i]:
+                for j in incident[v]:
+                    if j not in seen:
+                        seen.add(j)
+                        comp.append(j)
+        out.append(frozenset(comp))
+    return out
 
 
 def reference_forbidden_subgraph(graph: Graph, pattern: str):

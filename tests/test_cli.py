@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vcgame import pmas
+import vcgame.graph
 from vcgame.cli import main
 
 P4 = "a b\nb c\nc d\n"
@@ -58,13 +58,14 @@ def test_classify_text_format(graph_file, capsys):
 
 def test_classify_decomposes_once(graph_file, capsys, monkeypatch):
     calls = []
-    real = pmas.decompose
+    real = vcgame.graph._shapes
 
-    def counting(graph, coalition):
-        calls.append(coalition)
-        return real(graph, coalition)
+    def counting(graph, order):
+        if len(order) == graph.n_edges:
+            calls.append(order)
+        return real(graph, order)
 
-    monkeypatch.setattr(pmas, "decompose", counting)
+    monkeypatch.setattr(vcgame.graph, "_shapes", counting)
     code, _, _ = run(capsys, "classify", "--input", graph_file("g.txt", P4))
     assert code == 0 and len(calls) == 1
 

@@ -10,12 +10,14 @@ from fractions import Fraction
 import pytest
 
 import vcgame
+import vcgame.game
 import vcgame.graph
 from vcgame.errors import ContractViolation, NotBalanced, OracleCapError
 from vcgame.game import (VertexCoverGame, core_element_from_matching, core_membership,
                          is_balanced, is_monotone_game, is_submodular_game, is_submodular_graph,
                          is_totally_balanced, mask_coalition)
 from vcgame.graph import Graph, vertex_cover_number
+from vcgame.pmas import CoverSystem, recognize_population_monotonic
 
 from oracles import (atlas_graphs, large_star_pisces_forests, random_graph,
                      reference_core_membership)
@@ -99,6 +101,46 @@ def test_gamma_builds_no_witness(monkeypatch):
     assert VertexCoverGame(pisces).gamma(small) == 2
     assert VertexCoverGame(pisces).gamma(pisces.players()) == 2
     assert VertexCoverGame(pisces, max_vertices=0).gamma(small) == 2
+
+
+def test_gamma_counts_the_rule_cover_on_star_pisces_graphs():
+    # every coalition of every population-monotonic atlas graph, under the default
+    # vertex cap and none: the vertices the rule charges, as cover_for lists them
+    # (test_gamma_and_table_agree_with_oracle covers the forests above both caps)
+    checked = 0
+    for g in atlas_graphs():
+        if not recognize_population_monotonic(g)[0]:
+            continue
+        checked += 1
+        cover = CoverSystem(g)
+        games = [VertexCoverGame(g), VertexCoverGame(g, max_vertices=0)]
+        for mask in range(1 << g.n_edges):
+            s = mask_coalition(mask)
+            expected = vertex_cover_number(g, s)[0]
+            assert [game.gamma(s) for game in games] == [expected, expected]
+            assert len(cover.cover_for(s)) == expected
+    assert checked == 61
+
+
+def test_gamma_on_star_pisces_graphs_reaches_neither_search_nor_shapes(monkeypatch):
+    calls = []
+    cover_size, shapes = vcgame.game._cover_size, vcgame.graph._shapes
+    monkeypatch.setattr(vcgame.game, "_cover_size",
+                        lambda *args: calls.append("search") or cover_size(*args))
+    monkeypatch.setattr(vcgame.graph, "_shapes",
+                        lambda *args: calls.append("shapes") or shapes(*args))
+    rng = random.Random(2104)
+    for g in [p4(), star(5)] + large_star_pisces_forests(rng, 3):
+        games = [VertexCoverGame(g, max_vertices=cap) for cap in (0, 24, g.n_vertices)]
+        assert games[0].gamma(g.players()) == vertex_cover_number(g, g.players())[0]
+        calls.clear()  # the first call decomposed the whole graph, once
+        for _ in range(20):
+            s = frozenset(i for i in range(g.n_edges) if rng.random() < 0.5)
+            assert len({game.gamma(s) for game in games}) == 1
+        assert calls == []
+    # any other graph still asks the size-only search, under its vertex cap
+    assert VertexCoverGame(c4()).gamma({0, 1, 2}) == 2
+    assert calls == ["shapes", "search"]
 
 
 def test_mask_coalition_takes_only_nonnegative_ints():

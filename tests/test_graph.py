@@ -8,13 +8,15 @@ import pytest
 import vcgame.graph
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
 from vcgame.game import VertexCoverGame
-from vcgame.graph import (PATTERNS, Graph, _incidence, components, decompose, diameter,
-                          find_forbidden_subgraph, is_bipartite, matching_number,
-                          parse_graph, vertex_cover_number)
+from vcgame.graph import (PATTERNS, Graph, _edge_components, _incidence, components,
+                          decompose, diameter, find_forbidden_subgraph, is_bipartite,
+                          matching_number, parse_graph, vertex_cover_number)
+from vcgame.pmas import CoverSystem, recognize_population_monotonic
 
 from oracles import (all_pm_graphs_up_to, atlas_graphs, brute_cover_number,
                      brute_matching_number, large_star_pisces_forests, random_bipartite_graph,
-                     random_graph, reference_forbidden_subgraph)
+                     random_graph, random_star_pisces_forest, reference_edge_components,
+                     reference_forbidden_subgraph)
 
 
 def k3() -> Graph:
@@ -120,6 +122,36 @@ def test_diameter_matches_networkx_on_atlas():
 def test_incidence_maps_coalition_vertices_to_their_edges():
     assert _incidence(p5(), [0, 3]) == {"a": [0], "b": [0], "d": [3], "e": [3]}
     assert _incidence(p5(), [1, 2]) == {"b": [1], "c": [1, 2], "d": [2]}
+
+
+def test_component_search_matches_the_quadratic_reference():
+    # random general graphs and star/pisces forests, each on random ascending sub-orders
+    rng = random.Random(2101)
+    graphs = [random_graph(rng, max_edges=12) for _ in range(150)]
+    graphs += [random_star_pisces_forest(rng, max_edges=30) for _ in range(150)]
+    for g in graphs:
+        for p in (0.3, 0.7, 1.0):
+            order = [i for i in range(g.n_edges) if rng.random() < p]
+            incident = _incidence(g, order)
+            assert (_edge_components(g, order, incident)
+                    == reference_edge_components(g, order, incident))
+
+
+def test_large_star_and_pisces_decompose_once_in_linear_time():
+    # quadratic in a center's degree, the old component search took seconds per call here;
+    # the cover number is the cover-vertex count (1 for a star, 2 for a pisces)
+    k = 10_000
+    star_edges = [("hub", f"x{j}") for j in range(k)]
+    pisces_edges = [("b1", "b2")] + [(b, f"{b}-{j}") for b in ("b1", "b2") for j in range(k // 2)]
+    for edges, cover in ((star_edges, ("hub",)), (pisces_edges, ("b1", "b2"))):
+        g = Graph.from_edges(edges)
+        assert g.n_edges >= k
+        assert recognize_population_monotonic(g) == (True, None)
+        system = CoverSystem(g)
+        assert system.cover == cover and [c.kind for c in system.components] == [
+            "star" if len(cover) == 1 else "pisces"]
+        game = VertexCoverGame(g)
+        assert game.gamma(g.players()) == game.gamma({1, g.n_edges - 1}) == len(cover)
 
 
 def test_decompose_reads_any_iterable_of_edge_indices():

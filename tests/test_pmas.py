@@ -16,12 +16,13 @@ import pytest
 from vcgame.errors import (ContractViolation, MalformedScheme,
                            NotPopulationMonotonic, OracleCapError)
 from vcgame.game import VertexCoverGame, mask_coalition
+import vcgame.graph
 import vcgame.pmas
-from vcgame.graph import (Graph, _coalition, all_coalitions, coalition_mask, decompose,
-                          diameter, find_forbidden_subgraph, matching_number,
-                          vertex_cover_number)
-from vcgame.matching import (PreferenceSystem, enumerate_integral_pmas, gale_shapley,
-                             is_stable, scheme_from_preferences)
+from vcgame.graph import (Graph, _coalition, all_coalitions, decompose, diameter,
+                          find_forbidden_subgraph, matching_number, vertex_cover_number)
+from vcgame.matching import (PreferenceSystem, count_integral_pmas, enumerate_integral_pmas,
+                             gale_shapley, is_stable, preferences_from_scheme,
+                             scheme_from_preferences)
 from vcgame.pmas import (AllocationScheme, CoverSystem, _RuleTableScheme, _scaled_profile,
                          check_dual_feasible, check_dual_optimal, check_pi_star,
                          classify_components, construct_pmas, fraction_str,
@@ -249,6 +250,67 @@ def test_every_entry_point_names_the_same_out_of_range_index():
             call()
 
 
+def test_one_graph_is_decomposed_once_by_every_entry_point(monkeypatch):
+    # recognition, the cover system, the shape check, counting, enumeration and
+    # preference recovery all read the structure the graph decomposed once
+    whole = []
+    shapes = vcgame.graph._shapes
+
+    def counting(graph, order):
+        if len(order) == graph.n_edges:
+            whole.append(graph)
+        return shapes(graph, order)
+
+    monkeypatch.setattr(vcgame.graph, "_shapes", counting)
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("b", "f"), ("x", "y")])
+    game = VertexCoverGame(g)
+    assert recognize_population_monotonic(g) == (True, None)
+    comps, cover = classify_components(g)
+    assert verify_pmas(game, construct_pmas(g)) == (True, None)
+    schemes = list(enumerate_integral_pmas(g))
+    assert count_integral_pmas(g) == len(schemes) == 4
+    for scheme in schemes:
+        assert verify_pmas(game, scheme) == (True, None)
+        assert scheme_from_preferences(preferences_from_scheme(game, scheme)).watch == scheme.watch
+    assert game.gamma(g.players()) == len(cover.cover_for(g.players())) == 3
+    assert whole == [g]
+    # another graph object, even an equal one, decomposes itself
+    assert recognize_population_monotonic(Graph.from_edges(g.edges)) == (True, None)
+    assert len(whole) == 2
+
+
+def test_graph_copies_and_pickles_with_its_structure_built():
+    for g in (p4(), k3(), star(3)):
+        recognize_population_monotonic(g)
+        assert "_structure" in vars(g)
+        for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert copied == g
+            assert (recognize_population_monotonic(copied)
+                    == recognize_population_monotonic(g))
+            assert (VertexCoverGame(copied).gamma(copied.players())
+                    == vertex_cover_number(g, g.players())[0])
+    cover = CoverSystem(pickle.loads(pickle.dumps(p4())))
+    assert cover.components == decompose(p4(), p4().players()) and cover.cover == ("b", "c")
+
+
+def test_a_changed_cover_system_does_not_reach_the_graphs_structure():
+    # pisces b-c with pendants {0, 4} at b and {2, 3} at c, free rider 1
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("b", "f")])
+    reference = decompose(g, g.players())
+    changed = CoverSystem(g)
+    changed.components[0].pendants["b"] = (0,)
+    changed.components[0].pendants.pop("c")
+    changed.components.append(changed.components[0])
+    changed.watch[0] = changed.watch[1] = 0
+    changed.select[0] = "a"
+    fresh = CoverSystem(g)
+    assert fresh.components == reference and fresh.components[0].pendants["b"] == (0, 4)
+    assert fresh.watch[:2] == [0b10001, 0b11101] and fresh.select[0] == "b"
+    # cover_for and gamma read the graph, not the changed copies
+    assert changed.cover_for({0, 1}) == fresh.cover_for({0, 1}) == ("b",)
+    assert VertexCoverGame(g).gamma({0, 1, 2}) == 2
+
+
 def pisces16() -> Graph:
     return Graph.from_edges([("b1", "b2")] + [("b1", f"p{k}") for k in range(7)]
                             + [("b2", f"q{k}") for k in range(8)])
@@ -259,7 +321,7 @@ def test_coalition_gate_matches_the_plain_conversion():
     for g in [star(n) for n in range(1, 7)] + [pisces16()]:
         coalitions = all_coalitions(g.n_edges)
         for c in coalitions:
-            mask = coalition_mask(c)
+            mask = sum(1 << i for i in c)
             assert c._mask == mask and _coalition(g, c) is c
             for form in (frozenset(sorted(c)), set(c), sorted(c), iter(sorted(c))):
                 checked = _coalition(g, form)
@@ -298,7 +360,7 @@ def test_copied_and_pickled_tables_keep_each_coalitions_mask():
         table[frozenset({0, 1})] = {0: Fraction(1), 1: Fraction(1)}  # not a PMAS: efficiency fails
         for copied in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
             for s in copied:
-                assert s._mask == coalition_mask(s) and _coalition(g, s) is s
+                assert s._mask == sum(1 << i for i in s) and _coalition(g, s) is s
             assert (verify_pmas(game, AllocationScheme(g, table=copied))
                     == verify_pmas(game, AllocationScheme(g, table=table)))
 

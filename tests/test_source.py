@@ -158,12 +158,10 @@ def referrers(tree: ast.Module, name: str):
 def test_only_the_coalition_gate_checks_and_masks_coalitions():
     # every per-coalition entry point reads its checked coalition, carrying its bitmask,
     # from graph._coalition; only coalitions the gate checked or built from a mask carry one
-    found = sorted(((path.name, name, owner) for path in SOURCES
-                    for name in ("_masked", "coalition_mask")
-                    for owner in referrers(ast.parse(path.read_text(encoding="utf-8")), name)),
+    found = sorted(((path.name, owner) for path in SOURCES
+                    for owner in referrers(ast.parse(path.read_text(encoding="utf-8")), "_masked")),
                    key=str)
-    assert found == [("__init__.py", "coalition_mask", None), ("graph.py", "_masked", "Graph"),
-                     ("graph.py", "_masked", "_coalition"), ("graph.py", "_masked", "mask_coalition")]
+    assert found == [("graph.py", "Graph"), ("graph.py", "_coalition"), ("graph.py", "mask_coalition")]
 
 
 def test_referrer_scan_sees_each_form():
@@ -192,10 +190,12 @@ def test_only_the_cover_system_builds_rule_tables():
     found = [(path.name, owner) for path in SOURCES
              for owner in callers(ast.parse(path.read_text(encoding="utf-8")), "_RuleTableScheme")]
     assert found == [("pmas.py", "CoverSystem"), ("pmas.py", "CoverSystem")]
-    # one decomposition of the graph into a cover system: CoverSystem(graph)
+    # one star/pisces decomposition per graph, Graph._structure, which recognition, the
+    # cover system, the shape check and gamma read; otherwise only coalitions are decomposed
     found = [(path.name, owner) for path in SOURCES
-             for owner in callers(ast.parse(path.read_text(encoding="utf-8")), "_classify")]
-    assert found == [("pmas.py", "recognize_population_monotonic"), ("pmas.py", "CoverSystem")]
+             for owner in callers(ast.parse(path.read_text(encoding="utf-8")), "_shapes")]
+    assert found == [("graph.py", "Graph"), ("graph.py", "decompose"),
+                     ("graph.py", "_oracle_input")]
 
 
 def test_caller_scan_sees_each_form():

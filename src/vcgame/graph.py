@@ -105,7 +105,7 @@ class Graph:
     def _structure(self) -> _Structure | None:
         """The graph's star/pisces shapes, sorted global cover, per-edge watch masks and
         selected vertices (as CoverSystem describes them) and free riders, or None when it
-        is not a star/pisces forest; made on first use, never handed out (callers copy)."""
+        is not a star/pisces forest; made on first use, and its tuples are the rule table."""
         shapes = _shapes(self, range(len(self.edges)))
         if shapes is None:
             return None

@@ -103,7 +103,8 @@ def is_stable(ps: PreferenceSystem, coalition, matching):
     """Domination scan: every coalition edge outside the matching must be
     beaten at one of its endpoints by that vertex's partner, ranked earlier.
 
-    Returns (True, None) or (False, first blocking edge by index).
+    Returns (True, None) or (False, first blocking edge by index).  Each
+    partnered vertex's order is restricted to the coalition once, on first use.
     """
     s = _coalition(ps.graph, coalition)
     m = _coalition(ps.graph, matching)
@@ -116,12 +117,15 @@ def is_stable(ps: PreferenceSystem, coalition, matching):
             if v in partner:
                 raise ContractViolation("matching edges share a vertex")
             partner[v] = i
+    rank: dict[str, dict[int, int]] = {}
     for e in sorted(s - m):
         for v in edges[e]:
             f = partner.get(v)
             if f is not None:
-                order = ps.order_in(v, s)
-                if order.index(f) < order.index(e):
+                r = rank.get(v)
+                if r is None:
+                    r = rank[v] = {i: p for p, i in enumerate(ps.order_in(v, s))}
+                if r[f] < r[e]:
                     break
         else:
             return False, e

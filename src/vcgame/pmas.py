@@ -7,17 +7,10 @@ is its free rider: any cover of the accompanying edges covers it for free.
 
 The constructive scheme splits each chosen cover vertex's unit cost equally
 among the non-free-rider coalition edges it covers; an accompanied free rider
-pays nothing and a lone free rider pays the full unit.  CoverSystem states
-this rule once, as a per-edge table of watch masks, payments and selected
-vertices.  It charges every coalition edge but an accompanied free rider, and
-the per-coalition selector is the vertices it charges.  Every scheme the
-library builds is such a table, built by CoverSystem.scheme, and an integral
-scheme only has other entries.  An AllocationScheme given a table stores it
-under gated coalition keys; its edge keys must be ints and its payments
-Fractions or ints.  materialize reads a well-formed rule table from its watch
-masks, and verify_pmas accepts it when the graph's own cover system,
-CoverSystem(graph) rebuilt from the graph alone, builds that table; any other
-scheme is read coalition by coalition through allocation().
+pays nothing and a lone free rider pays the full unit.  The graph's own
+star/pisces structure holds this rule once, as per-edge watch masks and
+selected vertices; CoverSystem reads it, adds the payments, and builds every
+scheme the library makes as such a rule table.
 The dual-side checks certify allocations against the fractional cover
 relaxation of the coalition subgraph: feasibility (nonnegative, per-vertex
 load at most one), optimality (total equal to the coalition cost), and
@@ -31,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -82,6 +75,8 @@ def _checked_orders(graph: Graph, orders) -> dict[str, tuple[int, ...]]:
             raise ContractViolation(f"unknown vertex {v!r} in preference orders")
         expected = set(graph.incident_edges(v))
         try:
+            if isinstance(seq, (Set, Mapping, str, bytes, bytearray)):
+                raise TypeError  # a set or mapping has no order, a string holds no indices
             seq = tuple(seq)
         except TypeError:
             raise ContractViolation(
@@ -102,9 +97,10 @@ def _checked_orders(graph: Graph, orders) -> dict[str, tuple[int, ...]]:
 
 class CoverSystem:
     """The graph's global minimum cover made of centers and bases, and the
-    rule-table schemes over it, copied from the graph's own star/pisces structure,
-    which no change to them reaches.  CoverSystem(graph) raises NotPopulationMonotonic
-    (with the witness) when the graph is not a star/pisces forest.
+    rule-table schemes over it.  watch and select are the graph's own star/pisces
+    structure's tuples, pays a tuple of shared row tuples, and components a copy of
+    its shapes.  CoverSystem(graph) raises NotPopulationMonotonic (with the witness)
+    when the graph is not a star/pisces forest.
 
     The constructive rule is one per-edge table: edge i watches the bitmask
     watch[i], pays pays[i][k] in a coalition with k edges in it, and is
@@ -125,16 +121,14 @@ class CoverSystem:
             raise NotPopulationMonotonic(*recognize_population_monotonic(graph)[1])
         self.graph = graph
         self.components = [replace(c, pendants=dict(c.pendants)) for c in structure.shapes]
-        self.cover = structure.cover
-        self.watch = list(structure.watch)
-        self.select = list(structure.select)
+        self.cover, self.watch, self.select = structure.cover, structure.watch, structure.select
         self.free_riders = structure.free_riders
         widest = max((len(es) for c in structure.shapes for es in c.pendants.values()), default=1)
-        # shared Fractions, one list for every splitting edge: numerators over
+        # one shared row for every splitting edge: numerators over
         # lcm(1..widest) would have hundreds of digits on a large pisces
-        shares = [ZERO] + [Fraction(1, k) for k in range(1, widest + 1)]
-        rider_pays = [ONE] + [ZERO] * (2 * widest)
-        self.pays = [rider_pays if i in self.free_riders else shares for i in range(graph.n_edges)]
+        shares = (ZERO, *(Fraction(1, k) for k in range(1, widest + 1)))
+        rider = (ONE,) + (ZERO,) * (2 * widest)
+        self.pays = tuple(rider if i in self.free_riders else shares for i in range(graph.n_edges))
 
     def cover_for(self, coalition) -> tuple[str, ...]:
         """Deterministic minimum cover of the coalition subgraph within the global
@@ -151,8 +145,8 @@ class CoverSystem:
             return _RuleTableScheme(self.graph, self.watch, self.pays)
         orders = _checked_orders(self.graph, orders)
         watch, pays = list(self.watch), list(self.pays)
-        first = [ONE] + [ZERO] * self.graph.n_edges
-        for c in self.components:
+        first = (ONE,) + (ZERO,) * self.graph.n_edges
+        for c in self.graph._structure.shapes:
             for v, es in c.pendants.items():
                 order = orders.get(v, es)
                 if c.free_rider is not None and order[-1] != c.free_rider:
@@ -163,7 +157,7 @@ class CoverSystem:
                     if i != c.free_rider:
                         watch[i], pays[i] = above, first
                         above |= 1 << i
-        return _RuleTableScheme(self.graph, watch, pays)
+        return _RuleTableScheme(self.graph, tuple(watch), tuple(pays))
 
 
 class AllocationScheme:
@@ -234,12 +228,10 @@ class _RuleTableScheme(AllocationScheme):
     allocation() evaluates the table on every query and caches nothing, so
     single queries stay cheap on forests of any size; materialize and
     verify_pmas answer from the table while _reads_table() holds.  Only
-    CoverSystem.scheme builds one, and the lists it passes may be its own."""
+    CoverSystem.scheme builds one, from tuples that no caller can change."""
 
-    def __init__(self, graph: Graph, watch: list[int], pays: list[list[Fraction]]) -> None:
-        self.graph = graph
-        self.watch = watch
-        self.pays = pays
+    def __init__(self, graph: Graph, watch: tuple[int, ...], pays: tuple[tuple, ...]) -> None:
+        self.graph, self.watch, self.pays = graph, watch, pays
 
     def allocation(self, coalition) -> dict[int, Fraction]:
         s = _coalition(self.graph, coalition)
@@ -276,31 +268,29 @@ class _RuleTableScheme(AllocationScheme):
                 for m in range(1, len(coalitions))}
 
     def _is_pmas_by_shape(self) -> bool:
-        """Whether _reads_table() holds and the table is one that the graph's own cover
-        system, CoverSystem(self.graph) built afresh, builds: its constructive table, or the
-        integral one for the orders the watch masks rank (free riders last), on every count
-        a mask reaches.  Both are PMASes by the paper's construction; False decides nothing,
-        and a graph that is not a star/pisces forest gives it without a witness search."""
-        if not self._reads_table() or self.graph._structure is None:
+        """Whether _reads_table() holds and, compared as tuples ([1] != (1,)), the table is
+        what CoverSystem(self.graph) builds: the constructive table when the watch masks are
+        the graph's structure's, else the integral one for the orders they rank (free riders
+        last), on every count a mask reaches.  Both are PMASes by the paper's construction;
+        False decides nothing, and a graph that is not a star/pisces forest gives it without
+        a witness search."""
+        structure = self.graph._structure
+        if not self._reads_table() or structure is None:
             return False
-        cover = CoverSystem(self.graph)
-        watch = self.watch
-        orders = None if watch == cover.watch else {
+        watch = tuple(self.watch)
+        orders = None if watch == structure.watch else {
             v: (*sorted(es, key=watch.__getitem__), *{c.free_rider} - {None})
-            for c in cover.components for v, es in c.pendants.items()}
-        built = cover.scheme(orders)
-        return built.watch == watch and all(
-            row[:w.bit_count() + 1] == ref[:w.bit_count() + 1]
+            for c in structure.shapes for v, es in c.pendants.items()}
+        built = CoverSystem(self.graph).scheme(orders)
+        return watch == built.watch and all(
+            tuple(row[:w.bit_count() + 1]) == ref[:w.bit_count() + 1]
             for w, row, ref in zip(watch, self.pays, built.pays))
 
 
 def construct_pmas(graph: Graph) -> AllocationScheme:
-    """Rule-table scheme for a population-monotonic graph.
-
-    Per coalition: an accompanied free rider pays 0, a lone free rider pays 1,
-    and every other edge pays 1/k where k counts the non-free-rider coalition
-    edges at its covering vertex.
-    """
+    """Rule-table scheme for a population-monotonic graph.  Per coalition: an
+    accompanied free rider pays 0, a lone free rider pays 1, and every other edge
+    pays 1/k where k counts the non-free-rider coalition edges at its covering vertex."""
     return CoverSystem(graph).scheme()
 
 
@@ -478,12 +468,16 @@ def check_pi_star(graph: Graph, coalition, x, cover: CoverSystem) -> bool:
     """Membership in the tight optimal face: dual feasible, tight where the
     rule pays and zero where it does not.  An edge the rule charges needs unit
     load at its selected vertex; an edge it does not charge (an accompanied
-    free rider) must pay 0.  A cover system of another graph is refused."""
+    free rider) must pay 0.  The rule is read from the graph's own structure;
+    the cover system only names its graph, and one of another graph is refused."""
     _require_same_graph(graph, cover.graph, "cover system")
+    structure = graph._structure
+    if structure is None:  # only a rebound cover.graph gets here
+        raise NotPopulationMonotonic(*recognize_population_monotonic(graph)[1])
     loads, den, _, feasible, s = _scaled_profile(graph, coalition, x)
     if not feasible:
         return False
-    m, watch, select, riders = s._mask, cover.watch, cover.select, cover.free_riders
+    m, watch, select, riders = s._mask, structure.watch, structure.select, structure.free_riders
     for i in s:
         if i in riders and m & watch[i]:
             if x[i] != 0:

@@ -276,7 +276,8 @@ def test_preference_orders_that_are_not_lists_error(graph_file, capsys, tmp_path
     gpath = graph_file("g.txt", P4)
     prefs = tmp_path / "prefs.json"
     cases = [({"b": order, "c": [2, 1]},
-              f"order for vertex 'b' is {order}, not a list of edge indices") for order in (5, None)]
+              f"order for vertex 'b' is {order}, not a list of edge indices")
+             for order in (5, None, {"0": 1})]
     cases.append(([["b", [0, 1]], ["c", [2, 1]]],
                   "preference orders must map vertex labels to edge lists, not list"))
     for doc, message in cases:

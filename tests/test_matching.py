@@ -70,10 +70,16 @@ def test_orders_reject_ranks_that_are_not_ints():
 
 
 def test_orders_that_are_not_lists_are_refused():
-    for order in (5, None):
+    # a set or mapping has no order, and a string's items are not edge indices, so none
+    # is read as a list ({1, 0} would rank (0, 1), b"\x00\x01" edges 0 and 1)
+    for order in (5, None, {1, 0}, frozenset({0, 1}), {0: 1, 1: 0}, "01", b"\x00\x01",
+                  bytearray(b"\x00\x01")):
         with pytest.raises(ContractViolation) as info:
             PreferenceSystem(star(2), {"hub": order})
-        assert str(info.value) == f"order for vertex 'hub' is {order}, not a list of edge indices"
+        assert str(info.value) == f"order for vertex 'hub' is {order!r}, not a list of edge indices"
+    # a list, tuple, range or iterator is an order
+    for order in ([1, 0], (1, 0), range(2), iter([0, 1])):
+        assert set(PreferenceSystem(star(2), {"hub": order}).orders["hub"]) == {0, 1}
 
 
 def test_orders_that_are_not_a_mapping_are_refused():
@@ -170,6 +176,24 @@ def test_is_stable_rejects_out_of_range_edges():
         is_stable(ps, {0, -1}, {-1})
     with pytest.raises(ContractViolation, match="edge index out of range: 3"):
         is_stable(ps, {0, 3}, {0})
+
+
+def test_is_stable_on_a_large_pisces():
+    # quadratic in a base's degree, the old scan restricted the order once per edge;
+    # base b1 ranks its pendants by descending index, so its own pendant 1 is its last
+    k = 5_000
+    g = Graph.from_edges([("b1", "b2")] + [(b, f"{b}-{j}") for b in ("b1", "b2") for j in range(k)])
+    assert g.n_edges > 10_000
+    b1 = tuple(range(k, 0, -1)) + (0,)
+    ps = PreferenceSystem(g, {"b1": b1, "b2": tuple(range(k + 1, 2 * k + 1)) + (0,)})
+    full = g.players()
+    matched = gale_shapley(ps, full)
+    assert matched == {k, k + 1}
+    assert is_stable(ps, full, matched) == (True, None)
+    # b1 held by its last pendant: every other pendant of b1 blocks, the smallest first
+    assert is_stable(ps, full, {1, k + 1}) == (False, 2)
+    # b1 unmatched: the free rider is dominated at b2, so pendant 1 blocks
+    assert is_stable(ps, full, {k + 1}) == (False, 1)
 
 
 def stability_outcome(check, ps, s, m):

@@ -298,17 +298,67 @@ def test_a_changed_cover_system_does_not_reach_the_graphs_structure():
     g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("b", "f")])
     reference = decompose(g, g.players())
     changed = CoverSystem(g)
+    # the rule table is the graph's own, in tuples that refuse item assignment
+    assert changed.watch is g._structure.watch and changed.select is g._structure.select
+    for table in (changed.watch, changed.select, changed.pays, changed.pays[0]):
+        with pytest.raises(TypeError):
+            table[0] = 0
+    # components is a per-instance copy, whose pendants can still be changed
     changed.components[0].pendants["b"] = (0,)
     changed.components[0].pendants.pop("c")
     changed.components.append(changed.components[0])
-    changed.watch[0] = changed.watch[1] = 0
-    changed.select[0] = "a"
     fresh = CoverSystem(g)
     assert fresh.components == reference and fresh.components[0].pendants["b"] == (0, 4)
-    assert fresh.watch[:2] == [0b10001, 0b11101] and fresh.select[0] == "b"
-    # cover_for and gamma read the graph, not the changed copies
+    assert fresh.watch[:2] == (0b10001, 0b11101) and fresh.select[0] == "b"
+    # cover_for, gamma and the integral tables read the graph, not the changed copies
     assert changed.cover_for({0, 1}) == fresh.cover_for({0, 1}) == ("b",)
     assert VertexCoverGame(g).gamma({0, 1, 2}) == 2
+    orders = {"b": (4, 0, 1), "c": (3, 2, 1)}
+    assert changed.scheme(orders).watch == fresh.scheme(orders).watch == (16, 29, 8, 0, 0)
+
+
+def test_pi_star_reads_the_graphs_rule_whatever_the_cover_holds():
+    # on the 3-star, select[0] changed in place to "a" made check_pi_star answer
+    # False, and to "x" raise KeyError, while cover_for still answered ("hub",)
+    g = star(3)
+    s = g.players()
+    x = construct_pmas(g).allocation(s)
+    cover = CoverSystem(g)
+    with pytest.raises(TypeError):
+        cover.select[0] = "a"
+    for label in ("a", "x"):
+        cover.select = [label, *cover.select[1:]]
+        assert check_pi_star(g, s, x, cover) and cover.cover_for(s) == ("hub",)
+    # every attribute but graph rebound: the answers of a fresh cover system
+    rng = random.Random(47)
+    for h in all_pm_graphs_up_to(4):
+        fresh = CoverSystem(h)
+        n = h.n_edges
+        misleading = {"components": [], "cover": (), "watch": [0] * n, "select": ["x"] * n,
+                      "pays": [[]] * n, "free_riders": frozenset(range(n))}
+        for values in (misleading, dict.fromkeys(misleading)):
+            rebound = CoverSystem(h)
+            vars(rebound).update(values)
+            scheme = construct_pmas(h)
+            for s in all_coalitions(n)[1:]:
+                for _, x in perturbed_allocations(rng, scheme.allocation(s)):
+                    assert check_pi_star(h, s, x, rebound) == reference_pi_star(h, s, x, fresh)
+    # a cover system whose graph is rebound to one without a structure raises as
+    # CoverSystem(graph) does, not with an AttributeError
+    cover.graph = k3()
+    with pytest.raises(NotPopulationMonotonic):
+        check_pi_star(k3(), {0}, {0: Fraction(1)}, cover)
+
+
+def test_library_schemes_hold_their_tables_in_tuples():
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("b", "f")])
+    ps = PreferenceSystem(g, {"b": (4, 0, 1), "c": (3, 2, 1)})
+    for built in (construct_pmas(g), scheme_from_preferences(ps), *enumerate_integral_pmas(g)):
+        assert type(built.watch) is tuple and type(built.pays) is tuple
+        assert all(type(row) is tuple for row in built.pays)
+        for table in (built.watch, built.pays, built.pays[0]):
+            with pytest.raises(TypeError):
+                table[0] = 0
 
 
 def pisces16() -> Graph:
@@ -1007,6 +1057,20 @@ def test_structural_verdict_builds_the_cost_table_and_scans_nothing(monkeypatch)
         assert game._table is not None
 
 
+def test_a_library_table_held_in_lists_is_still_accepted_by_shape(monkeypatch):
+    # [1, 2] != (1, 2): the shape check compares a table held in lists as tuples,
+    # so the same table in lists is not sent to the exhaustive scan
+    def no_scan(self):
+        raise AssertionError("scanned through allocation()")
+
+    monkeypatch.setattr(AllocationScheme, "_rows", no_scan)
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("b", "f")])
+    for scheme in (construct_pmas(g), *enumerate_integral_pmas(g)):
+        lists = _RuleTableScheme(g, list(scheme.watch), [list(row) for row in scheme.pays])
+        assert lists._is_pmas_by_shape()
+        assert verify_pmas(VertexCoverGame(g), lists) == (True, None)
+
+
 def test_tables_the_cover_system_does_not_build_are_scanned(monkeypatch):
     # pisces b-c with pendants {0, 4} at b and {2, 3} at c, free rider 1
     g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("b", "f")])
@@ -1042,36 +1106,50 @@ def test_tables_the_cover_system_does_not_build_are_scanned(monkeypatch):
 
 
 def test_cover_data_changed_after_building_is_not_trusted():
-    # the 3-star: its lone edge 0 pays nothing once the shared watch mask is cleared
+    # the 3-star: cover.watch[0] = 0 once turned the allocation of {0, 1} into
+    # {0: 0, 1: 1/2}, as the scheme shared its cover system's lists; its tables now
+    # refuse changes, and rebinding them does not reach the scheme
     cover = classify_components(star(3))[1]
     scheme = cover.scheme()
-    cover.watch[0] = 0
-    assert scheme.allocation({0}) == {0: 0}
-    assert verify_pmas(VertexCoverGame(star(3)), scheme)[1].kind == "efficiency"
+    assert scheme.watch is cover.watch and scheme.pays is cover.pays
+    for table in (cover.watch, cover.pays[0]):
+        with pytest.raises(TypeError):
+            table[0] = 0
+    cover.watch = [0, 0, 0]
+    assert scheme.allocation({0}) == {0: 1}
+    assert scheme.allocation({0, 1}) == {0: Fraction(1, 2), 1: Fraction(1, 2)}
     # pisces b-c with pendants {0, 4} at b and {2, 3} at c, free rider 1
     g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("c", "e"), ("b", "f")])
     game = VertexCoverGame(g)
 
-    def watch(cover):
-        cover.watch[0] = 0
+    # changed watch masks and payments reach a scheme only when it is built from
+    # changed lists, as corrupted_rule_tables builds them
+    def watch(cover, scheme):
+        changed = list(scheme.watch)
+        changed[0] = 0
+        return _RuleTableScheme(g, changed, scheme.pays)
 
-    def pays(cover):
-        cover.pays[0][1] = Fraction(1, 3)  # the share row of every splitting edge
-        cover.pays[1][0] = Fraction(0)  # the free rider's row
+    def pays(cover, scheme):
+        changed = [list(row) for row in scheme.pays]
+        changed[0][1] = Fraction(1, 3)  # edge 0 where it counts one edge
+        changed[1][0] = Fraction(0)  # the free rider when lone
+        return _RuleTableScheme(g, scheme.watch, changed)
 
-    def pendants(cover):
+    def pendants(cover, scheme):
         cover.components[0].pendants["b"] = (0,)
+        return scheme
 
     verdicts = []
     for change in (watch, pays, pendants):
         for orders in (None, {"b": (4, 0, 1), "c": (3, 2, 1)}):
             cover = CoverSystem(g)
-            scheme = cover.scheme(orders)
-            change(cover)
+            scheme = change(cover, cover.scheme(orders))
             verdict = verify_pmas(game, scheme)
             assert verdict == reference_verify_pmas(game, scheme)
             verdicts.append(verdict[1].kind if verdict[1] else True)
-    assert verdicts == ["efficiency", True, "efficiency", "efficiency", True, True]
+            # a scheme built after the pendants changed reads the graph's shapes
+            assert verify_pmas(game, cover.scheme(orders)) == (True, None)
+    assert verdicts == ["efficiency", "efficiency", "efficiency", "efficiency", True, True]
     # a P4 scheme handed the triangle, which has no cover system, is scanned
     scheme = construct_pmas(p4())
     scheme.graph = k3()

@@ -203,3 +203,40 @@ def test_caller_scan_sees_each_form():
             "def f():\n    return make, g.make(2), [make(3) for _ in ()]\n"
             "class C:\n    def h(self):\n        return make(make(4))\n")
     assert list(callers(ast.parse(text), "make")) == [None, "f", "C", "C"]
+
+
+def attribute_reads(tree: ast.Module, attrs):
+    """(owner, object, attribute) for every load of one of attrs as an attribute:
+    the top-level definition around it (None at module level) and its object's source."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (*FUNCTIONS, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in attrs):
+                yield owner, ast.unparse(node.value), node.attr
+
+
+def test_the_rule_table_has_one_source():
+    # Graph._structure is the only place the rule table lives; these definitions read it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    found = sorted({(name, owner) for name, tree in trees.items()
+                    for owner in referrers(tree, "_structure")}, key=str)
+    assert found == [("game.py", "VertexCoverGame"), ("graph.py", "_charged"),
+                     ("pmas.py", "CoverSystem"), ("pmas.py", "_RuleTableScheme"),
+                     ("pmas.py", "check_pi_star"), ("pmas.py", "recognize_population_monotonic")]
+    # outside the cover system and its schemes, watch masks, selected vertices and
+    # payments are read from the graph's structure, never from a cover system
+    found = sorted({(name, owner, obj) for name, tree in trees.items()
+                    for owner, obj, _ in attribute_reads(tree, {"watch", "select", "pays"})
+                    if owner not in ("CoverSystem", "_RuleTableScheme")})
+    assert found == [("graph.py", "_charged", "structure"),
+                     ("pmas.py", "check_pi_star", "structure")]
+
+
+def test_attribute_read_scan_sees_each_form():
+    text = ("x = cover.watch\n"
+            "def f(cover, s):\n    s.watch = cover.pays[0]\n    return s.graph._structure.select\n"
+            "class C:\n    def h(self):\n        self.watch = 1\n        return self.watch\n")
+    assert list(attribute_reads(ast.parse(text), {"watch", "select", "pays"})) == [
+        (None, "cover", "watch"), ("f", "s.graph._structure", "select"), ("f", "cover", "pays"),
+        ("C", "self", "watch")]

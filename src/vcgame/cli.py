@@ -92,7 +92,11 @@ def _load_graph(args) -> Graph:
         return parse_graph(handle.read())
 
 
-def _parse_coalition(text: str, graph: Graph):
+def _coalition_arg(args, graph: Graph):
+    """The checked --coalition list, or every player when the flag is absent."""
+    text = args.coalition
+    if text is None:
+        return graph.players()
     try:
         indices = [_int(part) for part in text.split(",")]
     except ValueError as exc:
@@ -123,8 +127,7 @@ def _table_text_lines(jsonable: dict) -> list[str]:
     return lines
 
 
-def cmd_classify(args) -> tuple[int, str]:
-    graph = _load_graph(args)
+def cmd_classify(args, graph: Graph) -> tuple[int, str]:
     try:
         comps, cover = classify_components(graph)
     except NotPopulationMonotonic as exc:
@@ -154,8 +157,7 @@ def cmd_classify(args) -> tuple[int, str]:
     return 0, _render(args, doc, text)
 
 
-def cmd_game_info(args) -> tuple[int, str]:
-    graph = _load_graph(args)
+def cmd_game_info(args, graph: Graph) -> tuple[int, str]:
     bipartite = is_bipartite(graph)
     try:
         nu, _ = matching_number(graph, graph.players())
@@ -200,11 +202,9 @@ def _build_scheme(args, graph: Graph) -> AllocationScheme:
     return construct_pmas(graph)
 
 
-def cmd_construct(args) -> tuple[int, str]:
-    graph = _load_graph(args)
+def cmd_construct(args, graph: Graph) -> tuple[int, str]:
     scheme = _build_scheme(args, graph)
-    coalition = (_parse_coalition(args.coalition, graph)
-                 if args.coalition is not None else graph.players())
+    coalition = _coalition_arg(args, graph)
     if args.materialize:
         if args.coalition is not None:
             raise ContractViolation("--materialize prints every coalition and takes no --coalition")
@@ -216,8 +216,7 @@ def cmd_construct(args) -> tuple[int, str]:
     return 0, _render(args, doc, text)
 
 
-def cmd_verify(args) -> tuple[int, str]:
-    graph = _load_graph(args)
+def cmd_verify(args, graph: Graph) -> tuple[int, str]:
     with open(args.scheme, "r", encoding="utf-8") as handle:
         scheme = scheme_from_json(graph, handle.read())
     game = VertexCoverGame(graph)
@@ -228,8 +227,7 @@ def cmd_verify(args) -> tuple[int, str]:
     return 1, _render(args, doc, ["valid: no", str(violation)])
 
 
-def cmd_enumerate(args) -> tuple[int, str]:
-    graph = _load_graph(args)
+def cmd_enumerate(args, graph: Graph) -> tuple[int, str]:
     tables = []
     truncated = False
     try:
@@ -246,19 +244,16 @@ def cmd_enumerate(args) -> tuple[int, str]:
     return (2 if truncated else 0), _render(args, doc, text)
 
 
-def cmd_count(args) -> tuple[int, str]:
-    graph = _load_graph(args)
+def cmd_count(args, graph: Graph) -> tuple[int, str]:
     total = count_integral_pmas(graph)
     return 0, _render(args, {"count": total}, [str(total)])
 
 
-def cmd_stable_match(args) -> tuple[int, str]:
-    graph = _load_graph(args)
+def cmd_stable_match(args, graph: Graph) -> tuple[int, str]:
     if not args.prefs:
         raise ContractViolation("stable-match requires --prefs FILE")
     ps = _load_prefs(graph, args.prefs)
-    coalition = (_parse_coalition(args.coalition, graph)
-                 if args.coalition is not None else graph.players())
+    coalition = _coalition_arg(args, graph)
     matched = gale_shapley(ps, coalition)
     doc = {"coalition": sorted(coalition), "matching": sorted(matched)}
     text = [f"matching: {sorted(matched)}"]
@@ -280,7 +275,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, payload = COMMANDS[args.command](args)
+        code, payload = COMMANDS[args.command](args, _load_graph(args))
     except (VertexCoverGameError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -97,13 +97,14 @@ class VertexCoverGame:
         return _cover_size(self.graph, coalition, self.max_vertices)
 
     def cost_table(self, max_edges: int = DEFAULT_EDGE_CAP) -> list[int]:
-        """Costs of all coalitions indexed by bitmask; built on first use."""
+        """Costs of all coalitions indexed by bitmask, as a new list on each call
+        (the game keeps its own, built on first use, which no caller can change)."""
         if self._table is None:
             if self.n > max_edges:
                 raise OracleCapError(
                     f"cost table over {self.n} edges exceeds the {max_edges}-edge cap")
             self._table = _full_cost_table(self.graph)
-        return self._table
+        return self._table.copy()
 
 
 def is_monotone_game(game: VertexCoverGame):

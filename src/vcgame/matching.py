@@ -34,28 +34,32 @@ class PreferenceSystem:
     Orders are required wherever a vertex has two or more incident edges and
     may be given for pendant vertices too (the designated center of a lone
     edge carries a trivial one-element order to keep extraction total).
+    The orders are checked once and kept private (`orders` is a new dict on
+    each read); _rank gives each vertex's edges their positions in its order,
+    which hold in every coalition, as restriction keeps the relative order.
     """
 
     def __init__(self, graph: Graph, orders) -> None:
         self.graph = graph
-        self.orders = _checked_orders(graph, orders)
+        self._orders = _checked_orders(graph, orders)
+        self._rank = {v: {e: p for p, e in enumerate(self._orders.get(v, graph.incident_edges(v)))}
+                      for v in graph.vertices}
+
+    @property
+    def orders(self) -> dict[str, tuple[int, ...]]:
+        return dict(self._orders)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PreferenceSystem)
-                and self.graph == other.graph and self.orders == other.orders)
+                and self.graph == other.graph and self._orders == other._orders)
 
     def __repr__(self) -> str:
-        return f"PreferenceSystem({self.orders!r})"
+        return f"PreferenceSystem({self._orders!r})"
 
     def order_in(self, v: str, coalition) -> tuple[int, ...]:
-        """The order at v restricted to coalition edges (trivial when pendant)."""
-        stored = self.orders.get(v)
-        if stored is not None:
-            return tuple(i for i in stored if i in coalition)
-        mine = [i for i in self.graph.incident_edges(v) if i in coalition]
-        if len(mine) > 1:
-            raise ContractViolation(f"no preference order for vertex {v!r}")
-        return tuple(mine)
+        """The order at v restricted to coalition edges, read from its ranks
+        (a pendant vertex without an order ranks its incident edge)."""
+        return tuple(i for i in self._rank[v] if i in coalition)
 
 
 def gale_shapley(ps: PreferenceSystem, coalition) -> Matching:
@@ -63,7 +67,8 @@ def gale_shapley(ps: PreferenceSystem, coalition) -> Matching:
 
     The color class of each component's smallest vertex proposes; on
     population-monotonic graphs the stable matching is unique, so the
-    proposal side does not affect the result.
+    proposal side does not affect the result.  Only the proposers' orders are
+    restricted to the coalition; a receiver compares through the system's ranks.
     """
     graph = ps.graph
     s = _coalition(graph, coalition)
@@ -72,10 +77,9 @@ def gale_shapley(ps: PreferenceSystem, coalition) -> Matching:
     color = _two_color([graph.edges[i] for i in sorted(s)])
     if color is None:
         raise UnsupportedInstance("coalition subgraph is not bipartite")
-    vertices = sorted(color)
-    orders = {v: ps.order_in(v, s) for v in vertices}
-    rank = {v: {e: p for p, e in enumerate(orders[v])} for v in vertices}
-    proposers = [v for v in vertices if color[v] == 0]
+    rank = ps._rank
+    proposers = [v for v in sorted(color) if color[v] == 0]
+    orders = {v: ps.order_in(v, s) for v in proposers}
     pointer = {v: 0 for v in proposers}
     held: dict[str, int] = {}
     queue = deque(proposers)
@@ -103,8 +107,8 @@ def is_stable(ps: PreferenceSystem, coalition, matching):
     """Domination scan: every coalition edge outside the matching must be
     beaten at one of its endpoints by that vertex's partner, ranked earlier.
 
-    Returns (True, None) or (False, first blocking edge by index).  Each
-    partnered vertex's order is restricted to the coalition once, on first use.
+    Returns (True, None) or (False, first blocking edge by index).  Edges
+    compare through the system's ranks, which hold in every coalition.
     """
     s = _coalition(ps.graph, coalition)
     m = _coalition(ps.graph, matching)
@@ -117,16 +121,12 @@ def is_stable(ps: PreferenceSystem, coalition, matching):
             if v in partner:
                 raise ContractViolation("matching edges share a vertex")
             partner[v] = i
-    rank: dict[str, dict[int, int]] = {}
+    rank = ps._rank
     for e in sorted(s - m):
         for v in edges[e]:
             f = partner.get(v)
-            if f is not None:
-                r = rank.get(v)
-                if r is None:
-                    r = rank[v] = {i: p for p, i in enumerate(ps.order_in(v, s))}
-                if r[f] < r[e]:
-                    break
+            if f is not None and rank[v][f] < rank[v][e]:
+                break
         else:
             return False, e
     return True, None
@@ -138,7 +138,7 @@ def scheme_from_preferences(ps: PreferenceSystem) -> AllocationScheme:
     highest-ranked coalition edge and a free rider is matched only when lone.
     Requires a population-monotonic graph and free riders ranked last at both
     bases."""
-    return CoverSystem(ps.graph).scheme(ps.orders)
+    return CoverSystem(ps.graph).scheme(ps._orders)
 
 
 def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
@@ -211,9 +211,7 @@ def enumerate_integral_pmas(graph: Graph, *, max_enumerate: int = DEFAULT_ENUM_C
     cover = CoverSystem(graph)
     by_vertex = {v: (tuple(sorted(es)), c.free_rider)
                  for c in cover.components for v, es in c.pendants.items()}
-    yielded = 0
-    for orders in _orders(by_vertex, sorted(by_vertex), {}):
+    for yielded, orders in enumerate(_orders(by_vertex, sorted(by_vertex), {})):
         if yielded >= max_enumerate:
             raise EnumerationTruncated(f"enumeration stopped at cap {max_enumerate}")
-        yielded += 1
         yield cover.scheme(orders)

@@ -17,7 +17,8 @@ from vcgame.game import (VertexCoverGame, core_element_from_matching, core_membe
                          is_balanced, is_monotone_game, is_submodular_game, is_submodular_graph,
                          is_totally_balanced, mask_coalition)
 from vcgame.graph import Graph, vertex_cover_number
-from vcgame.pmas import CoverSystem, recognize_population_monotonic
+from vcgame.pmas import (AllocationScheme, CoverSystem, construct_pmas,
+                         recognize_population_monotonic, verify_pmas)
 
 from oracles import (atlas_graphs, large_star_pisces_forests, random_graph,
                      reference_core_membership)
@@ -156,6 +157,22 @@ def test_cost_table_cap():
     big = Graph.from_edges([("hub", f"x{k}") for k in range(17)])
     with pytest.raises(OracleCapError):
         VertexCoverGame(big).cost_table(16)
+
+
+def test_a_write_into_the_cost_table_changes_no_answer():
+    # cost_table() is a new list on each call; the game keeps its own
+    g = p4()
+    game, fresh = VertexCoverGame(g), VertexCoverGame(g)
+    stored = AllocationScheme(g, table=construct_pmas(g).materialize())
+    element = {0: Fraction(1), 1: Fraction(0), 2: Fraction(1)}
+    table = game.cost_table()
+    table[7] = 5
+    game.cost_table()[7] = 5
+    assert type(table) is list and table is not game.cost_table()
+    assert game.cost_table() == fresh.cost_table() == [0, 1, 1, 1, 1, 2, 1, 2]
+    assert game.gamma(g.players()) == fresh.gamma(g.players()) == 2
+    assert verify_pmas(game, stored) == verify_pmas(fresh, stored) == (True, None)
+    assert core_membership(game, element) == core_membership(fresh, element) == (True, None)
 
 
 # --- monotonicity ------------------------------------------------------------------

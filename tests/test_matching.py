@@ -104,6 +104,31 @@ def test_pendant_orders_are_optional_and_restrictable():
     assert ps.order_in("hub", {0, 1}) == (1, 0)
 
 
+def test_a_write_into_orders_changes_no_answer():
+    # orders is a new dict on each read, so a write that its checks would refuse
+    # reaches neither deferred acceptance, nor the stability scan, nor the scheme
+    pisces = SMALL_PM_FIXTURES[4]
+    for g, orders, v, bad in ((p4(), {"b": (0, 1), "c": (2, 1)}, "b", (1,)),
+                              (pisces, {"b1": (2, 1, 0), "b2": (3, 4, 0)}, "b1", (0, 1, 2))):
+        ps, fresh = PreferenceSystem(g, orders), PreferenceSystem(g, orders)
+        view = ps.orders
+        view[v] = bad
+        ps.orders[v] = bad
+        assert ps.orders == fresh.orders == orders and ps == fresh
+        assert repr(ps) == repr(fresh) == f"PreferenceSystem({orders!r})"
+        for s in all_coalitions(g.n_edges):
+            assert gale_shapley(ps, s) == gale_shapley(fresh, s)
+            for m in all_matchings(g, s):
+                assert is_stable(ps, s, m) == is_stable(fresh, s, m)
+        assert (canonical_table(scheme_from_preferences(ps).materialize())
+                == canonical_table(scheme_from_preferences(fresh).materialize()))
+    # orders whose free rider is not ranked last make no scheme, but matching reads them
+    ps = PreferenceSystem(p4(), {"b": (0, 1), "c": (1, 2)})
+    ps.orders["b"] = (1,)
+    assert gale_shapley(ps, p4().players()) == frozenset({0, 2})
+    assert is_stable(ps, p4().players(), {0, 2}) == (True, None)
+
+
 # --- deferred acceptance ----------------------------------------------------------------
 
 
@@ -509,6 +534,17 @@ def test_enumeration_truncation():
         for scheme in enumerate_integral_pmas(star(3), max_enumerate=2):
             out.append(scheme)
     assert len(out) == 2
+
+
+def test_enumeration_of_a_large_star_stays_lazy():
+    # 13! systems: a stream that built every permutation first would never yield
+    g = star(13)
+    assert count_integral_pmas(g) == 6_227_020_800
+    out = []
+    with pytest.raises(EnumerationTruncated, match="cap 3"):
+        for scheme in enumerate_integral_pmas(g, max_enumerate=3):
+            out.append(scheme)
+    assert len(out) == 3
 
 
 def test_enumeration_exact_cap_is_not_truncation():

@@ -240,3 +240,20 @@ def test_attribute_read_scan_sees_each_form():
     assert list(attribute_reads(ast.parse(text), {"watch", "select", "pays"})) == [
         (None, "cover", "watch"), ("f", "s.graph._structure", "select"), ("f", "cover", "pays"),
         ("C", "self", "watch")]
+
+
+def test_preference_and_cost_tables_are_read_in_one_place():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    # a preference system's checked orders are private; the library never reads the
+    # public copy, and only the system, deferred acceptance and the scan read its ranks
+    assert [read for tree in trees.values() for read in attribute_reads(tree, {"orders"})] == []
+    found = sorted({(name, owner) for name, tree in trees.items()
+                    for owner in referrers(tree, "_rank")}, key=str)
+    assert found == [("matching.py", "PreferenceSystem"), ("matching.py", "gale_shapley"),
+                     ("matching.py", "is_stable")]
+    # a game's cost table is read in place only by the game and check_dual_optimal;
+    # everything else takes cost_table()'s copy (AllocationScheme's _table is its own rows)
+    found = sorted({(name, owner, obj) for name, tree in trees.items()
+                    for owner, obj, _ in attribute_reads(tree, {"_table"})}, key=str)
+    assert found == [("game.py", "VertexCoverGame", "self"), ("pmas.py", "AllocationScheme", "self"),
+                     ("pmas.py", "check_dual_optimal", "game")]

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .errors import ContractViolation, NotBalanced, OracleCapError
 from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, _charged, _coalition, _cover_size,
-                    find_forbidden_subgraph, is_bipartite, mask_coalition, matching_number)
+                    _vertex_cap, find_forbidden_subgraph, is_bipartite, mask_coalition,
+                    matching_number)
 
 DEFAULT_EDGE_CAP = 16
 
@@ -56,20 +57,16 @@ def _full_cost_table(graph: Graph) -> list[int]:
     """Cover number of every edge subset, indexed by bitmask.
 
     Recursion: any cover of a subset containing edge e=(u,v) uses u or v, so
-    the cost is 1 plus the cheaper of the two residual subsets.
+    the cost is 1 plus the cheaper of the two residual subsets, which the
+    graph's per-edge masks give (the edges left after covering u or v).
     """
     n = graph.n_edges
-    incident_mask = {v: 0 for v in graph.vertices}
-    for i, (u, v) in enumerate(graph.edges):
-        incident_mask[u] |= 1 << i
-        incident_mask[v] |= 1 << i
-    clear = [(~incident_mask[u], ~incident_mask[v]) for u, v in graph.edges]
+    masks = graph._edge_masks
     table = [0] * (1 << n)
     for m in range(1, 1 << n):
-        e = (m & -m).bit_length() - 1
-        cu, cv = clear[e]
-        a = table[m & cu]
-        b = table[m & cv]
+        edge = masks[(m & -m).bit_length() - 1]
+        a = table[m & edge[0]]
+        b = table[m & edge[1]]
         table[m] = 1 + (a if a < b else b)
     return table
 
@@ -77,12 +74,13 @@ def _full_cost_table(graph: Graph) -> list[int]:
 class VertexCoverGame:
     """Characteristic function wrapper: coalition costs are read from the cost
     table once it is built, else counted from the graph's star/pisces structure,
-    else asked of the size-only cover search under the game's vertex cap."""
+    else asked of the size-only cover search under the game's vertex cap, a
+    nonnegative int checked once, when the game is built."""
 
     def __init__(self, graph: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
         self.graph = graph
         self.n = graph.n_edges
-        self.max_vertices = max_vertices
+        self.max_vertices = _vertex_cap(max_vertices)
         self._players = graph.players()
         self._table: list[int] | None = None
 

@@ -3,11 +3,13 @@
 Players of the cost game live on edges, so every coalition-level question
 (cover number, matching number, connectivity, diameter) is asked about the
 edge-induced subgraph of a coalition.  The exact engines are deliberately
-small: branch-and-bound search below a configurable vertex cap, with a
+small: branch-and-bound search within a configurable vertex cap, with a
 structural shortcut above it for star/pisces forests (trees of diameter at
 most 3), where minimum covers and maximum matchings are read off the shapes
-that ``decompose`` finds.  Recognition, the cover system and the game's
-costs all read one private structure that each graph decomposes once.
+that ``decompose`` finds.  The cover search runs on coalition bitmasks over
+a per-edge mask table that each graph builds once, which the game's cost
+table reads too.  Recognition, the cover system and the game's costs all
+read one private structure that each graph decomposes once.
 """
 
 from __future__ import annotations
@@ -73,6 +75,20 @@ class Graph:
             table[u].append(i)
             table[v].append(i)
         return {v: tuple(es) for v, es in table.items()}
+
+    @cached_property
+    def _edge_masks(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per edge (u, v): the edges left after covering u, after covering v and after
+        covering both, as bitmasks over all edges, then u's and v's vertex bits, which
+        follow the label order; made on first use, for the bitmask cover searches."""
+        bit = {v: 1 << k for k, v in enumerate(sorted(self.vertices))}
+        at = dict.fromkeys(self.vertices, 0)
+        for i, (u, v) in enumerate(self.edges):
+            at[u] |= 1 << i
+            at[v] |= 1 << i
+        full = (1 << len(self.edges)) - 1
+        return tuple((full ^ at[u], full ^ at[v], full & ~(at[u] | at[v]), bit[u], bit[v])
+                     for u, v in self.edges)
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
@@ -365,74 +381,78 @@ def _two_color(pairs) -> dict[str, int] | None:
 
 
 # --- exact minimum vertex cover ------------------------------------------------
+# The search runs on edge bitmasks m over the graph's _edge_masks table: covering an
+# end of edge i leaves m & masks[i][0] or m & masks[i][1], and banned vertices are a
+# bitmask over the vertex bits masks[i][3] and masks[i][4].
 
 
-def _greedy_disjoint_edges(pairs) -> int:
-    """Size of a greedily built vertex-disjoint edge set (a cover lower bound)."""
-    used: set[str] = set()
+def _greedy_disjoint_edges(masks, m: int) -> int:
+    """Size of a vertex-disjoint edge set built greedily in ascending edge order (a
+    cover lower bound): each pick drops every edge that meets it, so the lowest
+    edge left is always free."""
     count = 0
-    for u, v in pairs:
-        if u not in used and v not in used:
-            count += 1
-            used.add(u)
-            used.add(v)
+    while m:
+        m &= masks[(m & -m).bit_length() - 1][2]
+        count += 1
     return count
 
 
-def _cover_feasible(pairs, banned, budget: int) -> bool:
-    """Is there a vertex cover of size <= budget avoiding the banned vertices?"""
-    if not pairs:
+def _cover_feasible(masks, m: int, banned: int, budget: int) -> bool:
+    """Is there a vertex cover of the edges in m, of size <= budget, avoiding the
+    banned vertices?  It branches on the first edge with a banned end, else the lowest."""
+    if not m:
         return True
-    if budget <= 0:
+    if budget <= 0 or _greedy_disjoint_edges(masks, m) > budget:
         return False
-    if _greedy_disjoint_edges(pairs) > budget:
-        return False
-    pick = None
-    for u, v in pairs:
-        bu = u in banned
-        bv = v in banned
-        if bu and bv:
-            return False
-        if bu or bv:
-            pick = (u, v)
-            break
-    if pick is None:
-        pick = pairs[0]
-    u, v = pick
-    for z in (u, v):
-        if z in banned:
-            continue
-        rest = [e for e in pairs if z != e[0] and z != e[1]]
-        if _cover_feasible(rest, banned, budget - 1):
-            return True
-    return False
+    i = (m & -m).bit_length() - 1
+    if banned:
+        rest = m
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            if (masks[k][3] | masks[k][4]) & banned:
+                i = k
+                break
+            rest &= rest - 1
+    left_u, left_v, _, bu, bv = masks[i]
+    return ((not banned & bu and _cover_feasible(masks, m & left_u, banned, budget - 1))
+            or (not banned & bv and _cover_feasible(masks, m & left_v, banned, budget - 1)))
 
 
-def _min_cover_size(pairs) -> int:
-    k = _greedy_disjoint_edges(pairs)
-    while not _cover_feasible(pairs, frozenset(), k):
+def _min_cover_size(masks, m: int) -> int:
+    k = _greedy_disjoint_edges(masks, m)
+    while not _cover_feasible(masks, m, 0, k):
         k += 1
     return k
 
 
-def _lex_min_cover(pairs, labels_sorted, size: int) -> tuple[str, ...]:
-    """Lexicographically smallest minimum cover, as a sorted label tuple.
+def _lex_min_cover(graph: Graph, m: int, size: int) -> tuple[str, ...]:
+    """Lexicographically smallest minimum cover of the edges in m, as a sorted label tuple.
 
     Greedy refinement: a vertex joins the witness whenever a full cover of the
     target size can still be completed from strictly larger labels.
     """
+    masks = graph._edge_masks
+    by_bit: dict[int, tuple[str, int]] = {}  # vertex bit -> (label, edges left after covering it)
+    rest = m
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        (u, v), (left_u, left_v, _, bu, bv) = graph.edges[i], masks[i]
+        by_bit[bu], by_bit[bv] = (u, left_u), (v, left_v)
+        rest &= rest - 1
     chosen: list[str] = []
-    banned: set[str] = set()
-    remaining = list(pairs)
-    for v in labels_sorted:
+    banned = 0
+    remaining = m
+    for bit in sorted(by_bit):  # vertex bits ascend in label order
         if not remaining:
             break
-        without_v = [e for e in remaining if v != e[0] and v != e[1]]
-        if len(chosen) < size and _cover_feasible(without_v, banned, size - len(chosen) - 1):
-            chosen.append(v)
+        label, left = by_bit[bit]
+        without_v = remaining & left
+        if len(chosen) < size and _cover_feasible(masks, without_v, banned,
+                                                  size - len(chosen) - 1):
+            chosen.append(label)
             remaining = without_v
         else:
-            banned.add(v)
+            banned |= bit
     return tuple(chosen)
 
 
@@ -453,28 +473,38 @@ def _shape_cover(graph: Graph, c: ComponentClassification) -> tuple[str, ...]:
     return best
 
 
+def _vertex_cap(max_vertices) -> int:
+    """max_vertices when it is a nonnegative int, else ContractViolation naming it."""
+    if type(max_vertices) is not int or max_vertices < 0:
+        raise ContractViolation(f"vertex cap {max_vertices!r} is not a nonnegative int")
+    return max_vertices
+
+
 def _oracle_input(graph: Graph, coalition, max_vertices: int):
-    """Both exact oracles' head: the coalition's ascending edge indices, their
-    edge pairs, and None within the vertex cap, else the star/pisces shapes of
-    the coalition subgraph, or OracleCapError when it is not a star/pisces forest."""
-    order = sorted(_coalition(graph, coalition))
-    pairs = [graph.edges[i] for i in order]
-    n = len({w for e in pairs for w in e})
+    """Both exact oracles' head: the gated coalition, and None within the vertex
+    cap, else the star/pisces shapes of the coalition subgraph, or OracleCapError
+    when it is not a star/pisces forest."""
+    s = _coalition(graph, coalition)
+    masks = graph._edge_masks
+    ends = 0
+    for i in s:
+        ends |= masks[i][3] | masks[i][4]
+    n = ends.bit_count()
     if n <= max_vertices:
-        return order, pairs, None
-    shapes = _shapes(graph, order)
+        return s, None
+    shapes = _shapes(graph, sorted(s))
     if shapes is None:
         raise OracleCapError(
             f"instance too large for exact oracle: the coalition subgraph has {n} vertices,"
             f" above the {max_vertices}-vertex cap, and is not a star/pisces forest")
-    return order, pairs, shapes
+    return s, shapes
 
 
 def _cover_size(graph: Graph, coalition, max_vertices: int) -> int:
     """vertex_cover_number's size alone, found without building a witness."""
-    _, pairs, shapes = _oracle_input(graph, coalition, max_vertices)
+    s, shapes = _oracle_input(graph, coalition, max_vertices)
     if shapes is None:
-        return _min_cover_size(pairs)
+        return _min_cover_size(graph._edge_masks, s._mask)
     return sum(len(c.cover) for c in shapes)
 
 
@@ -483,15 +513,15 @@ def vertex_cover_number(graph: Graph, coalition, *,
     """Exact cover number of the coalition subgraph, with a deterministic witness.
 
     At every size the witness is the lexicographically smallest minimum cover
-    (sorted label tuple).  Below the vertex cap it comes from branch and
-    bound; above it, star/pisces forests are solved structurally as the union
-    of each component's smallest cover, and anything else raises
-    OracleCapError.
+    (sorted label tuple).  Within the vertex cap (a nonnegative int) it comes
+    from branch and bound on edge bitmasks; above it, star/pisces forests are
+    solved structurally as the union of each component's smallest cover, and
+    anything else raises OracleCapError.
     """
-    _, pairs, shapes = _oracle_input(graph, coalition, max_vertices)
+    s, shapes = _oracle_input(graph, coalition, _vertex_cap(max_vertices))
     if shapes is None:
-        size = _min_cover_size(pairs)
-        return size, _lex_min_cover(pairs, sorted({w for e in pairs for w in e}), size)
+        size = _min_cover_size(graph._edge_masks, s._mask)
+        return size, _lex_min_cover(graph, s._mask, size)
     cover: list[str] = []
     for c in shapes:
         cover.extend(_shape_cover(graph, c))
@@ -552,9 +582,12 @@ def matching_number(graph: Graph, coalition, *,
                     max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[int, tuple[int, ...]]:
     """Exact matching number with the lexicographically smallest witness
     (sorted edge-index tuple); augmenting paths on bipartite subgraphs,
-    branch and bound otherwise, structural shortcut above the vertex cap."""
-    order, pairs, shapes = _oracle_input(graph, coalition, max_vertices)
+    branch and bound otherwise, structural shortcut above the vertex cap (a
+    nonnegative int)."""
+    s, shapes = _oracle_input(graph, coalition, _vertex_cap(max_vertices))
     if shapes is None:
+        order = sorted(s)
+        pairs = [graph.edges[i] for i in order]
         size = _matching_size(pairs)
         witness: list[int] = []
         used: set[str] = set()

@@ -7,12 +7,13 @@ and core membership by Fraction scans, and the constructive rule, its
 selector and the pi* check by one split per coalition.  The only library
 pieces used are the data types, the cover system's component shapes and,
 for the integral-scheme search, the final verify_pmas filter that the search
-is defined against.  Six earlier library implementations are kept as
+is defined against.  Seven earlier library implementations are kept as
 references for differential tests: the coalition split that grouped edges by
 anchor, the component search that rescanned a vertex's edges once per edge
-there, the forbidden-pattern search with its own K3 and C4 loops, the
-stability scan with a per-vertex rank cache, the integral scheme that ran
-deferred acceptance per coalition, and core membership on Fraction sums.
+there, the cover search that rebuilt an edge-pair list at every node, the
+forbidden-pattern search with its own K3 and C4 loops, the stability scan
+with a per-vertex rank cache, the integral scheme that ran deferred
+acceptance per coalition, and core membership on Fraction sums.
 The dual checks keep their Fraction semantics here too, as references for
 the integer profile the library computes once per allocation.
 """
@@ -265,6 +266,80 @@ def brute_stable_matchings(ps: PreferenceSystem, coalition):
 
 
 # --- earlier library implementations, kept as references ------------------------------
+
+
+def _reference_greedy_disjoint_edges(pairs) -> int:
+    used: set[str] = set()
+    count = 0
+    for u, v in pairs:
+        if u not in used and v not in used:
+            count += 1
+            used.add(u)
+            used.add(v)
+    return count
+
+
+def _reference_cover_feasible(pairs, banned, budget: int) -> bool:
+    if not pairs:
+        return True
+    if budget <= 0:
+        return False
+    if _reference_greedy_disjoint_edges(pairs) > budget:
+        return False
+    pick = None
+    for u, v in pairs:
+        bu = u in banned
+        bv = v in banned
+        if bu and bv:
+            return False
+        if bu or bv:
+            pick = (u, v)
+            break
+    if pick is None:
+        pick = pairs[0]
+    u, v = pick
+    for z in (u, v):
+        if z in banned:
+            continue
+        rest = [e for e in pairs if z != e[0] and z != e[1]]
+        if _reference_cover_feasible(rest, banned, budget - 1):
+            return True
+    return False
+
+
+def _reference_pairs(graph: Graph, coalition) -> list[tuple[str, str]]:
+    return [graph.edges[i] for i in sorted(coalition)]
+
+
+def reference_cover_size(graph: Graph, coalition) -> int:
+    """The cover number by the branch and bound that rebuilt an edge-pair list
+    at every node, over the coalition's pairs in ascending edge order."""
+    pairs = _reference_pairs(graph, coalition)
+    k = _reference_greedy_disjoint_edges(pairs)
+    while not _reference_cover_feasible(pairs, frozenset(), k):
+        k += 1
+    return k
+
+
+def reference_lex_min_cover(graph: Graph, coalition, size: int) -> tuple[str, ...]:
+    """The lexicographically smallest cover of the given (minimum) size by the same
+    pair-list search: a label joins the witness whenever a cover of that size can
+    still be completed from strictly larger labels."""
+    pairs = _reference_pairs(graph, coalition)
+    chosen: list[str] = []
+    banned: set[str] = set()
+    remaining = pairs
+    for v in sorted({w for e in pairs for w in e}):
+        if not remaining:
+            break
+        without_v = [e for e in remaining if v != e[0] and v != e[1]]
+        if len(chosen) < size and _reference_cover_feasible(without_v, banned,
+                                                            size - len(chosen) - 1):
+            chosen.append(v)
+            remaining = without_v
+        else:
+            banned.add(v)
+    return tuple(chosen)
 
 
 def reference_edge_components(graph: Graph, order, incident) -> list[frozenset[int]]:

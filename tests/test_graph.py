@@ -5,18 +5,20 @@ import random
 
 import pytest
 
+import vcgame.game
 import vcgame.graph
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
 from vcgame.game import VertexCoverGame
 from vcgame.graph import (PATTERNS, Graph, _edge_components, _incidence, components,
                           decompose, diameter, find_forbidden_subgraph, is_bipartite,
-                          matching_number, parse_graph, vertex_cover_number)
+                          mask_coalition, matching_number, parse_graph, vertex_cover_number)
 from vcgame.pmas import CoverSystem, recognize_population_monotonic
 
 from oracles import (all_pm_graphs_up_to, atlas_graphs, brute_cover_number,
                      brute_matching_number, large_star_pisces_forests, random_bipartite_graph,
-                     random_graph, random_star_pisces_forest, reference_edge_components,
-                     reference_forbidden_subgraph)
+                     random_graph, random_star_pisces_forest, reference_cover_size,
+                     reference_edge_components, reference_forbidden_subgraph,
+                     reference_lex_min_cover)
 
 
 def k3() -> Graph:
@@ -212,6 +214,81 @@ def test_cover_witness_covers_everything():
         chosen = set(witness)
         assert len(witness) == size
         assert all(u in chosen or v in chosen for u, v in g.edges)
+
+
+def cap_outcome(call):
+    """call's result, or the text of the OracleCapError it raises."""
+    try:
+        return call()
+    except OracleCapError as error:
+        return str(error)
+
+
+def cap_error(n: int, cap: int) -> str:
+    return (f"instance too large for exact oracle: the coalition subgraph has {n} vertices,"
+            f" above the {cap}-vertex cap, and is not a star/pisces forest")
+
+
+def test_bitmask_cover_search_matches_the_pair_list_reference():
+    # cover number and witness against the search that rebuilt an edge-pair list at every
+    # node: every coalition of the atlas graphs with at most 8 edges (all 1252 graphs hold
+    # 12.6 million coalitions), the grand coalition and 20 seeded coalitions of each larger
+    # one, and 20 seeded coalitions of 300 random graphs; gamma agrees under the vertex
+    # caps 0 and 24, or raises the cap error on a subgraph that is not a star/pisces forest
+    rng = random.Random(2401)
+    cases = []
+    for g in atlas_graphs():
+        full = (1 << g.n_edges) - 1
+        cases.append((g, range(full + 1) if g.n_edges <= 8
+                      else [full] + [rng.getrandbits(g.n_edges) for _ in range(20)]))
+    for _ in range(300):
+        g = random_graph(rng, max_edges=14, max_vertices=9)
+        cases.append((g, [rng.getrandbits(g.n_edges) for _ in range(20)]))
+    checked = 0
+    for g, masks in cases:
+        games = [VertexCoverGame(g, max_vertices=cap) for cap in (0, 24)]
+        for mask in masks:
+            s = mask_coalition(mask)
+            size = reference_cover_size(g, s)
+            assert vertex_cover_number(g, s) == (size, reference_lex_min_cover(g, s, size))
+            n = len({w for i in s for w in g.edges[i]})
+            expected = [size if n <= cap or decompose(g, s) is not None else cap_error(n, cap)
+                        for cap in (0, 24)]
+            assert [cap_outcome(lambda: game.gamma(s)) for game in games] == expected
+            checked += 1
+    assert checked == 49815 + 21 * 857 + 20 * 300
+
+
+def test_vertex_cap_counts_the_coalition_subgraphs_vertices():
+    # a 5-cycle coalition (not a star/pisces forest) in a graph with more edges and
+    # isolated vertices, none of which count: at exactly the cap it is answered, one
+    # vertex more gives the cap error
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a"),
+                          ("f", "g"), ("g", "h")], extra_vertices=("x", "y", "z"))
+    s = frozenset(range(5))
+    assert cap_outcome(lambda: vertex_cover_number(g, s, max_vertices=5)) == (3, ("a", "b", "d"))
+    assert cap_outcome(lambda: matching_number(g, s, max_vertices=5)) == (2, (0, 2))
+    assert cap_outcome(lambda: VertexCoverGame(g, max_vertices=5).gamma(s)) == 3
+    for call in (lambda: vertex_cover_number(g, s, max_vertices=4),
+                 lambda: matching_number(g, s, max_vertices=4),
+                 lambda: VertexCoverGame(g, max_vertices=4).gamma(s)):
+        assert cap_outcome(call) == cap_error(5, 4)
+
+
+def test_vertex_cap_must_be_a_nonnegative_int(monkeypatch):
+    g = c4()
+    for bad in (True, False, 2.5, -1, None, "24"):
+        for call in (lambda: VertexCoverGame(g, max_vertices=bad),
+                     lambda: vertex_cover_number(g, g.players(), max_vertices=bad),
+                     lambda: matching_number(g, g.players(), max_vertices=bad)):
+            with pytest.raises(ContractViolation) as info:
+                call()
+            assert str(info.value) == f"vertex cap {bad!r} is not a nonnegative int"
+    # the game checks its cap once, when it is built, and never per coalition
+    game = VertexCoverGame(g, max_vertices=0)
+    monkeypatch.setattr(vcgame.graph, "_vertex_cap", None)
+    monkeypatch.setattr(vcgame.game, "_vertex_cap", None)
+    assert game.gamma({0, 1}) == 1 and game.max_vertices == 0
 
 
 # --- matching number -----------------------------------------------------------------

@@ -198,6 +198,28 @@ def test_only_the_cover_system_builds_rule_tables():
                      ("graph.py", "_oracle_input")]
 
 
+def test_only_the_graph_builds_the_per_edge_masks():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    # Graph._edge_masks, built once per graph, is the one per-edge mask table
+    found = [(name, top.name, item.name) for name, tree in trees.items() for top in tree.body
+             for item in (top.body if isinstance(top, ast.ClassDef) else [top])
+             if isinstance(item, FUNCTIONS) and item.name == "_edge_masks"]
+    assert found == [("graph.py", "Graph", "_edge_masks")]
+    # the cost table and the cover search read it; the oracles' head counts vertices from it
+    found = sorted({(name, owner) for name, tree in trees.items()
+                    for owner in referrers(tree, "_edge_masks")}, key=str)
+    assert found == [("game.py", "_full_cost_table"), ("graph.py", "_cover_size"),
+                     ("graph.py", "_lex_min_cover"), ("graph.py", "_oracle_input"),
+                     ("graph.py", "vertex_cover_number")]
+    # and none of them rebuilds masks from the edge list: only the witness reads labels
+    readers = {"_full_cost_table", "_greedy_disjoint_edges", "_cover_feasible",
+               "_min_cover_size", "_cover_size", "_oracle_input"}
+    found = [(name, top.name) for name, tree in trees.items() for top in tree.body
+             if isinstance(top, FUNCTIONS) and top.name in readers
+             and {"edges", "vertices", "_incident"} & set(reads(top))]
+    assert found == []
+
+
 def test_caller_scan_sees_each_form():
     text = ("x = make(1)\n"
             "def f():\n    return make, g.make(2), [make(3) for _ in ()]\n"

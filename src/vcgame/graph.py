@@ -2,14 +2,16 @@
 
 Players of the cost game live on edges, so every coalition-level question
 (cover number, matching number, connectivity, diameter) is asked about the
-edge-induced subgraph of a coalition.  The exact engines are deliberately
-small: branch-and-bound search within a configurable vertex cap, with a
-structural shortcut above it for star/pisces forests (trees of diameter at
-most 3), where minimum covers and maximum matchings are read off the shapes
-that ``decompose`` finds.  The cover search runs on coalition bitmasks over
-a per-edge mask table that each graph builds once, which the game's cost
-table reads too.  Recognition, the cover system and the game's costs all
-read one private structure that each graph decomposes once.
+edge-induced subgraph of a coalition.  Recognition, the cover system, the
+game's costs and both exact oracles read one private structure that each
+graph decomposes once: on a star/pisces forest (trees of diameter at most 3)
+every coalition's minimum cover and maximum matching are read off that
+structure at every size.  On any other graph the exact engines are
+deliberately small: branch-and-bound search within a configurable vertex
+cap, with a structural shortcut above it for coalition subgraphs that are
+star/pisces forests, read off the shapes that ``decompose`` finds.  That
+cover search runs on coalition bitmasks over a per-edge mask table that the
+graph builds on first use, which the game's cost table reads too.
 """
 
 from __future__ import annotations
@@ -456,21 +458,76 @@ def _lex_min_cover(graph: Graph, m: int, size: int) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def _shape_cover(graph: Graph, c: ComponentClassification) -> tuple[str, ...]:
-    """Lexicographically smallest minimum cover of one star/pisces component.
-
-    A pisces is covered by its two bases, or by one base and the far leaf when
-    the other base has exactly one pendant.
-    """
-    best = c.cover
-    if c.free_rider is not None:
-        b1, b2 = best
-        for base, other in ((b1, b2), (b2, b1)):
-            pendants = c.pendants[base]
-            if len(pendants) == 1:
-                leaf = graph.other_end(pendants[0], base)
-                best = min(best, (leaf, other) if leaf < other else (other, leaf))
+def _pisces_cover(b1: str, b2: str, leaf1: str | None, leaf2: str | None) -> tuple[str, str]:
+    """Lexicographically smallest minimum cover of a pisces with bases b1 < b2, whose
+    lone pendant leaves at b1 and b2 are leaf1 and leaf2 (None where a base has several):
+    its two bases, or one base and the far leaf when the other base has one pendant."""
+    best = (b1, b2)
+    for leaf, other in ((leaf1, b2), (leaf2, b1)):
+        if leaf is not None:
+            best = min(best, (leaf, other) if leaf < other else (other, leaf))
     return best
+
+
+def _shape_cover(graph: Graph, c: ComponentClassification) -> tuple[str, ...]:
+    """Lexicographically smallest minimum cover of one star/pisces component."""
+    if c.free_rider is None:
+        return c.cover
+    leaves = [graph.other_end(c.pendants[b][0], b) if len(c.pendants[b]) == 1 else None
+              for b in c.cover]
+    return _pisces_cover(*c.cover, *leaves)
+
+
+def _structural_witnesses(graph: Graph,
+                          coalition) -> tuple[tuple[str, ...], tuple[int, ...]] | None:
+    """(cover, matching) of the coalition on a star/pisces graph, its lexicographically
+    smallest minimum cover and maximum matching as sorted tuples, or None on any other
+    graph; read from the graph's structure in one pass over the coalition's sorted edges,
+    whatever the graph's component count.
+
+    Each whole-graph star or pisces restricted to the coalition's edges is a star at its
+    center or base, or a lone edge covered by its smaller end: a pisces without its free
+    rider is two of those, its rider alone is a lone edge (b1 is the smaller base), and
+    its rider with pendants at one base only is a star at that base, whose lowest edge may
+    be the rider; with pendants at both bases it stays a pisces, covered as _pisces_cover
+    says.  The matching takes the lowest coalition edge at each charged vertex.
+    """
+    structure = graph._structure
+    if structure is None:
+        return None
+    select, riders = structure.select, structure.free_riders
+    lowest: dict[str, int] = {}  # vertex charged by a pendant -> its lowest coalition pendant
+    several: set[str] = set()  # such vertices with more than one
+    present: list[int] = []  # the coalition's free riders
+    for i in sorted(_coalition(graph, coalition)):
+        if i in riders:
+            present.append(i)
+        elif select[i] in lowest:
+            several.add(select[i])
+        else:
+            lowest[select[i]] = i
+    cover: list[str] = []
+    matching: list[int] = []
+    for r in present:
+        b1 = select[r]
+        b2 = graph.other_end(r, b1)
+        e1, e2 = lowest.pop(b1, None), lowest.pop(b2, None)
+        if e1 is not None and e2 is not None:  # a pisces
+            cover.extend(_pisces_cover(b1, b2, None if b1 in several else graph.other_end(e1, b1),
+                                       None if b2 in several else graph.other_end(e2, b2)))
+            matching += (e1, e2)
+        elif e2 is not None:  # a star at b2
+            cover.append(b2)
+            matching.append(min(r, e2))
+        else:  # a star at b1, or the rider alone
+            cover.append(b1)
+            matching.append(r if e1 is None else min(r, e1))
+    for v, i in lowest.items():
+        cover.append(v if v in several else min(graph.edges[i]))
+        matching.append(i)
+    cover.sort()
+    matching.sort()
+    return tuple(cover), tuple(matching)
 
 
 def _vertex_cap(max_vertices) -> int:
@@ -481,9 +538,9 @@ def _vertex_cap(max_vertices) -> int:
 
 
 def _oracle_input(graph: Graph, coalition, max_vertices: int):
-    """Both exact oracles' head: the gated coalition, and None within the vertex
-    cap, else the star/pisces shapes of the coalition subgraph, or OracleCapError
-    when it is not a star/pisces forest."""
+    """Both exact oracles' head on a graph that is not star/pisces: the gated coalition,
+    and None within the vertex cap, else the star/pisces shapes of the coalition subgraph,
+    or OracleCapError when it is not a star/pisces forest."""
     s = _coalition(graph, coalition)
     masks = graph._edge_masks
     ends = 0
@@ -513,12 +570,17 @@ def vertex_cover_number(graph: Graph, coalition, *,
     """Exact cover number of the coalition subgraph, with a deterministic witness.
 
     At every size the witness is the lexicographically smallest minimum cover
-    (sorted label tuple).  Within the vertex cap (a nonnegative int) it comes
-    from branch and bound on edge bitmasks; above it, star/pisces forests are
-    solved structurally as the union of each component's smallest cover, and
-    anything else raises OracleCapError.
+    (sorted label tuple).  A star/pisces graph answers every coalition from its
+    structure.  On any other graph the vertex cap (a nonnegative int) applies:
+    within it the witness comes from branch and bound on edge bitmasks; above it,
+    star/pisces coalition subgraphs are solved structurally as the union of each
+    component's smallest cover, and anything else raises OracleCapError.
     """
-    s, shapes = _oracle_input(graph, coalition, _vertex_cap(max_vertices))
+    max_vertices = _vertex_cap(max_vertices)
+    witnesses = _structural_witnesses(graph, coalition)
+    if witnesses is not None:
+        return len(witnesses[0]), witnesses[0]
+    s, shapes = _oracle_input(graph, coalition, max_vertices)
     if shapes is None:
         size = _min_cover_size(graph._edge_masks, s._mask)
         return size, _lex_min_cover(graph, s._mask, size)
@@ -581,10 +643,15 @@ def _matching_size(pairs) -> int:
 def matching_number(graph: Graph, coalition, *,
                     max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[int, tuple[int, ...]]:
     """Exact matching number with the lexicographically smallest witness
-    (sorted edge-index tuple); augmenting paths on bipartite subgraphs,
-    branch and bound otherwise, structural shortcut above the vertex cap (a
-    nonnegative int)."""
-    s, shapes = _oracle_input(graph, coalition, _vertex_cap(max_vertices))
+    (sorted edge-index tuple): read from the structure of a star/pisces graph
+    at every size; on any other graph, augmenting paths on bipartite subgraphs
+    and branch and bound otherwise within the vertex cap (a nonnegative int),
+    and a structural shortcut above it."""
+    max_vertices = _vertex_cap(max_vertices)
+    witnesses = _structural_witnesses(graph, coalition)
+    if witnesses is not None:
+        return len(witnesses[1]), witnesses[1]
+    s, shapes = _oracle_input(graph, coalition, max_vertices)
     if shapes is None:
         order = sorted(s)
         pairs = [graph.edges[i] for i in order]

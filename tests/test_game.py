@@ -89,19 +89,23 @@ def test_gamma_builds_no_witness(monkeypatch):
     def refuse(*args):
         raise AssertionError("gamma built a cover witness")
 
-    monkeypatch.setattr(vcgame.graph, "_lex_min_cover", refuse)
-    monkeypatch.setattr(vcgame.graph, "_shape_cover", refuse)
+    for name in ("_lex_min_cover", "_shape_cover", "_pisces_cover"):
+        monkeypatch.setattr(vcgame.graph, name, refuse)
     pisces = Graph.from_edges([("b1", "b2")] + [("b1", f"l{k}") for k in range(14)]
                               + [("b2", f"r{k}") for k in range(14)])
     small = frozenset({0, 1, 15})
+    # the witness routes do reach the patched functions: the search on p5, and the pisces
+    # cover of the structure's witnesses on the pisces, within and above the vertex cap
     for g, s in ((p5(), p5().players()), (pisces, small), (pisces, pisces.players())):
         with pytest.raises(AssertionError, match="witness"):
-            vertex_cover_number(g, s)  # the witness routes do reach the patched functions
+            vertex_cover_number(g, s)
+    monkeypatch.setattr(vcgame.graph, "_structural_witnesses", refuse)
     # below the vertex cap, then above it (30 vertices) and below it with max_vertices=0
     assert VertexCoverGame(p5()).gamma(p5().players()) == 2
     assert VertexCoverGame(pisces).gamma(small) == 2
     assert VertexCoverGame(pisces).gamma(pisces.players()) == 2
     assert VertexCoverGame(pisces, max_vertices=0).gamma(small) == 2
+    assert VertexCoverGame(star(5)).gamma({0, 3}) == 1
 
 
 def test_gamma_counts_the_rule_cover_on_star_pisces_graphs():

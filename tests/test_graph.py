@@ -8,17 +8,17 @@ import pytest
 import vcgame.game
 import vcgame.graph
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
-from vcgame.game import VertexCoverGame
+from vcgame.game import VertexCoverGame, core_element_from_matching, is_balanced
 from vcgame.graph import (PATTERNS, Graph, _edge_components, _incidence, components,
                           decompose, diameter, find_forbidden_subgraph, is_bipartite,
                           mask_coalition, matching_number, parse_graph, vertex_cover_number)
 from vcgame.pmas import CoverSystem, recognize_population_monotonic
 
 from oracles import (all_pm_graphs_up_to, atlas_graphs, brute_cover_number,
-                     brute_matching_number, large_star_pisces_forests, random_bipartite_graph,
-                     random_graph, random_star_pisces_forest, reference_cover_size,
-                     reference_edge_components, reference_forbidden_subgraph,
-                     reference_lex_min_cover)
+                     brute_matching_number, flipped, large_star_pisces_forests,
+                     random_bipartite_graph, random_graph, random_star_pisces_forest,
+                     reference_cover_size, reference_edge_components,
+                     reference_forbidden_subgraph, reference_lex_min_cover)
 
 
 def k3() -> Graph:
@@ -156,6 +156,35 @@ def test_large_star_and_pisces_decompose_once_in_linear_time():
         assert game.gamma(g.players()) == game.gamma({1, g.n_edges - 1}) == len(cover)
 
 
+def test_oracles_on_a_large_star_and_pisces_build_no_edge_masks():
+    # the per-edge mask table is quadratic in the edge count (about 30 MiB at 8000 edges);
+    # on a star/pisces graph both oracles and the balance verdicts read the structure alone
+    k = 10_000
+    star_edges = [("hub", f"x{j}") for j in range(k)]
+    pisces_edges = [("b1", "b2")] + [(b, f"{b}-{j}") for b in ("b1", "b2") for j in range(k // 2)]
+    g = Graph.from_edges(star_edges)
+    cases = [(g, g.players(), ("hub",), (0,)), (g, {k - 1}, ("hub",), (k - 1,)),
+             (g, {7, 3, 9000}, ("hub",), (3,))]
+    h = Graph.from_edges(pisces_edges)
+    half = k // 2
+    cases += [(h, h.players(), ("b1", "b2"), (1, half + 1)),
+              (h, {0}, ("b1",), (0,)),  # the free rider alone
+              (h, {0, 9, 7}, ("b1",), (0,)),  # the rider with pendants at b1 only
+              (h, {half + 5, 0}, ("b2",), (0,)),
+              (h, {3, k - 1}, ("b1", "b2"), (3, k - 1)),  # two lone pendants, no rider
+              (h, {0, 3, k - 1}, ("b1", "b2"), (3, k - 1))]
+    for graph, s, cover, matching in cases:
+        assert vertex_cover_number(graph, s) == (len(cover), cover)
+        assert matching_number(graph, s) == (len(matching), matching)
+    for graph, cover, matched in ((g, 1, {0}), (h, 2, {1, half + 1})):
+        game = VertexCoverGame(graph)
+        assert is_balanced(game)
+        x = core_element_from_matching(game)
+        assert len(x) == graph.n_edges and {i for i, v in x.items() if v} == matched
+        assert sum(x.values()) == cover
+        assert "_edge_masks" not in vars(graph)
+
+
 def test_decompose_reads_any_iterable_of_edge_indices():
     g = p5()
     for coalition, kinds in (((0, 1, 2), ["pisces"]), ((3, 1, 0), ["star", "single-edge"])):
@@ -169,13 +198,25 @@ def test_oracles_build_an_incidence_only_above_the_cap(monkeypatch):
     built = []
     incidence = vcgame.graph._incidence
     monkeypatch.setattr(vcgame.graph, "_incidence", lambda g, s: built.append(s) or incidence(g, s))
+    # a star/pisces graph is decomposed once, then answers from its structure at every cap
     g = star(3)
-    assert vertex_cover_number(g, g.players()) == (1, ("hub",))
-    assert matching_number(g, g.players()) == (1, (0,))
+    assert g._structure is not None and built == [range(3)]
+    built.clear()
+    for cap in (24, 3, 0):
+        assert vertex_cover_number(g, g.players(), max_vertices=cap) == (1, ("hub",))
+        assert matching_number(g, g.players(), max_vertices=cap) == (1, (0,))
     assert built == []
-    assert vertex_cover_number(g, g.players(), max_vertices=3) == (1, ("hub",))
-    assert matching_number(g, g.players(), max_vertices=3) == (1, (0,))
-    assert built == [sorted(g.players())] * 2  # the ascending edge order, sorted once
+    # on any other graph (here a distant triangle follows the star), a star coalition
+    # builds an incidence only above the cap
+    h = with_triangle(g)
+    built.clear()
+    s = frozenset(range(3))
+    assert vertex_cover_number(h, s) == (1, ("hub",))
+    assert matching_number(h, s) == (1, (0,))
+    assert built == []
+    assert vertex_cover_number(h, s, max_vertices=3) == (1, ("hub",))
+    assert matching_number(h, s, max_vertices=3) == (1, (0,))
+    assert built == [sorted(s)] * 2  # the ascending edge order, sorted once
 
 
 # --- cover number -------------------------------------------------------------------
@@ -276,15 +317,18 @@ def test_vertex_cap_counts_the_coalition_subgraphs_vertices():
 
 
 def test_vertex_cap_must_be_a_nonnegative_int(monkeypatch):
-    g = c4()
-    for bad in (True, False, 2.5, -1, None, "24"):
-        for call in (lambda: VertexCoverGame(g, max_vertices=bad),
-                     lambda: vertex_cover_number(g, g.players(), max_vertices=bad),
-                     lambda: matching_number(g, g.players(), max_vertices=bad)):
-            with pytest.raises(ContractViolation) as info:
-                call()
-            assert str(info.value) == f"vertex cap {bad!r} is not a nonnegative int"
+    # on a graph the search answers and on a pisces its structure answers
+    pisces = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
+    for g in (c4(), pisces):
+        for bad in (True, False, 2.5, -1, None, "24"):
+            for call in (lambda: VertexCoverGame(g, max_vertices=bad),
+                         lambda: vertex_cover_number(g, g.players(), max_vertices=bad),
+                         lambda: matching_number(g, g.players(), max_vertices=bad)):
+                with pytest.raises(ContractViolation) as info:
+                    call()
+                assert str(info.value) == f"vertex cap {bad!r} is not a nonnegative int"
     # the game checks its cap once, when it is built, and never per coalition
+    g = c4()
     game = VertexCoverGame(g, max_vertices=0)
     monkeypatch.setattr(vcgame.graph, "_vertex_cap", None)
     monkeypatch.setattr(vcgame.game, "_vertex_cap", None)
@@ -383,34 +427,71 @@ def test_structural_path_beyond_cap():
     assert nu == 2 and witness == (1, 15)
 
 
+def with_triangle(g: Graph) -> Graph:
+    """g with a disjoint triangle after its edges: g's coalitions keep their edge indices
+    on a graph that is not star/pisces, whose oracles answer them by search within the
+    vertex cap and from the coalition subgraph's own shapes above it."""
+    h = Graph.from_edges(list(g.edges) + [("t1", "t2"), ("t2", "t3"), ("t1", "t3")])
+    assert h.n_vertices == g.n_vertices + 3 and h._structure is None
+    return h
+
+
 def test_structural_witnesses_equal_exact_witnesses():
     path = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
     assert vertex_cover_number(path, path.players(), max_vertices=2) == (2, ("a", "c"))
+    # every coalition of every population-monotonic graph with up to 6 edges, in both
+    # label orders: the generator labels every base below its leaves, and reversed labels
+    # put the leaves first, where a lone pendant's leaf beats its base
     for g in all_pm_graphs_up_to(6):
-        # the generator labels every base below its leaves; reversed labels
-        # put the leaves first, where a lone pendant's leaf beats its base
-        labels = sorted(g.vertices)
-        flip = dict(zip(labels, reversed(labels)))
-        flipped = Graph.from_edges([(flip[u], flip[v]) for u, v in g.edges])
-        for h in (g, flipped):
+        for h in (g, flipped(g)):
+            ref = with_triangle(h)
             for mask in range(1, 1 << h.n_edges):
-                s = frozenset(i for i in range(h.n_edges) if mask >> i & 1)
-                assert (vertex_cover_number(h, s, max_vertices=0)
-                        == vertex_cover_number(h, s))
-                assert matching_number(h, s, max_vertices=0) == matching_number(h, s)
-                assert VertexCoverGame(h, max_vertices=0).gamma(s) == vertex_cover_number(h, s)[0]
-    # forests above both caps, on sampled coalitions, against the search with
-    # the vertex cap lifted
+                s = mask_coalition(mask)
+                cover, matching = vertex_cover_number(ref, s), matching_number(ref, s)
+                assert vertex_cover_number(ref, s, max_vertices=0) == cover
+                assert matching_number(ref, s, max_vertices=0) == matching
+                for cap in (0, 24):
+                    assert vertex_cover_number(h, s, max_vertices=cap) == cover
+                    assert matching_number(h, s, max_vertices=cap) == matching
+                assert VertexCoverGame(h, max_vertices=0).gamma(s) == cover[0]
+    # a pisces whose leaves a and z, b and y sit on both sides of its bases m and n:
+    # the free rider alone, with pendants at one base (a star there, matched by the rider
+    # or by that base's lowest pendant), without the rider, and with both sides
+    g = Graph.from_edges([("m", "a"), ("m", "z"), ("m", "n"), ("n", "b"), ("n", "y")])
+    ref = with_triangle(g)
+    for members, cover, matching in (((2,), ("m",), (2,)),
+                                     ((2, 3), ("n",), (2,)),
+                                     ((2, 3, 4), ("n",), (2,)),
+                                     ((0, 2), ("m",), (0,)),
+                                     ((1, 2), ("m",), (1,)),
+                                     ((0, 1, 2), ("m",), (0,)),
+                                     ((0, 3), ("a", "b"), (0, 3)),
+                                     ((1, 4), ("m", "n"), (1, 4)),
+                                     ((0, 2, 3), ("a", "n"), (0, 3)),
+                                     ((1, 2, 4), ("m", "n"), (1, 4)),
+                                     ((0, 1, 2, 3), ("b", "m"), (0, 3)),
+                                     ((0, 1, 2, 3, 4), ("m", "n"), (0, 3))):
+        s = frozenset(members)
+        for cap in (0, 24):
+            assert vertex_cover_number(g, s, max_vertices=cap) == (len(cover), cover)
+            assert matching_number(g, s, max_vertices=cap) == (len(matching), matching)
+            assert vertex_cover_number(ref, s, max_vertices=cap) == (len(cover), cover)
+            assert matching_number(ref, s, max_vertices=cap) == (len(matching), matching)
+    # forests above both caps, on sampled coalitions under the vertex caps 0, 24 and one
+    # that lifts it
     rng = random.Random(1702)
-    for h in large_star_pisces_forests(rng, 12):
-        lifted = h.n_vertices
-        for s in [h.players()] + [frozenset(i for i in range(h.n_edges) if rng.random() < p)
-                                  for p in (0.2, 0.5, 0.8) for _ in range(10)]:
-            cover = vertex_cover_number(h, s, max_vertices=lifted)
-            assert vertex_cover_number(h, s, max_vertices=0) == vertex_cover_number(h, s) == cover
-            assert (matching_number(h, s, max_vertices=0) == matching_number(h, s)
-                    == matching_number(h, s, max_vertices=lifted))
-            assert VertexCoverGame(h, max_vertices=0).gamma(s) == cover[0]
+    for g in large_star_pisces_forests(rng, 12):
+        for h in (g, flipped(g)):
+            ref = with_triangle(h)
+            for s in [h.players()] + [frozenset(i for i in range(h.n_edges) if rng.random() < p)
+                                      for p in (0.2, 0.5, 0.8) for _ in range(10)]:
+                for cap in (0, 24, h.n_vertices):
+                    assert (vertex_cover_number(h, s, max_vertices=cap)
+                            == vertex_cover_number(ref, s, max_vertices=cap))
+                    assert (matching_number(h, s, max_vertices=cap)
+                            == matching_number(ref, s, max_vertices=cap))
+                assert VertexCoverGame(h, max_vertices=0).gamma(s) == vertex_cover_number(h, s)[0]
+        assert "_edge_masks" not in vars(g)
 
 
 def test_cap_error_on_long_path():

@@ -244,14 +244,16 @@ def test_the_rule_table_has_one_source():
     found = sorted({(name, owner) for name, tree in trees.items()
                     for owner in referrers(tree, "_structure")}, key=str)
     assert found == [("game.py", "VertexCoverGame"), ("graph.py", "_charged"),
-                     ("pmas.py", "CoverSystem"), ("pmas.py", "_RuleTableScheme"),
-                     ("pmas.py", "check_pi_star"), ("pmas.py", "recognize_population_monotonic")]
+                     ("graph.py", "_structural_witnesses"), ("pmas.py", "CoverSystem"),
+                     ("pmas.py", "_RuleTableScheme"), ("pmas.py", "check_pi_star"),
+                     ("pmas.py", "recognize_population_monotonic")]
     # outside the cover system and its schemes, watch masks, selected vertices and
     # payments are read from the graph's structure, never from a cover system
     found = sorted({(name, owner, obj) for name, tree in trees.items()
                     for owner, obj, _ in attribute_reads(tree, {"watch", "select", "pays"})
                     if owner not in ("CoverSystem", "_RuleTableScheme")})
     assert found == [("graph.py", "_charged", "structure"),
+                     ("graph.py", "_structural_witnesses", "structure"),
                      ("pmas.py", "check_pi_star", "structure")]
 
 

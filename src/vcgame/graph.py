@@ -8,10 +8,10 @@ graph decomposes once: on a star/pisces forest (trees of diameter at most 3)
 every coalition's minimum cover and maximum matching are read off that
 structure at every size.  On any other graph the exact engines are
 deliberately small: branch-and-bound search within a configurable vertex
-cap, with a structural shortcut above it for coalition subgraphs that are
-star/pisces forests, read off the shapes that ``decompose`` finds.  That
-cover search runs on coalition bitmasks over a per-edge mask table that the
-graph builds on first use, which the game's cost table reads too.
+cap; above it a coalition subgraph that is itself a star/pisces forest is
+answered from its own structure by the same reader.  That cover search runs
+on coalition bitmasks over a per-edge mask table that the graph builds on
+first use, which the game's cost table reads too.
 """
 
 from __future__ import annotations
@@ -469,21 +469,11 @@ def _pisces_cover(b1: str, b2: str, leaf1: str | None, leaf2: str | None) -> tup
     return best
 
 
-def _shape_cover(graph: Graph, c: ComponentClassification) -> tuple[str, ...]:
-    """Lexicographically smallest minimum cover of one star/pisces component."""
-    if c.free_rider is None:
-        return c.cover
-    leaves = [graph.other_end(c.pendants[b][0], b) if len(c.pendants[b]) == 1 else None
-              for b in c.cover]
-    return _pisces_cover(*c.cover, *leaves)
-
-
-def _structural_witnesses(graph: Graph,
-                          coalition) -> tuple[tuple[str, ...], tuple[int, ...]] | None:
+def _structural_witnesses(graph: Graph, coalition) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """(cover, matching) of the coalition on a star/pisces graph, its lexicographically
-    smallest minimum cover and maximum matching as sorted tuples, or None on any other
-    graph; read from the graph's structure in one pass over the coalition's sorted edges,
-    whatever the graph's component count.
+    smallest minimum cover and maximum matching as sorted tuples, read from the graph's
+    structure in one pass over the coalition's sorted edges, whatever the graph's
+    component count.
 
     Each whole-graph star or pisces restricted to the coalition's edges is a star at its
     center or base, or a lone edge covered by its smaller end: a pisces without its free
@@ -493,8 +483,6 @@ def _structural_witnesses(graph: Graph,
     says.  The matching takes the lowest coalition edge at each charged vertex.
     """
     structure = graph._structure
-    if structure is None:
-        return None
     select, riders = structure.select, structure.free_riders
     lowest: dict[str, int] = {}  # vertex charged by a pendant -> its lowest coalition pendant
     several: set[str] = set()  # such vertices with more than one
@@ -538,31 +526,36 @@ def _vertex_cap(max_vertices) -> int:
 
 
 def _oracle_input(graph: Graph, coalition, max_vertices: int):
-    """Both exact oracles' head on a graph that is not star/pisces: the gated coalition,
-    and None within the vertex cap, else the star/pisces shapes of the coalition subgraph,
-    or OracleCapError when it is not a star/pisces forest."""
+    """The head of both exact oracles and the size-only search: the gated coalition with
+    its (cover, matching) witnesses when a structure answers it, else with None within the
+    vertex cap.  A star/pisces graph answers from its own structure; on any other graph a
+    coalition subgraph above the cap answers from the subgraph's own structure, whose edge
+    j is the coalition's j-th smallest edge, or raises OracleCapError when it is not a
+    star/pisces forest."""
     s = _coalition(graph, coalition)
-    masks = graph._edge_masks
-    ends = 0
-    for i in s:
-        ends |= masks[i][3] | masks[i][4]
-    n = ends.bit_count()
+    if graph._structure is not None:
+        return s, _structural_witnesses(graph, s)
+    if 2 * len(s) <= max_vertices:  # each edge brings at most two vertices
+        return s, None
+    n = len({w for i in s for w in graph.edges[i]})
     if n <= max_vertices:
         return s, None
-    shapes = _shapes(graph, sorted(s))
-    if shapes is None:
+    order = sorted(s)
+    sub = Graph.from_edges(graph.edges[i] for i in order)
+    if sub._structure is None:
         raise OracleCapError(
             f"instance too large for exact oracle: the coalition subgraph has {n} vertices,"
             f" above the {max_vertices}-vertex cap, and is not a star/pisces forest")
-    return s, shapes
+    cover, matching = _structural_witnesses(sub, sub.players())
+    return s, (cover, tuple(order[j] for j in matching))
 
 
 def _cover_size(graph: Graph, coalition, max_vertices: int) -> int:
-    """vertex_cover_number's size alone, found without building a witness."""
-    s, shapes = _oracle_input(graph, coalition, max_vertices)
-    if shapes is None:
+    """vertex_cover_number's size alone; within the vertex cap the search builds no witness."""
+    s, witnesses = _oracle_input(graph, coalition, max_vertices)
+    if witnesses is None:
         return _min_cover_size(graph._edge_masks, s._mask)
-    return sum(len(c.cover) for c in shapes)
+    return len(witnesses[0])
 
 
 def vertex_cover_number(graph: Graph, coalition, *,
@@ -573,22 +566,14 @@ def vertex_cover_number(graph: Graph, coalition, *,
     (sorted label tuple).  A star/pisces graph answers every coalition from its
     structure.  On any other graph the vertex cap (a nonnegative int) applies:
     within it the witness comes from branch and bound on edge bitmasks; above it,
-    star/pisces coalition subgraphs are solved structurally as the union of each
-    component's smallest cover, and anything else raises OracleCapError.
+    a coalition subgraph that is a star/pisces forest answers from its own
+    structure, and anything else raises OracleCapError.
     """
-    max_vertices = _vertex_cap(max_vertices)
-    witnesses = _structural_witnesses(graph, coalition)
+    s, witnesses = _oracle_input(graph, coalition, _vertex_cap(max_vertices))
     if witnesses is not None:
         return len(witnesses[0]), witnesses[0]
-    s, shapes = _oracle_input(graph, coalition, max_vertices)
-    if shapes is None:
-        size = _min_cover_size(graph._edge_masks, s._mask)
-        return size, _lex_min_cover(graph, s._mask, size)
-    cover: list[str] = []
-    for c in shapes:
-        cover.extend(_shape_cover(graph, c))
-    cover.sort()
-    return len(cover), tuple(cover)
+    size = _min_cover_size(graph._edge_masks, s._mask)
+    return size, _lex_min_cover(graph, s._mask, size)
 
 
 # --- exact maximum matching -----------------------------------------------------
@@ -646,35 +631,29 @@ def matching_number(graph: Graph, coalition, *,
     (sorted edge-index tuple): read from the structure of a star/pisces graph
     at every size; on any other graph, augmenting paths on bipartite subgraphs
     and branch and bound otherwise within the vertex cap (a nonnegative int),
-    and a structural shortcut above it."""
-    max_vertices = _vertex_cap(max_vertices)
-    witnesses = _structural_witnesses(graph, coalition)
+    and above it the structure of a coalition subgraph that is a star/pisces forest."""
+    s, witnesses = _oracle_input(graph, coalition, _vertex_cap(max_vertices))
     if witnesses is not None:
         return len(witnesses[1]), witnesses[1]
-    s, shapes = _oracle_input(graph, coalition, max_vertices)
-    if shapes is None:
-        order = sorted(s)
-        pairs = [graph.edges[i] for i in order]
-        size = _matching_size(pairs)
-        witness: list[int] = []
-        used: set[str] = set()
-        need = size
-        for pos, i in enumerate(order):
-            if need == 0:
-                break
-            u, v = pairs[pos]
-            if u in used or v in used:
-                continue
-            blocked = used | {u, v}
-            rest = [e for e in pairs[pos + 1:] if e[0] not in blocked and e[1] not in blocked]
-            if _matching_size(rest) >= need - 1:
-                witness.append(i)
-                used.update((u, v))
-                need -= 1
-        return size, tuple(witness)
-    # on star/pisces forests: the smallest pendant edge at each cover vertex
-    witness = sorted(min(es) for c in shapes for es in c.pendants.values())
-    return len(witness), tuple(witness)
+    order = sorted(s)
+    pairs = [graph.edges[i] for i in order]
+    size = _matching_size(pairs)
+    witness: list[int] = []
+    used: set[str] = set()
+    need = size
+    for pos, i in enumerate(order):
+        if need == 0:
+            break
+        u, v = pairs[pos]
+        if u in used or v in used:
+            continue
+        blocked = used | {u, v}
+        rest = [e for e in pairs[pos + 1:] if e[0] not in blocked and e[1] not in blocked]
+        if _matching_size(rest) >= need - 1:
+            witness.append(i)
+            used.update((u, v))
+            need -= 1
+    return size, tuple(witness)
 
 
 # --- forbidden subgraph search ---------------------------------------------------

@@ -138,7 +138,7 @@ def scheme_from_preferences(ps: PreferenceSystem) -> AllocationScheme:
     highest-ranked coalition edge and a free rider is matched only when lone.
     Requires a population-monotonic graph and free riders ranked last at both
     bases."""
-    return CoverSystem(ps.graph).scheme(ps._orders)
+    return CoverSystem(ps.graph)._integral(ps._orders)
 
 
 def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
@@ -214,4 +214,4 @@ def enumerate_integral_pmas(graph: Graph, *, max_enumerate: int = DEFAULT_ENUM_C
     for yielded, orders in enumerate(_orders(by_vertex, sorted(by_vertex), {})):
         if yielded >= max_enumerate:
             raise EnumerationTruncated(f"enumeration stopped at cap {max_enumerate}")
-        yield cover.scheme(orders)
+        yield cover._integral(orders)

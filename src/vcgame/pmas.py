@@ -143,7 +143,10 @@ class CoverSystem:
         free riders must rank last at both bases and keep their entries."""
         if orders is None:
             return _RuleTableScheme(self.graph, self.watch, self.pays)
-        orders = _checked_orders(self.graph, orders)
+        return self._integral(_checked_orders(self.graph, orders))
+
+    def _integral(self, orders: dict[str, tuple[int, ...]]) -> AllocationScheme:
+        """scheme(orders) for orders that already passed _checked_orders."""
         watch, pays = list(self.watch), list(self.pays)
         first = (ONE,) + (ZERO,) * self.graph.n_edges
         for c in self.graph._structure.shapes:
@@ -278,10 +281,10 @@ class _RuleTableScheme(AllocationScheme):
         if not self._reads_table() or structure is None:
             return False
         watch = tuple(self.watch)
-        orders = None if watch == structure.watch else {
+        cover = CoverSystem(self.graph)
+        built = cover.scheme() if watch == structure.watch else cover._integral({
             v: (*sorted(es, key=watch.__getitem__), *{c.free_rider} - {None})
-            for c in structure.shapes for v, es in c.pendants.items()}
-        built = CoverSystem(self.graph).scheme(orders)
+            for c in structure.shapes for v, es in c.pendants.items()})
         return watch == built.watch and all(
             tuple(row[:w.bit_count() + 1]) == ref[:w.bit_count() + 1]
             for w, row, ref in zip(watch, self.pays, built.pays))

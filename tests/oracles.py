@@ -5,15 +5,16 @@ covers and matchings by subset enumeration, stability by a hand-rolled
 domination scan, component shapes by raw degree counting, scheme verification
 and core membership by Fraction scans, and the constructive rule, its
 selector and the pi* check by one split per coalition.  The only library
-pieces used are the data types, the cover system's component shapes and,
-for the integral-scheme search, the final verify_pmas filter that the search
-is defined against.  Seven earlier library implementations are kept as
+pieces used are the data types, the cover system's component shapes,
+decompose's shapes for the old above-cap reader and, for the integral-scheme
+search, the final verify_pmas filter that the search is defined against.  Eight earlier library implementations are kept as
 references for differential tests: the coalition split that grouped edges by
 anchor, the component search that rescanned a vertex's edges once per edge
 there, the cover search that rebuilt an edge-pair list at every node, the
-forbidden-pattern search with its own K3 and C4 loops, the stability scan
-with a per-vertex rank cache, the integral scheme that ran deferred
-acceptance per coalition, and core membership on Fraction sums.
+exact oracles' reader above the vertex cap that read each shape decompose
+finds, the forbidden-pattern search with its own K3 and C4 loops, the
+stability scan with a per-vertex rank cache, the integral scheme that ran
+deferred acceptance per coalition, and core membership on Fraction sums.
 The dual checks keep their Fraction semantics here too, as references for
 the integer profile the library computes once per allocation.
 """
@@ -27,7 +28,8 @@ from fractions import Fraction
 
 from vcgame.errors import ContractViolation, MalformedScheme, OracleCapError
 from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame
-from vcgame.graph import PATTERNS, Graph, all_coalitions, components, mask_coalition
+from vcgame.graph import (PATTERNS, ComponentClassification, Graph, all_coalitions, components,
+                          decompose, mask_coalition)
 from vcgame.matching import PreferenceSystem, gale_shapley
 from vcgame.pmas import AllocationScheme, CoverSystem, Violation, verify_pmas
 
@@ -340,6 +342,38 @@ def reference_lex_min_cover(graph: Graph, coalition, size: int) -> tuple[str, ..
         else:
             banned.add(v)
     return tuple(chosen)
+
+
+def _reference_shape_cover(graph: Graph, c: ComponentClassification) -> tuple[str, ...]:
+    """Lexicographically smallest minimum cover of one star/pisces shape: its cover, or on
+    a pisces one base and the far leaf where the other base has a lone pendant."""
+    if c.free_rider is None:
+        return c.cover
+    b1, b2 = c.cover
+    best = c.cover
+    for base, other in ((b1, b2), (b2, b1)):
+        if len(c.pendants[base]) == 1:
+            leaf = graph.other_end(c.pendants[base][0], base)
+            best = min(best, tuple(sorted((leaf, other))))
+    return best
+
+
+def reference_above_cap(graph: Graph, coalition, max_vertices: int):
+    """Both exact oracles' answers above the vertex cap as the reader of decompose's shapes
+    gave them: ((cover size, cover), (matching size, matching)) from the union of each
+    shape's smallest cover and the smallest pendant at each cover vertex, or the
+    OracleCapError text when some component is neither a star nor a pisces; None within
+    the cap, where the search answers."""
+    n = len({w for i in coalition for w in graph.edges[i]})
+    if n <= max_vertices:
+        return None
+    shapes = decompose(graph, coalition)
+    if shapes is None:
+        return (f"instance too large for exact oracle: the coalition subgraph has {n} vertices,"
+                f" above the {max_vertices}-vertex cap, and is not a star/pisces forest")
+    cover = tuple(sorted(v for c in shapes for v in _reference_shape_cover(graph, c)))
+    matching = tuple(sorted(min(es) for c in shapes for es in c.pendants.values()))
+    return (len(cover), cover), (len(matching), matching)
 
 
 def reference_edge_components(graph: Graph, order, incident) -> list[frozenset[int]]:

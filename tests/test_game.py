@@ -89,7 +89,7 @@ def test_gamma_builds_no_witness(monkeypatch):
     def refuse(*args):
         raise AssertionError("gamma built a cover witness")
 
-    for name in ("_lex_min_cover", "_shape_cover", "_pisces_cover"):
+    for name in ("_lex_min_cover", "_pisces_cover"):
         monkeypatch.setattr(vcgame.graph, name, refuse)
     pisces = Graph.from_edges([("b1", "b2")] + [("b1", f"l{k}") for k in range(14)]
                               + [("b2", f"r{k}") for k in range(14)])

@@ -17,7 +17,7 @@ from vcgame.pmas import CoverSystem, recognize_population_monotonic
 from oracles import (all_pm_graphs_up_to, atlas_graphs, brute_cover_number,
                      brute_matching_number, flipped, large_star_pisces_forests,
                      random_bipartite_graph, random_graph, random_star_pisces_forest,
-                     reference_cover_size, reference_edge_components,
+                     reference_above_cap, reference_cover_size, reference_edge_components,
                      reference_forbidden_subgraph, reference_lex_min_cover)
 
 
@@ -197,17 +197,18 @@ def test_decompose_reads_any_iterable_of_edge_indices():
 def test_oracles_build_an_incidence_only_above_the_cap(monkeypatch):
     built = []
     incidence = vcgame.graph._incidence
-    monkeypatch.setattr(vcgame.graph, "_incidence", lambda g, s: built.append(s) or incidence(g, s))
+    monkeypatch.setattr(vcgame.graph, "_incidence",
+                        lambda g, s: built.append((g.edges, s)) or incidence(g, s))
     # a star/pisces graph is decomposed once, then answers from its structure at every cap
     g = star(3)
-    assert g._structure is not None and built == [range(3)]
+    assert g._structure is not None and built == [(g.edges, range(3))]
     built.clear()
     for cap in (24, 3, 0):
         assert vertex_cover_number(g, g.players(), max_vertices=cap) == (1, ("hub",))
         assert matching_number(g, g.players(), max_vertices=cap) == (1, (0,))
     assert built == []
     # on any other graph (here a distant triangle follows the star), a star coalition
-    # builds an incidence only above the cap
+    # builds an incidence only above the cap: one per call, of the coalition subgraph
     h = with_triangle(g)
     built.clear()
     s = frozenset(range(3))
@@ -216,7 +217,7 @@ def test_oracles_build_an_incidence_only_above_the_cap(monkeypatch):
     assert built == []
     assert vertex_cover_number(h, s, max_vertices=3) == (1, ("hub",))
     assert matching_number(h, s, max_vertices=3) == (1, (0,))
-    assert built == [sorted(s)] * 2  # the ascending edge order, sorted once
+    assert built == [(g.edges, range(3))] * 2  # its edges in ascending index order
 
 
 # --- cover number -------------------------------------------------------------------
@@ -300,7 +301,7 @@ def test_bitmask_cover_search_matches_the_pair_list_reference():
     assert checked == 49815 + 21 * 857 + 20 * 300
 
 
-def test_vertex_cap_counts_the_coalition_subgraphs_vertices():
+def test_vertex_cap_counts_the_coalition_subgraphs_vertices(monkeypatch):
     # a 5-cycle coalition (not a star/pisces forest) in a graph with more edges and
     # isolated vertices, none of which count: at exactly the cap it is answered, one
     # vertex more gives the cap error
@@ -314,6 +315,19 @@ def test_vertex_cap_counts_the_coalition_subgraphs_vertices():
                  lambda: matching_number(g, s, max_vertices=4),
                  lambda: VertexCoverGame(g, max_vertices=4).gamma(s)):
         assert cap_outcome(call) == cap_error(5, 4)
+    # three disjoint edges span 2 * 3 = 6 vertices: at the cap 6 the search answers them,
+    # at 5 they are above it and their subgraph's own structure answers, with one incidence
+    # of that subgraph per call and the same witnesses
+    built = []
+    incidence = vcgame.graph._incidence
+    monkeypatch.setattr(vcgame.graph, "_incidence", lambda h, o: built.append(o) or incidence(h, o))
+    s = frozenset({0, 2, 5})
+    for cap, incidences in ((6, []), (5, [range(3)] * 3)):
+        built.clear()
+        assert cap_outcome(lambda: vertex_cover_number(g, s, max_vertices=cap)) == (3, ("a", "c", "f"))
+        assert cap_outcome(lambda: matching_number(g, s, max_vertices=cap)) == (3, (0, 2, 5))
+        assert cap_outcome(lambda: VertexCoverGame(g, max_vertices=cap).gamma(s)) == 3
+        assert built == incidences
 
 
 def test_vertex_cap_must_be_a_nonnegative_int(monkeypatch):
@@ -492,6 +506,74 @@ def test_structural_witnesses_equal_exact_witnesses():
                             == matching_number(ref, s, max_vertices=cap))
                 assert VertexCoverGame(h, max_vertices=0).gamma(s) == vertex_cover_number(h, s)[0]
         assert "_edge_masks" not in vars(g)
+
+
+GADGETS = {"K3": [("t1", "t2"), ("t2", "t3"), ("t1", "t3")],
+           "C4": [("t1", "t2"), ("t2", "t3"), ("t3", "t4"), ("t4", "t1")],
+           "P5": [("t1", "t2"), ("t2", "t3"), ("t3", "t4"), ("t4", "t5")]}
+
+
+def oracle_outcomes(g: Graph, s, cap: int):
+    """Both oracles' answers and gamma under the vertex cap, or their cap error texts."""
+    return (cap_outcome(lambda: vertex_cover_number(g, s, max_vertices=cap)),
+            cap_outcome(lambda: matching_number(g, s, max_vertices=cap)),
+            cap_outcome(lambda: VertexCoverGame(g, max_vertices=cap).gamma(s)))
+
+
+def test_oracles_above_the_cap_match_the_shape_reader():
+    # sampled coalitions of star/pisces forests of 10-80 edges plus a distant K3, C4 or P5
+    # (the edges shuffled), in both label orders, under the caps 0, 5 and 24: answers and
+    # cap error texts equal those of the reader of decompose's shapes above the cap, and
+    # within it the search's, which that reader left to it
+    rng = random.Random(2601)
+    routes = {"search": 0, "shapes": 0, "error": 0}
+    for pattern in list(GADGETS) * 4:
+        forest = random_star_pisces_forest(rng, max_edges=80)
+        while forest.n_edges < 10:
+            forest = random_star_pisces_forest(rng, max_edges=80)
+        edges = list(forest.edges) + GADGETS[pattern]
+        rng.shuffle(edges)
+        g = Graph.from_edges(edges)
+        in_forest = frozenset(i for i, (u, _) in enumerate(edges) if not u.startswith("t"))
+        for h in (g, flipped(g)):
+            coalitions = [h.players(), in_forest] + [
+                frozenset(i for i in range(h.n_edges) if rng.random() < p)
+                for p in (0.05, 0.2, 0.5, 0.8) for _ in range(3)]
+            for s in coalitions:
+                for cap in (0, 5, 24):
+                    expected = reference_above_cap(h, s, cap)
+                    if expected is None:
+                        routes["search"] += 1
+                        expected = oracle_outcomes(h, s, h.n_vertices)
+                    elif isinstance(expected, str):
+                        routes["error"] += 1
+                        expected = (expected,) * 3
+                    else:
+                        routes["shapes"] += 1
+                        expected = (*expected, expected[0][0])
+                    assert oracle_outcomes(h, s, cap) == expected
+    assert min(routes.values()) >= 50
+
+
+def test_oracles_above_the_cap_on_a_large_graph_build_no_edge_masks():
+    # a 2,004-edge star and pisces with a distant triangle: coalitions above the cap are
+    # answered from their own subgraph's structure, and the quadratic mask table is never
+    # built (it holds about 2 MiB at 2,000 edges)
+    k = 1000
+    g = Graph.from_edges([("hub", f"x{j}") for j in range(k)] + [("b1", "b2")]
+                         + [(b, f"{b}-{j}") for b in ("b1", "b2") for j in range(k // 2)]
+                         + GADGETS["K3"])
+    assert g.n_edges >= 2000 and g._structure is None
+    forest = frozenset(range(2 * k + 1))
+    assert oracle_outcomes(g, forest, 24) == ((3, ("b1", "b2", "hub")),
+                                              (3, (0, k + 1, k + 1 + k // 2)), 3)
+    assert oracle_outcomes(g, g.players(), 24) == (cap_error(g.n_vertices, 24),) * 3
+    rng = random.Random(2602)
+    for p in (0.01, 0.1, 0.5, 0.9):
+        s = frozenset(i for i in forest if rng.random() < p)
+        cover, matching = reference_above_cap(g, s, 24)
+        assert oracle_outcomes(g, s, 24) == (cover, matching, cover[0])
+    assert "_edge_masks" not in vars(g)
 
 
 def test_cap_error_on_long_path():

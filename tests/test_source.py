@@ -191,11 +191,11 @@ def test_only_the_cover_system_builds_rule_tables():
              for owner in callers(ast.parse(path.read_text(encoding="utf-8")), "_RuleTableScheme")]
     assert found == [("pmas.py", "CoverSystem"), ("pmas.py", "CoverSystem")]
     # one star/pisces decomposition per graph, Graph._structure, which recognition, the
-    # cover system, the shape check and gamma read; otherwise only coalitions are decomposed
+    # cover system, the shape check, gamma and the oracles read (above the vertex cap, a
+    # coalition subgraph's own); otherwise only decompose decomposes a coalition
     found = [(path.name, owner) for path in SOURCES
              for owner in callers(ast.parse(path.read_text(encoding="utf-8")), "_shapes")]
-    assert found == [("graph.py", "Graph"), ("graph.py", "decompose"),
-                     ("graph.py", "_oracle_input")]
+    assert found == [("graph.py", "Graph"), ("graph.py", "decompose")]
 
 
 def test_only_the_graph_builds_the_per_edge_masks():
@@ -205,15 +205,14 @@ def test_only_the_graph_builds_the_per_edge_masks():
              for item in (top.body if isinstance(top, ast.ClassDef) else [top])
              if isinstance(item, FUNCTIONS) and item.name == "_edge_masks"]
     assert found == [("graph.py", "Graph", "_edge_masks")]
-    # the cost table and the cover search read it; the oracles' head counts vertices from it
+    # only the cost table and the cover search read it; the oracles' head never does
     found = sorted({(name, owner) for name, tree in trees.items()
                     for owner in referrers(tree, "_edge_masks")}, key=str)
     assert found == [("game.py", "_full_cost_table"), ("graph.py", "_cover_size"),
-                     ("graph.py", "_lex_min_cover"), ("graph.py", "_oracle_input"),
-                     ("graph.py", "vertex_cover_number")]
+                     ("graph.py", "_lex_min_cover"), ("graph.py", "vertex_cover_number")]
     # and none of them rebuilds masks from the edge list: only the witness reads labels
     readers = {"_full_cost_table", "_greedy_disjoint_edges", "_cover_feasible",
-               "_min_cover_size", "_cover_size", "_oracle_input"}
+               "_min_cover_size", "_cover_size"}
     found = [(name, top.name) for name, tree in trees.items() for top in tree.body
              if isinstance(top, FUNCTIONS) and top.name in readers
              and {"edges", "vertices", "_incident"} & set(reads(top))]
@@ -244,7 +243,8 @@ def test_the_rule_table_has_one_source():
     found = sorted({(name, owner) for name, tree in trees.items()
                     for owner in referrers(tree, "_structure")}, key=str)
     assert found == [("game.py", "VertexCoverGame"), ("graph.py", "_charged"),
-                     ("graph.py", "_structural_witnesses"), ("pmas.py", "CoverSystem"),
+                     ("graph.py", "_oracle_input"), ("graph.py", "_structural_witnesses"),
+                     ("pmas.py", "CoverSystem"),
                      ("pmas.py", "_RuleTableScheme"), ("pmas.py", "check_pi_star"),
                      ("pmas.py", "recognize_population_monotonic")]
     # outside the cover system and its schemes, watch masks, selected vertices and

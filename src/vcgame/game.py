@@ -97,6 +97,7 @@ class VertexCoverGame:
     def cost_table(self, max_edges: int = DEFAULT_EDGE_CAP) -> list[int]:
         """Costs of all coalitions indexed by bitmask, as a new list on each call
         (the game keeps its own, built on first use, which no caller can change)."""
+        _vertex_cap(max_edges, "edge cap")
         if self._table is None:
             if self.n > max_edges:
                 raise OracleCapError(

@@ -7,10 +7,12 @@ game's costs and both exact oracles read one private structure that each
 graph decomposes once: on a star/pisces forest (trees of diameter at most 3)
 every coalition's minimum cover and maximum matching are read off that
 structure at every size.  On any other graph the exact engines are
-deliberately small: branch-and-bound search within a configurable vertex
-cap; above it a coalition subgraph that is itself a star/pisces forest is
-answered from its own structure by the same reader.  That cover search runs
-on coalition bitmasks over a per-edge mask table that the graph builds on
+deliberately small: one bitmask search within a configurable vertex cap,
+whose cover number is also the matching number of a bipartite coalition
+(König), with a branch and bound for the matching number of any other;
+above the cap a coalition subgraph that is itself a star/pisces forest is
+answered from its own structure by the same reader.  Both searches run on
+coalition bitmasks over a per-edge mask table that the graph builds on
 first use, which the game's cost table reads too.
 """
 
@@ -82,7 +84,7 @@ class Graph:
     def _edge_masks(self) -> tuple[tuple[int, int, int, int, int], ...]:
         """Per edge (u, v): the edges left after covering u, after covering v and after
         covering both, as bitmasks over all edges, then u's and v's vertex bits, which
-        follow the label order; made on first use, for the bitmask cover searches."""
+        follow the label order; made on first use, for the bitmask cover and matching searches."""
         bit = {v: 1 << k for k, v in enumerate(sorted(self.vertices))}
         at = dict.fromkeys(self.vertices, 0)
         for i, (u, v) in enumerate(self.edges):
@@ -518,11 +520,12 @@ def _structural_witnesses(graph: Graph, coalition) -> tuple[tuple[str, ...], tup
     return tuple(cover), tuple(matching)
 
 
-def _vertex_cap(max_vertices) -> int:
-    """max_vertices when it is a nonnegative int, else ContractViolation naming it."""
-    if type(max_vertices) is not int or max_vertices < 0:
-        raise ContractViolation(f"vertex cap {max_vertices!r} is not a nonnegative int")
-    return max_vertices
+def _vertex_cap(cap, name: str = "vertex cap") -> int:
+    """cap when it is a nonnegative int, else ContractViolation naming it: the one check of
+    every cap, the vertex cap unless name says which other one."""
+    if type(cap) is not int or cap < 0:
+        raise ContractViolation(f"{name} {cap!r} is not a nonnegative int")
+    return cap
 
 
 def _oracle_input(graph: Graph, coalition, max_vertices: int):
@@ -577,82 +580,55 @@ def vertex_cover_number(graph: Graph, coalition, *,
 
 
 # --- exact maximum matching -----------------------------------------------------
+# The matching search runs on the cover search's edge bitmasks: taking edge i leaves
+# m & masks[i][2], the edges disjoint from it.
 
 
-def _augment(a: str, left_adj, matched: dict[str, str], visited: set[str]) -> bool:
-    for b in left_adj[a]:
-        if b in visited:
-            continue
-        visited.add(b)
-        if b not in matched or _augment(matched[b], left_adj, matched, visited):
-            matched[b] = a
-            return True
-    return False
-
-
-def _bipartite_matching_size(pairs, color) -> int:
-    left_adj: dict[str, list[str]] = {}
-    for u, v in pairs:
-        a, b = (u, v) if color[u] == 0 else (v, u)
-        left_adj.setdefault(a, []).append(b)
-    for lst in left_adj.values():
-        lst.sort()
-    matched: dict[str, str] = {}
-    return sum(_augment(a, left_adj, matched, set()) for a in sorted(left_adj))
-
-
-def _matching_branch(pairs, count: int = 0, best: int = 0) -> int:
-    """The larger of best and count plus a maximum matching of pairs."""
+def _matching_branch(masks, m: int, count: int = 0, best: int = 0) -> int:
+    """The larger of best and count plus a maximum matching of the edges in m: take the
+    lowest edge or drop it, pruned by the edge count and half the vertex count."""
     if count > best:
         best = count
-    if not pairs:
+    if not m:
         return best
-    verts = {w for e in pairs for w in e}
-    if count + min(len(pairs), len(verts) // 2) <= best:
+    spanned, rest = 0, m
+    while rest:
+        k = (rest & -rest).bit_length() - 1
+        spanned |= masks[k][3] | masks[k][4]
+        rest &= rest - 1
+    if count + min(m.bit_count(), spanned.bit_count() // 2) <= best:
         return best
-    u, v = pairs[0]
-    take = [e for e in pairs[1:] if u != e[0] and u != e[1] and v != e[0] and v != e[1]]
-    best = _matching_branch(take, count + 1, best)
-    return _matching_branch(pairs[1:], count, best)
-
-
-def _matching_size(pairs) -> int:
-    if not pairs:
-        return 0
-    color = _two_color(pairs)
-    if color is not None:
-        return _bipartite_matching_size(pairs, color)
-    return _matching_branch(pairs)
+    i = (m & -m).bit_length() - 1
+    best = _matching_branch(masks, m & masks[i][2], count + 1, best)
+    return _matching_branch(masks, m & (m - 1), count, best)
 
 
 def matching_number(graph: Graph, coalition, *,
                     max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[int, tuple[int, ...]]:
     """Exact matching number with the lexicographically smallest witness
     (sorted edge-index tuple): read from the structure of a star/pisces graph
-    at every size; on any other graph, augmenting paths on bipartite subgraphs
-    and branch and bound otherwise within the vertex cap (a nonnegative int),
-    and above it the structure of a coalition subgraph that is a star/pisces forest."""
+    at every size; on any other graph, within the vertex cap (a nonnegative
+    int), the cover search's size on a bipartite coalition subgraph (König)
+    and branch and bound on edge bitmasks otherwise, and above it the
+    structure of a coalition subgraph that is a star/pisces forest.  The
+    witness takes each edge, in ascending order, whose disjoint later edges
+    still match the rest."""
     s, witnesses = _oracle_input(graph, coalition, _vertex_cap(max_vertices))
     if witnesses is not None:
         return len(witnesses[1]), witnesses[1]
-    order = sorted(s)
-    pairs = [graph.edges[i] for i in order]
-    size = _matching_size(pairs)
+    masks, m = graph._edge_masks, s._mask
+    # König: nu = tau on a bipartite coalition and on every one of its sub-coalitions
+    bipartite = _two_color(graph.edges[i] for i in s) is not None
+    search = _min_cover_size if bipartite else _matching_branch
+    size = search(masks, m)
     witness: list[int] = []
-    used: set[str] = set()
-    need = size
-    for pos, i in enumerate(order):
-        if need == 0:
-            break
-        u, v = pairs[pos]
-        if u in used or v in used:
-            continue
-        blocked = used | {u, v}
-        rest = [e for e in pairs[pos + 1:] if e[0] not in blocked and e[1] not in blocked]
-        if _matching_size(rest) >= need - 1:
+    while len(witness) < size:
+        i = (m & -m).bit_length() - 1
+        if search(masks, m & masks[i][2]) >= size - len(witness) - 1:
             witness.append(i)
-            used.update((u, v))
-            need -= 1
+            m &= masks[i][2]
+        else:
+            m &= m - 1
     return size, tuple(witness)
 
 

@@ -20,7 +20,7 @@ from itertools import permutations
 
 from .errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                      NotIntegralScheme, UnsupportedInstance)
-from .graph import Graph, _coalition, _two_color
+from .graph import Graph, _coalition, _two_color, _vertex_cap
 from .pmas import AllocationScheme, CoverSystem, _checked_orders, _require_same_graph
 
 Matching = frozenset[int]
@@ -208,6 +208,7 @@ def enumerate_integral_pmas(graph: Graph, *, max_enumerate: int = DEFAULT_ENUM_C
     read into the graph's cover system as a rule table.  The stream is lazy;
     after max_enumerate schemes it raises EnumerationTruncated if more remain.
     """
+    _vertex_cap(max_enumerate, "enumeration cap")
     cover = CoverSystem(graph)
     by_vertex = {v: (tuple(sorted(es)), c.free_rider)
                  for c in cover.components for v, es in c.pendants.items()}

@@ -32,7 +32,8 @@ from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
 from .game import (DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, _numerators,
                    _require_int_keys)
-from .graph import Coalition, Graph, _charged, _coalition, all_coalitions, find_forbidden_subgraph
+from .graph import (Coalition, Graph, _charged, _coalition, _vertex_cap, all_coalitions,
+                    find_forbidden_subgraph)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -212,7 +213,7 @@ class AllocationScheme:
         """Full table over every nonempty coalition (capped by edge count),
         with one shared Fraction per distinct payment."""
         n = self.graph.n_edges
-        if n > max_edges:
+        if n > _vertex_cap(max_edges, "edge cap"):
             raise OracleCapError(
                 f"materializing a scheme over {n} edges exceeds the {max_edges}-edge cap")
         shared: dict[Fraction, Fraction] = {}
@@ -260,7 +261,7 @@ class _RuleTableScheme(AllocationScheme):
         while _reads_table() holds, else through allocation() (which names a
         bad payment's edge and coalition)."""
         n = self.graph.n_edges
-        if n > max_edges or not self._reads_table():
+        if n > _vertex_cap(max_edges, "edge cap") or not self._reads_table():
             return super().materialize(max_edges=max_edges)
         shared: dict[Fraction, Fraction] = {}
         # only the counts a mask can reach were checked exact
@@ -351,7 +352,7 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     """
     _require_same_graph(game.graph, scheme.graph, "scheme")
     n = game.n
-    if n > max_edges:
+    if n > _vertex_cap(max_edges, "edge cap"):
         raise OracleCapError(f"verifying over {n} edges exceeds the {max_edges}-edge cap")
     table = game.cost_table(max_edges)
     if isinstance(scheme, _RuleTableScheme) and scheme._is_pmas_by_shape():

@@ -6,12 +6,15 @@ domination scan, component shapes by raw degree counting, scheme verification
 and core membership by Fraction scans, and the constructive rule, its
 selector and the pi* check by one split per coalition.  The only library
 pieces used are the data types, the cover system's component shapes,
-decompose's shapes for the old above-cap reader and, for the integral-scheme
-search, the final verify_pmas filter that the search is defined against.  Eight earlier library implementations are kept as
-references for differential tests: the coalition split that grouped edges by
-anchor, the component search that rescanned a vertex's edges once per edge
-there, the cover search that rebuilt an edge-pair list at every node, the
-exact oracles' reader above the vertex cap that read each shape decompose
+decompose's shapes for the old above-cap reader, the two-colouring for the
+old matching engine and, for the integral-scheme search, the final
+verify_pmas filter that the search is defined against.  Nine earlier library
+implementations are kept as references for differential tests: the
+coalition split that grouped edges by anchor, the component search that
+rescanned a vertex's edges once per edge there, the cover search that
+rebuilt an edge-pair list at every node, the matching engine on pair lists
+(augmenting paths on bipartite pairs, else branch and bound), the exact
+oracles' reader above the vertex cap that read each shape decompose
 finds, the forbidden-pattern search with its own K3 and C4 loops, the
 stability scan with a per-vertex rank cache, the integral scheme that ran
 deferred acceptance per coalition, and core membership on Fraction sums.
@@ -28,8 +31,8 @@ from fractions import Fraction
 
 from vcgame.errors import ContractViolation, MalformedScheme, OracleCapError
 from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame
-from vcgame.graph import (PATTERNS, ComponentClassification, Graph, all_coalitions, components,
-                          decompose, mask_coalition)
+from vcgame.graph import (PATTERNS, ComponentClassification, Graph, _two_color, all_coalitions,
+                          components, decompose, mask_coalition)
 from vcgame.matching import PreferenceSystem, gale_shapley
 from vcgame.pmas import AllocationScheme, CoverSystem, Violation, verify_pmas
 
@@ -342,6 +345,77 @@ def reference_lex_min_cover(graph: Graph, coalition, size: int) -> tuple[str, ..
         else:
             banned.add(v)
     return tuple(chosen)
+
+
+def _reference_augment(a: str, left_adj, matched: dict[str, str], visited: set[str]) -> bool:
+    for b in left_adj[a]:
+        if b in visited:
+            continue
+        visited.add(b)
+        if b not in matched or _reference_augment(matched[b], left_adj, matched, visited):
+            matched[b] = a
+            return True
+    return False
+
+
+def _reference_bipartite_matching_size(pairs, color) -> int:
+    left_adj: dict[str, list[str]] = {}
+    for u, v in pairs:
+        a, b = (u, v) if color[u] == 0 else (v, u)
+        left_adj.setdefault(a, []).append(b)
+    for lst in left_adj.values():
+        lst.sort()
+    matched: dict[str, str] = {}
+    return sum(_reference_augment(a, left_adj, matched, set()) for a in sorted(left_adj))
+
+
+def _reference_matching_branch(pairs, count: int = 0, best: int = 0) -> int:
+    """The larger of best and count plus a maximum matching of pairs."""
+    if count > best:
+        best = count
+    if not pairs:
+        return best
+    verts = {w for e in pairs for w in e}
+    if count + min(len(pairs), len(verts) // 2) <= best:
+        return best
+    u, v = pairs[0]
+    take = [e for e in pairs[1:] if u != e[0] and u != e[1] and v != e[0] and v != e[1]]
+    best = _reference_matching_branch(take, count + 1, best)
+    return _reference_matching_branch(pairs[1:], count, best)
+
+
+def _reference_matching_size(pairs) -> int:
+    if not pairs:
+        return 0
+    color = _two_color(pairs)
+    if color is not None:
+        return _reference_bipartite_matching_size(pairs, color)
+    return _reference_matching_branch(pairs)
+
+
+def reference_matching_number(graph: Graph, coalition) -> tuple[int, tuple[int, ...]]:
+    """The matching number and its lexicographically smallest witness by the pair-list
+    engine: augmenting paths on a bipartite pair list, else branch and bound, and a
+    witness loop that re-runs it on the later edges left free by each candidate."""
+    order = sorted(coalition)
+    pairs = [graph.edges[i] for i in order]
+    size = _reference_matching_size(pairs)
+    witness: list[int] = []
+    used: set[str] = set()
+    need = size
+    for pos, i in enumerate(order):
+        if need == 0:
+            break
+        u, v = pairs[pos]
+        if u in used or v in used:
+            continue
+        blocked = used | {u, v}
+        rest = [e for e in pairs[pos + 1:] if e[0] not in blocked and e[1] not in blocked]
+        if _reference_matching_size(rest) >= need - 1:
+            witness.append(i)
+            used.update((u, v))
+            need -= 1
+    return size, tuple(witness)
 
 
 def _reference_shape_cover(graph: Graph, c: ComponentClassification) -> tuple[str, ...]:

@@ -9,7 +9,7 @@ import vcgame.game
 import vcgame.graph
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
 from vcgame.game import VertexCoverGame, core_element_from_matching, is_balanced
-from vcgame.graph import (PATTERNS, Graph, _edge_components, _incidence, components,
+from vcgame.graph import (PATTERNS, Graph, _edge_components, _incidence, _two_color, components,
                           decompose, diameter, find_forbidden_subgraph, is_bipartite,
                           mask_coalition, matching_number, parse_graph, vertex_cover_number)
 from vcgame.pmas import CoverSystem, recognize_population_monotonic
@@ -18,7 +18,8 @@ from oracles import (all_pm_graphs_up_to, atlas_graphs, brute_cover_number,
                      brute_matching_number, flipped, large_star_pisces_forests,
                      random_bipartite_graph, random_graph, random_star_pisces_forest,
                      reference_above_cap, reference_cover_size, reference_edge_components,
-                     reference_forbidden_subgraph, reference_lex_min_cover)
+                     reference_forbidden_subgraph, reference_lex_min_cover,
+                     reference_matching_number)
 
 
 def k3() -> Graph:
@@ -405,6 +406,61 @@ def test_koenig_on_bipartite_graphs():
         nu = matching_number(g, g.players())[0]
         tau = vertex_cover_number(g, g.players())[0]
         assert nu == tau == brute_matching_number(g, g.players()) == brute_cover_number(g, g.players())
+
+
+def test_bitmask_matching_search_matches_the_pair_list_reference():
+    # matching number and witness against the pair-list engine it replaced (augmenting
+    # paths on bipartite pairs, else branch and bound): every coalition of the atlas graphs
+    # with at most 8 edges, and the grand coalition and 20 seeded coalitions of each larger
+    # one, at the default cap; the same coalitions of 100 random graphs on at most 16
+    # vertices, in both label orders, under the caps 0, 6 and 24, where above the cap the
+    # answer or the cap error text is the shape reader's
+    rng = random.Random(2701)
+    cases = []
+    for g in atlas_graphs():
+        full = (1 << g.n_edges) - 1
+        cases.append((g, range(full + 1) if g.n_edges <= 8
+                      else [full] + [rng.getrandbits(g.n_edges) for _ in range(20)], (24,)))
+    for _ in range(100):
+        g = random_graph(rng, max_edges=20, max_vertices=16)
+        masks = [(1 << g.n_edges) - 1] + [rng.getrandbits(g.n_edges) for _ in range(20)]
+        cases += [(g, masks, (0, 6, 24)), (flipped(g), masks, (0, 6, 24))]
+    routes = {"bipartite": 0, "not bipartite": 0, "structure": 0, "cap error": 0}
+    for g, masks, caps in cases:
+        for mask in masks:
+            s = mask_coalition(mask)
+            exact = reference_matching_number(g, s)
+            for cap in caps:
+                above = reference_above_cap(g, s, cap)
+                if above is None:
+                    routes["not bipartite" if _two_color(g.edges[i] for i in s) is None
+                           else "bipartite"] += 1
+                    expected = exact
+                elif isinstance(above, str):
+                    routes["cap error"] += 1
+                    expected = above
+                else:
+                    routes["structure"] += 1
+                    expected = above[1]
+                assert cap_outcome(lambda: matching_number(g, s, max_vertices=cap)) == expected
+    assert sum(routes.values()) == 49815 + 21 * 857 + 2 * 21 * 100 * 3
+    assert min(routes.values()) >= 2000
+
+
+def test_matching_on_dense_graphs_within_the_cap():
+    # complete bipartite graphs of 24 vertices (König's route), and K4,12 with one edge
+    # inside its 12 side, which is not bipartite (the branch and bound)
+    def complete(a: int, b: int, extra=()) -> Graph:
+        return Graph.from_edges(list(extra) + [(f"a{i}", f"b{j}")
+                                               for i in range(a) for j in range(b)])
+
+    for g, size, bipartite in ((complete(5, 19), 5, True), (complete(12, 12), 12, True),
+                               (complete(2, 22), 2, True),
+                               (complete(4, 12, [("b0", "b1")]), 5, False)):
+        assert g.n_vertices <= 24 and g._structure is None and is_bipartite(g) == bipartite
+        expected = reference_matching_number(g, g.players())
+        assert expected[0] == size
+        assert matching_number(g, g.players()) == expected
 
 
 def test_oracles_leave_no_reference_cycles():

@@ -1402,6 +1402,32 @@ def test_materialize_cap():
         construct_pmas(g).materialize()
 
 
+def test_every_cap_must_be_a_nonnegative_int():
+    # the edge and enumeration caps are checked as the vertex cap is: a bool, a float, a
+    # negative int, None or a numeric string is refused, never taken or reported as a cap hit
+    g = star(2)
+    game = VertexCoverGame(g)
+    rule, table = construct_pmas(g), table_scheme(g, cherry_table((1, 0)))
+    calls = {"edge cap": [lambda bad: rule.materialize(max_edges=bad),
+                          lambda bad: table.materialize(max_edges=bad),
+                          lambda bad: verify_pmas(game, rule, max_edges=bad),
+                          lambda bad: verify_pmas(game, table, max_edges=bad),
+                          lambda bad: game.cost_table(bad)],
+             "enumeration cap": [lambda bad: list(enumerate_integral_pmas(g, max_enumerate=bad))]}
+    for name, entry_points in calls.items():
+        for call in entry_points:
+            for bad in (2.5, 1.5, True, -1, None, "16"):
+                with pytest.raises(ContractViolation) as info:
+                    call(bad)
+                assert str(info.value) == f"{name} {bad!r} is not a nonnegative int"
+    # the check holds once the game's table is built too, and 0 is a cap like any other
+    assert game.cost_table() == [0, 1, 1, 1]
+    with pytest.raises(ContractViolation):
+        game.cost_table(None)
+    with pytest.raises(OracleCapError):
+        rule.materialize(max_edges=0)
+
+
 def test_scheme_json_round_trip():
     g = p4()
     scheme = construct_pmas(g)

@@ -205,14 +205,16 @@ def test_only_the_graph_builds_the_per_edge_masks():
              for item in (top.body if isinstance(top, ast.ClassDef) else [top])
              if isinstance(item, FUNCTIONS) and item.name == "_edge_masks"]
     assert found == [("graph.py", "Graph", "_edge_masks")]
-    # only the cost table and the cover search read it; the oracles' head never does
+    # only the cost table, the cover search and the matching search read it; the oracles'
+    # head never does
     found = sorted({(name, owner) for name, tree in trees.items()
                     for owner in referrers(tree, "_edge_masks")}, key=str)
     assert found == [("game.py", "_full_cost_table"), ("graph.py", "_cover_size"),
-                     ("graph.py", "_lex_min_cover"), ("graph.py", "vertex_cover_number")]
+                     ("graph.py", "_lex_min_cover"), ("graph.py", "matching_number"),
+                     ("graph.py", "vertex_cover_number")]
     # and none of them rebuilds masks from the edge list: only the witness reads labels
     readers = {"_full_cost_table", "_greedy_disjoint_edges", "_cover_feasible",
-               "_min_cover_size", "_cover_size"}
+               "_min_cover_size", "_cover_size", "_matching_branch"}
     found = [(name, top.name) for name, tree in trees.items() for top in tree.body
              if isinstance(top, FUNCTIONS) and top.name in readers
              and {"edges", "vertices", "_incident"} & set(reads(top))]

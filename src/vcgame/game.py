@@ -96,7 +96,10 @@ class VertexCoverGame:
 
     def cost_table(self, max_edges: int = DEFAULT_EDGE_CAP) -> list[int]:
         """Costs of all coalitions indexed by bitmask, as a new list on each call
-        (the game keeps its own, built on first use, which no caller can change)."""
+        (the game keeps its own, built on first use, which no caller can change).
+        max_edges limits only the build: a table already built is returned at any
+        cap, which is how is_monotone_game, is_submodular_game and core_membership,
+        reading it at the default cap, get past that cap."""
         _vertex_cap(max_edges, "edge cap")
         if self._table is None:
             if self.n > max_edges:

@@ -3,17 +3,17 @@
 Players of the cost game live on edges, so every coalition-level question
 (cover number, matching number, connectivity, diameter) is asked about the
 edge-induced subgraph of a coalition.  Recognition, the cover system, the
-game's costs and both exact oracles read one private structure that each
-graph decomposes once: on a star/pisces forest (trees of diameter at most 3)
-every coalition's minimum cover and maximum matching are read off that
-structure at every size.  On any other graph the exact engines are
-deliberately small: one bitmask search within a configurable vertex cap,
-whose cover number is also the matching number of a bipartite coalition
-(König), with a branch and bound for the matching number of any other;
-above the cap a coalition subgraph that is itself a star/pisces forest is
-answered from its own structure by the same reader.  Both searches run on
-coalition bitmasks over a per-edge mask table that the graph builds on
-first use, which the game's cost table reads too.
+game's costs and both exact oracles read one private structure, the only
+star/pisces decomposition, that each graph makes once: on a star/pisces
+forest (trees of diameter at most 3) every coalition's minimum cover and
+maximum matching are read off that structure at every size.  On any other
+graph the exact engines are deliberately small: one bitmask search within a
+configurable vertex cap, whose cover number is also the matching number of
+a bipartite coalition (König), with a branch and bound for the matching
+number of any other; above the cap a coalition subgraph, built as a graph,
+that is a star/pisces forest is answered from its own structure.  Both
+searches run on coalition bitmasks over a per-edge mask table that the
+graph builds on first use, which the game's cost table reads too.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class Graph:
         """The graph's star/pisces shapes, sorted global cover, per-edge watch masks and
         selected vertices (as CoverSystem describes them) and free riders, or None when it
         is not a star/pisces forest; made on first use, and its tuples are the rule table."""
-        shapes = _shapes(self, range(len(self.edges)))
+        shapes = _shapes(self)
         if shapes is None:
             return None
         watch = [0] * len(self.edges)
@@ -261,16 +261,10 @@ def _charged(graph: Graph, s: Coalition) -> set[str]:
     return {select[i] for i in s if not (i in riders and m & watch[i])}
 
 
-def decompose(graph: Graph, coalition) -> list[ComponentClassification] | None:
-    """Star/pisces shapes of the coalition subgraph's components, ordered by
-    smallest edge index; None when some component is neither (it has a cycle
-    or diameter above 3).
-    """
-    return _shapes(graph, sorted(_coalition(graph, coalition)))
-
-
-def _shapes(graph: Graph, order: list[int]) -> list[ComponentClassification] | None:
-    """decompose for the ascending edges of a coalition that passed the gate."""
+def _shapes(graph: Graph) -> list[ComponentClassification] | None:
+    """Star/pisces shapes of the graph's components, ordered by smallest edge index;
+    None when some component is neither (it has a cycle or diameter above 3)."""
+    order = range(len(graph.edges))
     incident = _incidence(graph, order)
     shapes: list[ComponentClassification] = []
     for comp in _edge_components(graph, order, incident):
@@ -386,8 +380,8 @@ def _two_color(pairs) -> dict[str, int] | None:
 
 # --- exact minimum vertex cover ------------------------------------------------
 # The search runs on edge bitmasks m over the graph's _edge_masks table: covering an
-# end of edge i leaves m & masks[i][0] or m & masks[i][1], and banned vertices are a
-# bitmask over the vertex bits masks[i][3] and masks[i][4].
+# end of edge i leaves m & masks[i][0] or m & masks[i][1], and the witness tells the
+# two ends apart by their vertex bits masks[i][3] and masks[i][4].
 
 
 def _greedy_disjoint_edges(masks, m: int) -> int:
@@ -401,30 +395,21 @@ def _greedy_disjoint_edges(masks, m: int) -> int:
     return count
 
 
-def _cover_feasible(masks, m: int, banned: int, budget: int) -> bool:
-    """Is there a vertex cover of the edges in m, of size <= budget, avoiding the
-    banned vertices?  It branches on the first edge with a banned end, else the lowest."""
+def _cover_feasible(masks, m: int, budget: int) -> bool:
+    """Is there a vertex cover of the edges in m of size <= budget?  It branches on
+    the two ends of the lowest edge."""
     if not m:
         return True
     if budget <= 0 or _greedy_disjoint_edges(masks, m) > budget:
         return False
-    i = (m & -m).bit_length() - 1
-    if banned:
-        rest = m
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            if (masks[k][3] | masks[k][4]) & banned:
-                i = k
-                break
-            rest &= rest - 1
-    left_u, left_v, _, bu, bv = masks[i]
-    return ((not banned & bu and _cover_feasible(masks, m & left_u, banned, budget - 1))
-            or (not banned & bv and _cover_feasible(masks, m & left_v, banned, budget - 1)))
+    left_u, left_v, _, _, _ = masks[(m & -m).bit_length() - 1]
+    return (_cover_feasible(masks, m & left_u, budget - 1)
+            or _cover_feasible(masks, m & left_v, budget - 1))
 
 
 def _min_cover_size(masks, m: int) -> int:
     k = _greedy_disjoint_edges(masks, m)
-    while not _cover_feasible(masks, m, 0, k):
+    while not _cover_feasible(masks, m, k):
         k += 1
     return k
 
@@ -432,8 +417,12 @@ def _min_cover_size(masks, m: int) -> int:
 def _lex_min_cover(graph: Graph, m: int, size: int) -> tuple[str, ...]:
     """Lexicographically smallest minimum cover of the edges in m, as a sorted label tuple.
 
-    Greedy refinement: a vertex joins the witness whenever a full cover of the
-    target size can still be completed from strictly larger labels.
+    Greedy in label order: a vertex v with edges left joins the witness when the edges
+    it leaves still have a cover of the size left less one.  Else no cover of the size
+    left holds v, so each holds the other ends of v's edges left, and those join at
+    once.  No later search need avoid a rejected v: a cover it found holding v, plus
+    the vertices chosen since, would be a cover of the size left at v's rejection that
+    holds v.
     """
     masks = graph._edge_masks
     by_bit: dict[int, tuple[str, int]] = {}  # vertex bit -> (label, edges left after covering it)
@@ -444,20 +433,24 @@ def _lex_min_cover(graph: Graph, m: int, size: int) -> tuple[str, ...]:
         by_bit[bu], by_bit[bv] = (u, left_u), (v, left_v)
         rest &= rest - 1
     chosen: list[str] = []
-    banned = 0
     remaining = m
     for bit in sorted(by_bit):  # vertex bits ascend in label order
-        if not remaining:
-            break
         label, left = by_bit[bit]
         without_v = remaining & left
-        if len(chosen) < size and _cover_feasible(masks, without_v, banned,
-                                                  size - len(chosen) - 1):
+        if without_v == remaining:
+            continue  # v covers no edge left, as after it joined at once
+        if _cover_feasible(masks, without_v, size - len(chosen) - 1):
             chosen.append(label)
             remaining = without_v
         else:
-            banned |= bit
-    return tuple(chosen)
+            rest = remaining & ~left  # v's edges left: their other ends join
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                label, left = by_bit[masks[i][3] ^ masks[i][4] ^ bit]
+                chosen.append(label)
+                remaining &= left
+                rest &= rest - 1
+    return tuple(sorted(chosen))
 
 
 def _pisces_cover(b1: str, b2: str, leaf1: str | None, leaf2: str | None) -> tuple[str, str]:
@@ -586,7 +579,8 @@ def vertex_cover_number(graph: Graph, coalition, *,
 
 def _matching_branch(masks, m: int, count: int = 0, best: int = 0) -> int:
     """The larger of best and count plus a maximum matching of the edges in m: take the
-    lowest edge or drop it, pruned by the edge count and half the vertex count."""
+    lowest edge or drop it, pruned by half the spanned vertex count (never above the
+    edge count, as each edge spans at most two vertices)."""
     if count > best:
         best = count
     if not m:
@@ -596,7 +590,7 @@ def _matching_branch(masks, m: int, count: int = 0, best: int = 0) -> int:
         k = (rest & -rest).bit_length() - 1
         spanned |= masks[k][3] | masks[k][4]
         rest &= rest - 1
-    if count + min(m.bit_count(), spanned.bit_count() // 2) <= best:
+    if count + spanned.bit_count() // 2 <= best:
         return best
     i = (m & -m).bit_length() - 1
     best = _matching_branch(masks, m & masks[i][2], count + 1, best)

@@ -5,17 +5,18 @@ covers and matchings by subset enumeration, stability by a hand-rolled
 domination scan, component shapes by raw degree counting, scheme verification
 and core membership by Fraction scans, and the constructive rule, its
 selector and the pi* check by one split per coalition.  The only library
-pieces used are the data types, the cover system's component shapes,
-decompose's shapes for the old above-cap reader, the two-colouring for the
-old matching engine and, for the integral-scheme search, the final
-verify_pmas filter that the search is defined against.  Nine earlier library
-implementations are kept as references for differential tests: the
-coalition split that grouped edges by anchor, the component search that
-rescanned a vertex's edges once per edge there, the cover search that
-rebuilt an edge-pair list at every node, the matching engine on pair lists
-(augmenting paths on bipartite pairs, else branch and bound), the exact
-oracles' reader above the vertex cap that read each shape decompose
-finds, the forbidden-pattern search with its own K3 and C4 loops, the
+pieces used are the data types, the cover system's component shapes, the
+coalition gate, incidence and component search for the old per-coalition
+decomposition, the two-colouring for the old matching engine and, for the
+integral-scheme search, the final verify_pmas filter that the search is
+defined against.  Ten earlier library implementations are kept as
+references for differential tests: the coalition split that grouped edges
+by anchor, the component search that rescanned a vertex's edges once per
+edge there, the cover search that rebuilt an edge-pair list at every node,
+the matching engine on pair lists (augmenting paths on bipartite pairs,
+else branch and bound), the per-coalition decomposition decompose, the
+exact oracles' reader above the vertex cap that read each shape it finds,
+the forbidden-pattern search with its own K3 and C4 loops, the
 stability scan with a per-vertex rank cache, the integral scheme that ran
 deferred acceptance per coalition, and core membership on Fraction sums.
 The dual checks keep their Fraction semantics here too, as references for
@@ -31,8 +32,9 @@ from fractions import Fraction
 
 from vcgame.errors import ContractViolation, MalformedScheme, OracleCapError
 from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame
-from vcgame.graph import (PATTERNS, ComponentClassification, Graph, _two_color, all_coalitions,
-                          components, decompose, mask_coalition)
+from vcgame.graph import (PATTERNS, ComponentClassification, Graph, _coalition,
+                          _edge_components, _incidence, _two_color, all_coalitions, components,
+                          mask_coalition)
 from vcgame.matching import PreferenceSystem, gale_shapley
 from vcgame.pmas import AllocationScheme, CoverSystem, Violation, verify_pmas
 
@@ -432,16 +434,52 @@ def _reference_shape_cover(graph: Graph, c: ComponentClassification) -> tuple[st
     return best
 
 
+def reference_decompose(graph: Graph, coalition) -> list[ComponentClassification] | None:
+    """Star/pisces shapes of the coalition subgraph's components, ordered by
+    smallest edge index; None when some component is neither (it has a cycle
+    or diameter above 3).
+    """
+    order = sorted(_coalition(graph, coalition))
+    incident = _incidence(graph, order)
+    shapes: list[ComponentClassification] = []
+    for comp in _edge_components(graph, order, incident):
+        if len(comp) == 1:
+            (i,) = comp
+            center = min(graph.edges[i])
+            shapes.append(ComponentClassification("single-edge", comp, (center,), None,
+                                                  {center: (i,)}))
+            continue
+        comp_vertices = sorted({w for i in comp for w in graph.edges[i]})
+        if len(comp) != len(comp_vertices) - 1:
+            return None  # has a cycle
+        non_pendant = [v for v in comp_vertices if len(incident[v]) > 1]
+        if len(non_pendant) == 1:
+            center = non_pendant[0]
+            shapes.append(ComponentClassification("star", comp, (center,), None,
+                                                  {center: tuple(sorted(comp))}))
+        elif len(non_pendant) == 2:
+            # in a tree, a vertex inside the path between two non-pendant
+            # vertices is non-pendant too, so these two are adjacent
+            b1, b2 = non_pendant
+            rider = next(i for i in incident[b1] if graph.other_end(i, b1) == b2)
+            pendants = {b: tuple(i for i in incident[b] if i != rider)
+                        for b in non_pendant}
+            shapes.append(ComponentClassification("pisces", comp, (b1, b2), rider, pendants))
+        else:
+            return None  # diameter exceeds 3
+    return shapes
+
+
 def reference_above_cap(graph: Graph, coalition, max_vertices: int):
-    """Both exact oracles' answers above the vertex cap as the reader of decompose's shapes
-    gave them: ((cover size, cover), (matching size, matching)) from the union of each
-    shape's smallest cover and the smallest pendant at each cover vertex, or the
-    OracleCapError text when some component is neither a star nor a pisces; None within
-    the cap, where the search answers."""
+    """Both exact oracles' answers above the vertex cap as the reader of decompose's
+    shapes (reference_decompose) gave them: ((cover size, cover), (matching size,
+    matching)) from the union of each shape's smallest cover and the smallest pendant at
+    each cover vertex, or the OracleCapError text when some component is neither a star
+    nor a pisces; None within the cap, where the search answers."""
     n = len({w for i in coalition for w in graph.edges[i]})
     if n <= max_vertices:
         return None
-    shapes = decompose(graph, coalition)
+    shapes = reference_decompose(graph, coalition)
     if shapes is None:
         return (f"instance too large for exact oracle: the coalition subgraph has {n} vertices,"
                 f" above the {max_vertices}-vertex cap, and is not a star/pisces forest")

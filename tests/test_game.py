@@ -158,9 +158,20 @@ def test_mask_coalition_takes_only_nonnegative_ints():
 
 
 def test_cost_table_cap():
-    big = Graph.from_edges([("hub", f"x{k}") for k in range(17)])
+    big = star(17)
     with pytest.raises(OracleCapError):
         VertexCoverGame(big).cost_table(16)
+    # the cap limits only the build: a table already built is returned at any cap, and
+    # the verdicts that read the table get past 16 edges once cost_table(max_edges) built it
+    game = VertexCoverGame(big)
+    with pytest.raises(OracleCapError):
+        is_monotone_game(game)
+    assert game.cost_table(17)[-1] == 1
+    assert is_monotone_game(game) == (True, None)
+    small = VertexCoverGame(star(2))
+    with pytest.raises(OracleCapError):
+        small.cost_table(0)
+    assert small.cost_table() == small.cost_table(0) == [0, 1, 1, 1]
 
 
 def test_a_write_into_the_cost_table_changes_no_answer():

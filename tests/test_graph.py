@@ -10,16 +10,16 @@ import vcgame.graph
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
 from vcgame.game import VertexCoverGame, core_element_from_matching, is_balanced
 from vcgame.graph import (PATTERNS, Graph, _edge_components, _incidence, _two_color, components,
-                          decompose, diameter, find_forbidden_subgraph, is_bipartite,
-                          mask_coalition, matching_number, parse_graph, vertex_cover_number)
+                          diameter, find_forbidden_subgraph, is_bipartite, mask_coalition,
+                          matching_number, parse_graph, vertex_cover_number)
 from vcgame.pmas import CoverSystem, recognize_population_monotonic
 
 from oracles import (all_pm_graphs_up_to, atlas_graphs, brute_cover_number,
                      brute_matching_number, flipped, large_star_pisces_forests,
                      random_bipartite_graph, random_graph, random_star_pisces_forest,
-                     reference_above_cap, reference_cover_size, reference_edge_components,
-                     reference_forbidden_subgraph, reference_lex_min_cover,
-                     reference_matching_number)
+                     reference_above_cap, reference_cover_size, reference_decompose,
+                     reference_edge_components, reference_forbidden_subgraph,
+                     reference_lex_min_cover, reference_matching_number)
 
 
 def k3() -> Graph:
@@ -186,15 +186,6 @@ def test_oracles_on_a_large_star_and_pisces_build_no_edge_masks():
         assert "_edge_masks" not in vars(graph)
 
 
-def test_decompose_reads_any_iterable_of_edge_indices():
-    g = p5()
-    for coalition, kinds in (((0, 1, 2), ["pisces"]), ((3, 1, 0), ["star", "single-edge"])):
-        shapes = decompose(g, frozenset(coalition))
-        assert [c.kind for c in shapes] == kinds
-        assert decompose(g, list(coalition)) == shapes
-        assert decompose(g, (i for i in coalition)) == shapes
-
-
 def test_oracles_build_an_incidence_only_above_the_cap(monkeypatch):
     built = []
     incidence = vcgame.graph._incidence
@@ -272,12 +263,21 @@ def cap_error(n: int, cap: int) -> str:
             f" above the {cap}-vertex cap, and is not a star/pisces forest")
 
 
+def complete_bipartite(a: int, b: int, extra=()) -> Graph:
+    """K(a, b) on sides a0.. and b0.., after the extra edges."""
+    return Graph.from_edges(list(extra) + [(f"a{i}", f"b{j}")
+                                           for i in range(a) for j in range(b)])
+
+
 def test_bitmask_cover_search_matches_the_pair_list_reference():
     # cover number and witness against the search that rebuilt an edge-pair list at every
     # node: every coalition of the atlas graphs with at most 8 edges (all 1252 graphs hold
     # 12.6 million coalitions), the grand coalition and 20 seeded coalitions of each larger
-    # one, and 20 seeded coalitions of 300 random graphs; gamma agrees under the vertex
-    # caps 0 and 24, or raises the cap error on a subgraph that is not a star/pisces forest
+    # one, 20 seeded coalitions of 300 random graphs, and the grand coalition and 4 seeded
+    # coalitions of dense graphs on 16-24 vertices (K5,19, K12,12, K2,22, K4,12 with one
+    # edge inside its 12 side, and G(n, 0.2) for n = 16..24 in both label orders); gamma
+    # agrees under the vertex caps 0 and 24, or raises the cap error on a subgraph that is
+    # not a star/pisces forest
     rng = random.Random(2401)
     cases = []
     for g in atlas_graphs():
@@ -287,6 +287,14 @@ def test_bitmask_cover_search_matches_the_pair_list_reference():
     for _ in range(300):
         g = random_graph(rng, max_edges=14, max_vertices=9)
         cases.append((g, [rng.getrandbits(g.n_edges) for _ in range(20)]))
+    dense = [complete_bipartite(5, 19), complete_bipartite(12, 12), complete_bipartite(2, 22),
+             complete_bipartite(4, 12, [("b0", "b1")])]
+    for n in range(16, 25):
+        g = Graph.from_edges([(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)
+                              if rng.random() < 0.2])
+        dense += [g, flipped(g)]
+    for g in dense:
+        cases.append((g, [(1 << g.n_edges) - 1] + [rng.getrandbits(g.n_edges) for _ in range(4)]))
     checked = 0
     for g, masks in cases:
         games = [VertexCoverGame(g, max_vertices=cap) for cap in (0, 24)]
@@ -295,11 +303,11 @@ def test_bitmask_cover_search_matches_the_pair_list_reference():
             size = reference_cover_size(g, s)
             assert vertex_cover_number(g, s) == (size, reference_lex_min_cover(g, s, size))
             n = len({w for i in s for w in g.edges[i]})
-            expected = [size if n <= cap or decompose(g, s) is not None else cap_error(n, cap)
-                        for cap in (0, 24)]
+            expected = [size if n <= cap or reference_decompose(g, s) is not None
+                        else cap_error(n, cap) for cap in (0, 24)]
             assert [cap_outcome(lambda: game.gamma(s)) for game in games] == expected
             checked += 1
-    assert checked == 49815 + 21 * 857 + 20 * 300
+    assert checked == 49815 + 21 * 857 + 20 * 300 + 5 * 22
 
 
 def test_vertex_cap_counts_the_coalition_subgraphs_vertices(monkeypatch):
@@ -450,13 +458,10 @@ def test_bitmask_matching_search_matches_the_pair_list_reference():
 def test_matching_on_dense_graphs_within_the_cap():
     # complete bipartite graphs of 24 vertices (König's route), and K4,12 with one edge
     # inside its 12 side, which is not bipartite (the branch and bound)
-    def complete(a: int, b: int, extra=()) -> Graph:
-        return Graph.from_edges(list(extra) + [(f"a{i}", f"b{j}")
-                                               for i in range(a) for j in range(b)])
-
-    for g, size, bipartite in ((complete(5, 19), 5, True), (complete(12, 12), 12, True),
-                               (complete(2, 22), 2, True),
-                               (complete(4, 12, [("b0", "b1")]), 5, False)):
+    for g, size, bipartite in ((complete_bipartite(5, 19), 5, True),
+                               (complete_bipartite(12, 12), 12, True),
+                               (complete_bipartite(2, 22), 2, True),
+                               (complete_bipartite(4, 12, [("b0", "b1")]), 5, False)):
         assert g.n_vertices <= 24 and g._structure is None and is_bipartite(g) == bipartite
         expected = reference_matching_number(g, g.players())
         assert expected[0] == size
@@ -579,8 +584,8 @@ def oracle_outcomes(g: Graph, s, cap: int):
 def test_oracles_above_the_cap_match_the_shape_reader():
     # sampled coalitions of star/pisces forests of 10-80 edges plus a distant K3, C4 or P5
     # (the edges shuffled), in both label orders, under the caps 0, 5 and 24: answers and
-    # cap error texts equal those of the reader of decompose's shapes above the cap, and
-    # within it the search's, which that reader left to it
+    # cap error texts equal those of the reader of reference_decompose's shapes above the
+    # cap, and within it the search's, which that reader left to it
     rng = random.Random(2601)
     routes = {"search": 0, "shapes": 0, "error": 0}
     for pattern in list(GADGETS) * 4:

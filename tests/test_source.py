@@ -192,10 +192,10 @@ def test_only_the_cover_system_builds_rule_tables():
     assert found == [("pmas.py", "CoverSystem"), ("pmas.py", "CoverSystem")]
     # one star/pisces decomposition per graph, Graph._structure, which recognition, the
     # cover system, the shape check, gamma and the oracles read (above the vertex cap, a
-    # coalition subgraph's own); otherwise only decompose decomposes a coalition
+    # coalition subgraph's own); nothing else decomposes a coalition
     found = [(path.name, owner) for path in SOURCES
              for owner in callers(ast.parse(path.read_text(encoding="utf-8")), "_shapes")]
-    assert found == [("graph.py", "Graph"), ("graph.py", "decompose")]
+    assert found == [("graph.py", "Graph")]
 
 
 def test_only_the_graph_builds_the_per_edge_masks():

@@ -18,8 +18,8 @@ from .game import DEFAULT_EDGE_CAP, VertexCoverGame, is_submodular_graph
 from .graph import Graph, _coalition, is_bipartite, matching_number, parse_graph
 from .matching import (DEFAULT_ENUM_CAP, PreferenceSystem, count_integral_pmas,
                        enumerate_integral_pmas, gale_shapley, scheme_from_preferences)
-from .pmas import (AllocationScheme, classify_components, construct_pmas,
-                   fraction_str, scheme_from_json, scheme_table_to_jsonable, verify_pmas)
+from .pmas import (classify_components, construct_pmas, fraction_str, scheme_from_json,
+                   scheme_table_to_jsonable, verify_pmas)
 
 
 def _int(text: str) -> int:
@@ -38,52 +38,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Each option a subcommand may declare, keyed by its flag: add_argument's keywords.
+OPTIONS = {
+    "--input": dict(required=True, metavar="FILE", help="edge-list graph file"),
+    "--output": dict(metavar="FILE", help="write the result here instead of stdout"),
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--coalition": dict(metavar="LIST",
+                        help="comma-separated edge indices (default: all players)"),
+    "--prefs": dict(metavar="FILE",
+                    help="JSON preference orders: vertex label -> edge index list"),
+    "--materialize": dict(action="store_true", help="emit the full per-coalition table"),
+    "--max-edges": dict(type=_positive_int, default=DEFAULT_EDGE_CAP, metavar="N",
+                        help="exhaustive edge cap (default 16)"),
+    "--max-enumerate": dict(type=_positive_int, default=DEFAULT_ENUM_CAP, metavar="N",
+                            help="enumeration cap (default 10000)"),
+    "scheme": dict(metavar="SCHEME", help="JSON scheme file to verify"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vcgame",
         description="Analyze vertex cover games on edge players and their "
                     "population monotonic allocation schemes.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *, coalition=False, prefs=False,
-            materialize=False, max_edges=False, max_enumerate=False,
-            scheme_arg=False) -> argparse.ArgumentParser:
+    for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, metavar="FILE",
-                       help="edge-list graph file")
-        p.add_argument("--output", metavar="FILE",
-                       help="write the result here instead of stdout")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if coalition:
-            p.add_argument("--coalition", metavar="LIST",
-                           help="comma-separated edge indices (default: all players)")
-        if prefs:
-            p.add_argument("--prefs", metavar="FILE",
-                           help="JSON preference orders: vertex label -> edge index list")
-        if materialize:
-            p.add_argument("--materialize", action="store_true",
-                           help="emit the full per-coalition table")
-        if max_edges:
-            p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_EDGE_CAP,
-                           metavar="N", help="exhaustive edge cap (default 16)")
-        if max_enumerate:
-            p.add_argument("--max-enumerate", type=_positive_int, default=DEFAULT_ENUM_CAP,
-                           metavar="N", help="enumeration cap (default 10000)")
-        if scheme_arg:
-            p.add_argument("scheme", metavar="SCHEME",
-                           help="JSON scheme file to verify")
-        return p
-
-    add("classify", "population-monotonicity verdict and component taxonomy")
-    add("game-info", "matching/cover numbers and game-theoretic properties")
-    add("construct", "build an allocation scheme (equal-split rule, or from --prefs)",
-        coalition=True, prefs=True, materialize=True, max_edges=True)
-    add("verify", "check a scheme file for efficiency and monotonicity",
-        max_edges=True, scheme_arg=True)
-    add("enumerate", "list all integral schemes", max_edges=True, max_enumerate=True)
-    add("count", "count integral schemes without enumerating")
-    add("stable-match", "run deferred acceptance on a coalition",
-        coalition=True, prefs=True)
+        for flag in ("--input", "--output", "--format", *flags):
+            p.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
@@ -196,14 +178,11 @@ def cmd_game_info(args, graph: Graph) -> tuple[int, str]:
     return 0, _render(args, doc, text)
 
 
-def _build_scheme(args, graph: Graph) -> AllocationScheme:
-    if getattr(args, "prefs", None):
-        return scheme_from_preferences(_load_prefs(graph, args.prefs))
-    return construct_pmas(graph)
-
-
 def cmd_construct(args, graph: Graph) -> tuple[int, str]:
-    scheme = _build_scheme(args, graph)
+    if args.prefs:
+        scheme = scheme_from_preferences(_load_prefs(graph, args.prefs))
+    else:
+        scheme = construct_pmas(graph)
     coalition = _coalition_arg(args, graph)
     if args.materialize:
         if args.coalition is not None:
@@ -260,14 +239,19 @@ def cmd_stable_match(args, graph: Graph) -> tuple[int, str]:
     return 0, _render(args, doc, text)
 
 
+# Each subcommand, in help order: its handler, its help line and the options it
+# takes after --input, --output and --format.
 COMMANDS = {
-    "classify": cmd_classify,
-    "game-info": cmd_game_info,
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "enumerate": cmd_enumerate,
-    "count": cmd_count,
-    "stable-match": cmd_stable_match,
+    "classify": (cmd_classify, "population-monotonicity verdict and component taxonomy", ()),
+    "game-info": (cmd_game_info, "matching/cover numbers and game-theoretic properties", ()),
+    "construct": (cmd_construct, "build an allocation scheme (equal-split rule, or from --prefs)",
+                  ("--coalition", "--prefs", "--materialize", "--max-edges")),
+    "verify": (cmd_verify, "check a scheme file for efficiency and monotonicity",
+               ("--max-edges", "scheme")),
+    "enumerate": (cmd_enumerate, "list all integral schemes", ("--max-edges", "--max-enumerate")),
+    "count": (cmd_count, "count integral schemes without enumerating", ()),
+    "stable-match": (cmd_stable_match, "run deferred acceptance on a coalition",
+                     ("--coalition", "--prefs")),
 }
 
 
@@ -275,7 +259,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, payload = COMMANDS[args.command](args, _load_graph(args))
+        code, payload = COMMANDS[args.command][0](args, _load_graph(args))
     except (VertexCoverGameError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

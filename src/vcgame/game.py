@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .errors import ContractViolation, NotBalanced, OracleCapError
 from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, _charged, _coalition, _cover_size,
-                    _vertex_cap, find_forbidden_subgraph, is_bipartite, mask_coalition,
-                    matching_number)
+                    _vertex_cap, is_bipartite, mask_coalition, matching_number)
 
 DEFAULT_EDGE_CAP = 16
 
@@ -153,9 +152,16 @@ def is_submodular_game(game: VertexCoverGame):
 
 
 def is_submodular_graph(graph: Graph) -> bool:
-    """Structural route to the same verdict: no triangle and no 3-edge path."""
-    return (find_forbidden_subgraph(graph, "K3") is None
-            and find_forbidden_subgraph(graph, "P4") is None)
+    """Structural route to the same verdict: no triangle and no 3-edge path, read off
+    the graph's star/pisces structure in linear time.
+
+    A component with no K3 and no P4 subgraph is acyclic (a cycle of length 4 or more
+    holds a P4) of diameter at most 2: a star or a lone edge, both shapes without a free
+    rider.  Conversely a pisces holds the P4 leaf-b1-b2-leaf, as both bases have a
+    pendant, and a graph that is not a star/pisces forest holds K3, C4 or P5, so K3 or P4.
+    """
+    structure = graph._structure
+    return structure is not None and all(c.free_rider is None for c in structure.shapes)
 
 
 def is_balanced(game: VertexCoverGame) -> bool:

@@ -213,27 +213,6 @@ def _incidence(graph: Graph, order) -> dict[str, list[int]]:
     return incident
 
 
-def _edge_components(graph: Graph, order, incident) -> list[Coalition]:
-    """Edge sets of the components that the edges of order (ascending) span, ordered
-    by smallest edge index, in linear time; incident maps their vertices to their edges."""
-    edges = graph.edges
-    marked: set[str] = set()
-    out: list[Coalition] = []
-    for start in order:
-        if edges[start][0] in marked:
-            continue
-        reached = list(edges[start])
-        marked.update(reached)
-        for v in reached:  # breadth first: reached grows while it is read
-            for i in incident[v]:
-                for w in edges[i]:
-                    if w not in marked:
-                        marked.add(w)
-                        reached.append(w)
-        out.append(frozenset(i for v in reached for i in incident[v]))
-    return out
-
-
 @dataclass(frozen=True)
 class ComponentClassification:
     """Shape of one connected component of a star/pisces forest.
@@ -264,10 +243,9 @@ def _charged(graph: Graph, s: Coalition) -> set[str]:
 def _shapes(graph: Graph) -> list[ComponentClassification] | None:
     """Star/pisces shapes of the graph's components, ordered by smallest edge index;
     None when some component is neither (it has a cycle or diameter above 3)."""
-    order = range(len(graph.edges))
-    incident = _incidence(graph, order)
+    incident = graph._incident
     shapes: list[ComponentClassification] = []
-    for comp in _edge_components(graph, order, incident):
+    for comp in components(graph):
         if len(comp) == 1:
             (i,) = comp
             center = min(graph.edges[i])
@@ -324,8 +302,23 @@ def parse_graph(text: str) -> Graph:
 
 
 def components(graph: Graph) -> list[Coalition]:
-    """Edge sets of connected components, ordered by smallest edge index."""
-    return _edge_components(graph, range(graph.n_edges), graph._incident)
+    """Edge sets of connected components, ordered by smallest edge index, in linear time."""
+    edges, incident = graph.edges, graph._incident
+    marked: set[str] = set()
+    out: list[Coalition] = []
+    for u, v in edges:
+        if u in marked:
+            continue
+        reached = [u, v]
+        marked.update(reached)
+        for x in reached:  # breadth first: reached grows while it is read
+            for i in incident[x]:
+                for w in edges[i]:
+                    if w not in marked:
+                        marked.add(w)
+                        reached.append(w)
+        out.append(frozenset(i for x in reached for i in incident[x]))
+    return out
 
 
 def diameter(graph: Graph, comp) -> int:

@@ -72,8 +72,6 @@ def gale_shapley(ps: PreferenceSystem, coalition) -> Matching:
     """
     graph = ps.graph
     s = _coalition(graph, coalition)
-    if not s:
-        return frozenset()
     color = _two_color([graph.edges[i] for i in sorted(s)])
     if color is None:
         raise UnsupportedInstance("coalition subgraph is not bipartite")

@@ -543,7 +543,7 @@ def scheme_from_json(graph: Graph, text: str) -> AllocationScheme:
     for key, vec in raw.items():
         try:
             s = frozenset(map(int, key.split(",")))
-            if ",".join(map(str, sorted(s))) != key or not s <= players:
+            if coalition_key(s) != key or not s <= players:
                 raise MalformedScheme(
                     f"coalition key {key!r} is not its distinct edge indices below "
                     f"{graph.n_edges} in ascending order")

@@ -32,9 +32,8 @@ from fractions import Fraction
 
 from vcgame.errors import ContractViolation, MalformedScheme, OracleCapError
 from vcgame.game import DEFAULT_EDGE_CAP, VertexCoverGame
-from vcgame.graph import (PATTERNS, ComponentClassification, Graph, _coalition,
-                          _edge_components, _incidence, _two_color, all_coalitions, components,
-                          mask_coalition)
+from vcgame.graph import (PATTERNS, ComponentClassification, Graph, _coalition, _two_color,
+                          all_coalitions, components, find_forbidden_subgraph, mask_coalition)
 from vcgame.matching import PreferenceSystem, gale_shapley
 from vcgame.pmas import AllocationScheme, CoverSystem, Violation, verify_pmas
 
@@ -440,9 +439,9 @@ def reference_decompose(graph: Graph, coalition) -> list[ComponentClassification
     or diameter above 3).
     """
     order = sorted(_coalition(graph, coalition))
-    incident = _incidence(graph, order)
+    incident = reference_incidence(graph, order)
     shapes: list[ComponentClassification] = []
-    for comp in _edge_components(graph, order, incident):
+    for comp in reference_edge_components(graph, order, incident):
         if len(comp) == 1:
             (i,) = comp
             center = min(graph.edges[i])
@@ -486,6 +485,21 @@ def reference_above_cap(graph: Graph, coalition, max_vertices: int):
     cover = tuple(sorted(v for c in shapes for v in _reference_shape_cover(graph, c)))
     matching = tuple(sorted(min(es) for c in shapes for es in c.pendants.values()))
     return (len(cover), cover), (len(matching), matching)
+
+
+def reference_incidence(graph: Graph, order) -> dict[str, list[int]]:
+    """Each vertex that the edges of order span, mapped to its edges in that order."""
+    incident: dict[str, list[int]] = {}
+    for i in order:
+        for w in graph.edges[i]:
+            incident.setdefault(w, []).append(i)
+    return incident
+
+
+def reference_is_submodular_graph(graph: Graph) -> bool:
+    """The submodularity verdict as two pattern searches: no triangle and no 3-edge path."""
+    return (find_forbidden_subgraph(graph, "K3") is None
+            and find_forbidden_subgraph(graph, "P4") is None)
 
 
 def reference_edge_components(graph: Graph, order, incident) -> list[frozenset[int]]:
@@ -775,6 +789,22 @@ def random_star_pisces_forest(rng: random.Random, max_edges: int = 16) -> Graph:
             for _ in range(k):
                 edges.append((center, fresh()))
             remaining -= k
+    oriented = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+    rng.shuffle(oriented)
+    return Graph.from_edges(oriented)
+
+
+def random_forest(rng: random.Random, max_edges: int = 30) -> Graph:
+    """A random forest: each new vertex hangs off an earlier one or, now and then,
+    starts a new tree; shuffled edge order."""
+    total = rng.randint(1, max_edges)
+    labels = ["n0"]
+    edges: list[tuple[str, str]] = []
+    while len(edges) < total:
+        new = f"n{len(labels)}"
+        if rng.random() >= 0.2:
+            edges.append((rng.choice(labels), new))
+        labels.append(new)
     oriented = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
     rng.shuffle(oriented)
     return Graph.from_edges(oriented)

@@ -1,11 +1,12 @@
 """Command-line behavior: outputs, exit codes, and file handling."""
 
+import argparse
 import json
 
 import pytest
 
 import vcgame.graph
-from vcgame.cli import main
+from vcgame.cli import build_parser, main
 
 P4 = "a b\nb c\nc d\n"
 K3 = "a b\nb c\na c\n"
@@ -27,6 +28,45 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+COMMON = [
+    (("--input",), "input", None, "FILE", True, None, "edge-list graph file"),
+    (("--output",), "output", None, "FILE", False, None, "write the result here instead of stdout"),
+    (("--format",), "format", "json", None, False, ("json", "text"), None),
+]
+COALITION = (("--coalition",), "coalition", None, "LIST", False, None,
+             "comma-separated edge indices (default: all players)")
+PREFS = (("--prefs",), "prefs", None, "FILE", False, None,
+         "JSON preference orders: vertex label -> edge index list")
+MAX_EDGES = (("--max-edges",), "max_edges", 16, "N", False, None, "exhaustive edge cap (default 16)")
+
+
+def test_each_subcommand_declares_its_arguments_in_order():
+    # option strings, dest, default, metavar, required, choices and help of each argument
+    # after -h, so a command table that drops or reorders an option shows here
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = [(a.dest, a.help, [(tuple(b.option_strings), b.dest, b.default, b.metavar,
+                                   b.required, b.choices, b.help)
+                                  for b in action.choices[a.dest]._actions[1:]])
+                for a in action._choices_actions]
+    assert declared == [
+        ("classify", "population-monotonicity verdict and component taxonomy", COMMON),
+        ("game-info", "matching/cover numbers and game-theoretic properties", COMMON),
+        ("construct", "build an allocation scheme (equal-split rule, or from --prefs)", COMMON + [
+            COALITION, PREFS,
+            (("--materialize",), "materialize", False, None, False, None,
+             "emit the full per-coalition table"),
+            MAX_EDGES]),
+        ("verify", "check a scheme file for efficiency and monotonicity", COMMON + [
+            MAX_EDGES, ((), "scheme", None, "SCHEME", True, None, "JSON scheme file to verify")]),
+        ("enumerate", "list all integral schemes", COMMON + [
+            MAX_EDGES,
+            (("--max-enumerate",), "max_enumerate", 10000, "N", False, None,
+             "enumeration cap (default 10000)")]),
+        ("count", "count integral schemes without enumerating", COMMON),
+        ("stable-match", "run deferred acceptance on a coalition", COMMON + [COALITION, PREFS]),
+    ]
 
 
 def test_classify_p4_json(graph_file, capsys):

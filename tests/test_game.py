@@ -20,8 +20,9 @@ from vcgame.graph import Graph, vertex_cover_number
 from vcgame.pmas import (AllocationScheme, CoverSystem, construct_pmas,
                          recognize_population_monotonic, verify_pmas)
 
-from oracles import (atlas_graphs, large_star_pisces_forests, random_graph,
-                     reference_core_membership)
+from oracles import (atlas_graphs, flipped, large_star_pisces_forests, random_forest,
+                     random_graph, random_star_pisces_forest, reference_core_membership,
+                     reference_is_submodular_graph)
 
 
 def k3() -> Graph:
@@ -277,6 +278,35 @@ def test_submodular_graph_examples():
     assert is_submodular_graph(star(6))
     assert not is_submodular_graph(p4())
     assert not is_submodular_graph(k3())
+
+
+def test_submodular_graph_verdict_matches_the_pattern_searches():
+    # every atlas graph, random graphs, random forests and star/pisces forests, each
+    # in both label orders
+    rng = random.Random(2901)
+    graphs = [g for g in atlas_graphs() if g.n_edges]
+    graphs += [random_graph(rng, max_edges=14) for _ in range(300)]
+    graphs += [random_forest(rng, max_edges=30) for _ in range(300)]
+    graphs += [random_star_pisces_forest(rng, max_edges=30) for _ in range(100)]
+    verdicts = set()
+    for g in graphs:
+        for h in (g, flipped(g)):
+            verdicts.add(is_submodular_graph(h))
+            assert is_submodular_graph(h) == reference_is_submodular_graph(h), h.edges
+    assert verdicts == {True, False}
+
+
+def test_submodular_graph_verdict_on_a_large_star_and_pisces_runs_no_pattern_search(monkeypatch):
+    # each pattern search is quadratic on a star (2.4 s for both at 2,000 leaves)
+    def search(*_):
+        raise AssertionError("pattern search")
+    for module in (vcgame.graph, vcgame.game):  # wherever a module holds the search
+        monkeypatch.setattr(module, "find_forbidden_subgraph", search, raising=False)
+    k = 10_000
+    star_edges = [("hub", f"x{j}") for j in range(k)]
+    pisces_edges = [("b1", "b2")] + [(b, f"{b}-{j}") for b in ("b1", "b2") for j in range(k // 2)]
+    assert is_submodular_graph(Graph.from_edges(star_edges))
+    assert not is_submodular_graph(Graph.from_edges(pisces_edges))
 
 
 def test_submodular_game_equals_graph_criterion():

@@ -9,8 +9,7 @@ import vcgame.game
 import vcgame.graph
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
 from vcgame.game import VertexCoverGame, core_element_from_matching, is_balanced
-from vcgame.graph import (PATTERNS, Graph, _edge_components, _incidence, _two_color, components,
-                          diameter, find_forbidden_subgraph, is_bipartite, mask_coalition,
+from vcgame.graph import (PATTERNS, Graph, _incidence, _two_color, components, diameter, find_forbidden_subgraph, is_bipartite, mask_coalition,
                           matching_number, parse_graph, vertex_cover_number)
 from vcgame.pmas import CoverSystem, recognize_population_monotonic
 
@@ -19,7 +18,7 @@ from oracles import (all_pm_graphs_up_to, atlas_graphs, brute_cover_number,
                      random_bipartite_graph, random_graph, random_star_pisces_forest,
                      reference_above_cap, reference_cover_size, reference_decompose,
                      reference_edge_components, reference_forbidden_subgraph,
-                     reference_lex_min_cover, reference_matching_number)
+                     reference_incidence, reference_lex_min_cover, reference_matching_number)
 
 
 def k3() -> Graph:
@@ -128,16 +127,13 @@ def test_incidence_maps_coalition_vertices_to_their_edges():
 
 
 def test_component_search_matches_the_quadratic_reference():
-    # random general graphs and star/pisces forests, each on random ascending sub-orders
+    # random general graphs and star/pisces forests, each whole
     rng = random.Random(2101)
     graphs = [random_graph(rng, max_edges=12) for _ in range(150)]
     graphs += [random_star_pisces_forest(rng, max_edges=30) for _ in range(150)]
     for g in graphs:
-        for p in (0.3, 0.7, 1.0):
-            order = [i for i in range(g.n_edges) if rng.random() < p]
-            incident = _incidence(g, order)
-            assert (_edge_components(g, order, incident)
-                    == reference_edge_components(g, order, incident))
+        order = range(g.n_edges)
+        assert components(g) == reference_edge_components(g, order, reference_incidence(g, order))
 
 
 def test_large_star_and_pisces_decompose_once_in_linear_time():
@@ -186,21 +182,20 @@ def test_oracles_on_a_large_star_and_pisces_build_no_edge_masks():
         assert "_edge_masks" not in vars(graph)
 
 
-def test_oracles_build_an_incidence_only_above_the_cap(monkeypatch):
+def test_oracles_decompose_a_subgraph_only_above_the_cap(monkeypatch):
     built = []
-    incidence = vcgame.graph._incidence
-    monkeypatch.setattr(vcgame.graph, "_incidence",
-                        lambda g, s: built.append((g.edges, s)) or incidence(g, s))
+    shapes = vcgame.graph._shapes
+    monkeypatch.setattr(vcgame.graph, "_shapes", lambda g: built.append(g.edges) or shapes(g))
     # a star/pisces graph is decomposed once, then answers from its structure at every cap
     g = star(3)
-    assert g._structure is not None and built == [(g.edges, range(3))]
+    assert g._structure is not None and built == [g.edges]
     built.clear()
     for cap in (24, 3, 0):
         assert vertex_cover_number(g, g.players(), max_vertices=cap) == (1, ("hub",))
         assert matching_number(g, g.players(), max_vertices=cap) == (1, (0,))
     assert built == []
     # on any other graph (here a distant triangle follows the star), a star coalition
-    # builds an incidence only above the cap: one per call, of the coalition subgraph
+    # is decomposed only above the cap: once per call, as the coalition subgraph
     h = with_triangle(g)
     built.clear()
     s = frozenset(range(3))
@@ -209,7 +204,7 @@ def test_oracles_build_an_incidence_only_above_the_cap(monkeypatch):
     assert built == []
     assert vertex_cover_number(h, s, max_vertices=3) == (1, ("hub",))
     assert matching_number(h, s, max_vertices=3) == (1, (0,))
-    assert built == [(g.edges, range(3))] * 2  # its edges in ascending index order
+    assert built == [g.edges] * 2  # its edges in ascending index order
 
 
 # --- cover number -------------------------------------------------------------------
@@ -325,18 +320,18 @@ def test_vertex_cap_counts_the_coalition_subgraphs_vertices(monkeypatch):
                  lambda: VertexCoverGame(g, max_vertices=4).gamma(s)):
         assert cap_outcome(call) == cap_error(5, 4)
     # three disjoint edges span 2 * 3 = 6 vertices: at the cap 6 the search answers them,
-    # at 5 they are above it and their subgraph's own structure answers, with one incidence
-    # of that subgraph per call and the same witnesses
+    # at 5 they are above it and their subgraph's own structure answers, with one
+    # decomposition of that subgraph per call and the same witnesses
     built = []
-    incidence = vcgame.graph._incidence
-    monkeypatch.setattr(vcgame.graph, "_incidence", lambda h, o: built.append(o) or incidence(h, o))
+    shapes = vcgame.graph._shapes
+    monkeypatch.setattr(vcgame.graph, "_shapes", lambda h: built.append(h.edges) or shapes(h))
     s = frozenset({0, 2, 5})
-    for cap, incidences in ((6, []), (5, [range(3)] * 3)):
+    for cap, decomposed in ((6, []), (5, [(("a", "b"), ("c", "d"), ("f", "g"))] * 3)):
         built.clear()
         assert cap_outcome(lambda: vertex_cover_number(g, s, max_vertices=cap)) == (3, ("a", "c", "f"))
         assert cap_outcome(lambda: matching_number(g, s, max_vertices=cap)) == (3, (0, 2, 5))
         assert cap_outcome(lambda: VertexCoverGame(g, max_vertices=cap).gamma(s)) == 3
-        assert built == incidences
+        assert built == decomposed
 
 
 def test_vertex_cap_must_be_a_nonnegative_int(monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 from types import ModuleType
 
 import vcgame
+import vcgame.cli
 
 SOURCES = sorted(Path(vcgame.__file__).parent.glob("*.py"))
 
@@ -244,7 +245,8 @@ def test_the_rule_table_has_one_source():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     found = sorted({(name, owner) for name, tree in trees.items()
                     for owner in referrers(tree, "_structure")}, key=str)
-    assert found == [("game.py", "VertexCoverGame"), ("graph.py", "_charged"),
+    assert found == [("game.py", "VertexCoverGame"), ("game.py", "is_submodular_graph"),
+                     ("graph.py", "_charged"),
                      ("graph.py", "_oracle_input"), ("graph.py", "_structural_witnesses"),
                      ("pmas.py", "CoverSystem"),
                      ("pmas.py", "_RuleTableScheme"), ("pmas.py", "check_pi_star"),
@@ -283,3 +285,18 @@ def test_preference_and_cost_tables_are_read_in_one_place():
                     for owner, obj, _ in attribute_reads(tree, {"_table"})}, key=str)
     assert found == [("game.py", "VertexCoverGame", "self"), ("pmas.py", "AllocationScheme", "self"),
                      ("pmas.py", "check_dual_optimal", "game")]
+
+
+def test_each_subcommand_is_declared_once():
+    # one table gives the parser and the dispatch each subcommand; a string equal to a
+    # subcommand name elsewhere in cli.py (but as a key of a JSON document built inside
+    # a function) would be a second declaration
+    tree = ast.parse(Path(vcgame.cli.__file__).read_text(encoding="utf-8"))
+    document_keys = {id(key) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                     for node in ast.walk(func) if isinstance(node, ast.Dict) for key in node.keys}
+    names = Counter(node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in vcgame.cli.COMMANDS
+                    and id(node) not in document_keys)
+    assert list(vcgame.cli.COMMANDS) == ["classify", "game-info", "construct", "verify",
+                                         "enumerate", "count", "stable-match"]
+    assert names == Counter(list(vcgame.cli.COMMANDS))

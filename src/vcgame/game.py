@@ -33,23 +33,23 @@ def _exact_payment(value, error: type[Exception], edge, coalition) -> Fraction:
     raise error(f"payment of {where} is {value!r}, not an int or Fraction")
 
 
-def _require_int_keys(payments: dict, error: type[Exception], coalition) -> None:
-    """Raise error naming the first edge key that is not of type int (True
-    and 0.0 would look up edges 1 and 0) and the coalition, unless None."""
-    for i in payments:
+def _payments(row: dict, error: type[Exception], coalition) -> dict[int, Fraction]:
+    """row with every payment a Fraction.  Raises error naming the first edge key
+    that is not of type int (True and 0.0 would look up edges 1 and 0), else the
+    first payment that _exact_payment refuses, and the coalition unless None."""
+    for i in row:
         if type(i) is not int:
             where = "" if coalition is None else f" on coalition {sorted(coalition)}"
             raise error(f"edge key {i!r}{where} is not an int")
+    return {i: v if type(v) is Fraction else _exact_payment(v, error, i, coalition)
+            for i, v in row.items()}
 
 
-def _numerators(payments: dict, error: type[Exception], coalition) -> tuple[dict, int]:
-    """(nums, den): nums maps each key of payments to its payment's integer
-    numerator over den, the least common denominator; a payment that is not
-    an int or Fraction raises error as _exact_payment does."""
-    values = [v if type(v) is Fraction else _exact_payment(v, error, i, coalition)
-              for i, v in payments.items()]
-    den = math.lcm(*[v.denominator for v in values])
-    return {i: v.numerator * (den // v.denominator) for i, v in zip(payments, values)}, den
+def _numerators(payments: dict[int, Fraction]) -> tuple[dict, int]:
+    """(nums, den) for a row that _payments returned: nums maps each key to its
+    payment's integer numerator over den, the least common denominator."""
+    den = math.lcm(*[v.denominator for v in payments.values()])
+    return {i: v.numerator * (den // v.denominator) for i, v in payments.items()}, den
 
 
 def _full_cost_table(graph: Graph) -> list[int]:
@@ -186,11 +186,9 @@ def core_membership(game: VertexCoverGame, allocation):
     players = game.players()
     if set(allocation) != set(players):
         raise ContractViolation("allocation must be indexed by the full player set")
-    _require_int_keys(allocation, ContractViolation, None)
+    nums, den = _numerators(_payments(allocation, ContractViolation, None))
     table = game.cost_table()
-    n = game.n
-    size = 1 << n
-    nums, den = _numerators({i: allocation[i] for i in range(n)}, ContractViolation, None)
+    size = 1 << game.n
     sums = [0] * size
     for m in range(1, size):
         low = m & -m

@@ -20,6 +20,7 @@ from itertools import permutations
 
 from .errors import (ContractViolation, EnumerationTruncated, MalformedScheme,
                      NotIntegralScheme, UnsupportedInstance)
+from .game import _payments
 from .graph import Graph, _coalition, _two_color, _vertex_cap
 from .pmas import AllocationScheme, CoverSystem, _checked_orders, _require_same_graph
 
@@ -142,8 +143,10 @@ def scheme_from_preferences(ps: PreferenceSystem) -> AllocationScheme:
 def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
     """Recover the preference system of an integral scheme by iterated peeling:
     on each cover vertex's incident set, the unit-paying edge is the next most
-    preferred; remove it and repeat.  A scheme of another graph is refused,
-    and an allocation not indexed by its coalition raises MalformedScheme."""
+    preferred; remove it and repeat.  A scheme of another graph is refused;
+    an allocation not indexed by its coalition, or with a key that is not an
+    int or a payment that is not an int or Fraction, raises MalformedScheme
+    naming the coalition, and a payment other than 0 or 1 NotIntegralScheme."""
     graph = game.graph
     _require_same_graph(graph, scheme.graph, "scheme")
     cover = CoverSystem(graph)
@@ -156,6 +159,7 @@ def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
             if alloc.keys() != remaining:
                 raise MalformedScheme(
                     f"allocation for {sorted(remaining)} is not indexed by its members")
+            alloc = _payments(alloc, MalformedScheme, remaining)
             units: list[int] = []
             for i in sorted(remaining):
                 value = alloc[i]

@@ -30,8 +30,7 @@ from fractions import Fraction
 
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
-from .game import (DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, _numerators,
-                   _require_int_keys)
+from .game import DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, _numerators, _payments
 from .graph import (Coalition, Graph, _charged, _coalition, _vertex_cap, all_coalitions,
                     find_forbidden_subgraph)
 
@@ -177,37 +176,38 @@ class AllocationScheme:
         self._table = {}
         for s, vec in table.items():
             s = _coalition(graph, s)
-            _require_int_keys(vec, MalformedScheme, s)
-            self._table[s] = {i: v if type(v) is Fraction
-                              else _exact_payment(v, MalformedScheme, i, s)
-                              for i, v in vec.items()}
+            self._table[s] = _payments(vec, MalformedScheme, s)
 
     def allocation(self, coalition) -> dict[int, Fraction]:
         s = _coalition(self.graph, coalition)
-        hit = self._table.get(s)
-        if hit is not None:
-            return hit
         if not s:
             raise ContractViolation("the empty coalition has no allocation")
-        members = ",".join(str(i) for i in sorted(s))
-        raise MalformedScheme(f"scheme is missing coalition {{{members}}}")
+        hit = self._table.get(s)
+        if hit is None:
+            members = ",".join(str(i) for i in sorted(s))
+            raise MalformedScheme(f"scheme is missing coalition {{{members}}}")
+        return hit
+
+    def _answers_as(self, cls) -> bool:
+        """Whether allocation() is cls's own: neither overridden in a subclass
+        nor set on the instance (another scheme's bound method included)."""
+        return type(self).allocation is cls.allocation and "allocation" not in vars(self)
 
     def _rows(self):
         """(coalition, allocation) for every nonempty coalition in ascending
-        bitmask order, from a stored table's rows or allocation() (the caller
-        checks the edge cap and the payments): a missing or misindexed coalition
-        or a key that is not an int raises MalformedScheme when the scan reaches it."""
+        bitmask order, from a stored table's own rows or else allocation()
+        (the caller checks the edge cap): a missing or misindexed coalition, or
+        a row read through allocation() that _payments refuses, raises
+        MalformedScheme when the scan reaches it.  Every payment is a Fraction."""
         allocation = self.allocation
-        # a stored table's keys were checked when it was built; its rows need no gate
-        stored = getattr(allocation, "__func__", None) is AllocationScheme.allocation
+        # a stored table's rows were checked when it was built
+        stored = self._answers_as(AllocationScheme)
         rows = self._table if stored else {}
         for s in all_coalitions(self.graph.n_edges)[1:]:
             a = rows.get(s) or allocation(s)
             if a.keys() != s:
                 raise MalformedScheme(f"allocation for {sorted(s)} is not indexed by its members")
-            if not stored:
-                _require_int_keys(a, MalformedScheme, s)
-            yield s, a
+            yield s, a if stored else _payments(a, MalformedScheme, s)
 
     def materialize(self, *, max_edges: int = DEFAULT_EDGE_CAP):
         """Full table over every nonempty coalition (capped by edge count),
@@ -219,10 +219,7 @@ class AllocationScheme:
         shared: dict[Fraction, Fraction] = {}
         out = {}
         for s, a in self._rows():
-            row = out[s] = {}
-            for i, v in a.items():
-                v = v if type(v) is Fraction else _exact_payment(v, MalformedScheme, i, s)
-                row[i] = shared.setdefault(v, v)
+            out[s] = {i: shared.setdefault(v, v) for i, v in a.items()}
         return out
 
 
@@ -249,8 +246,7 @@ class _RuleTableScheme(AllocationScheme):
         replaced) and each edge has an int watch mask over the graph's edges
         and Fraction or int payments for every count up to its popcount."""
         n = self.graph.n_edges
-        if (type(self).allocation is not _RuleTableScheme.allocation
-                or "allocation" in vars(self) or len(self.watch) != n or len(self.pays) != n):
+        if not self._answers_as(_RuleTableScheme) or len(self.watch) != n or len(self.pays) != n:
             return False
         return all(type(w) is int and not w >> n and len(row) > w.bit_count()
                    and all(type(p) is Fraction or type(p) is int for p in row[:w.bit_count() + 1])
@@ -361,7 +357,7 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     coalitions = all_coalitions(n)
     rows, dens = [{}], [1]
     for m, (s, a) in enumerate(scheme._rows(), 1):
-        row, d = _numerators(a, MalformedScheme, s)
+        row, d = _numerators(a)
         total = sum(row.values())
         if total != table[m] * d:
             return False, Violation("efficiency", s, None, None,

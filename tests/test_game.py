@@ -379,6 +379,9 @@ def test_core_membership_takes_ints_and_refuses_other_payments():
     for bad in (1.0, "1", True):
         with pytest.raises(ContractViolation, match=f"payment of edge 0 is {bad!r}"):
             core_membership(path, {0: bad, 1: 0, 2: 1})
+    # the allocation is checked before the cost table is built, so above the edge cap too
+    with pytest.raises(ContractViolation, match="payment of edge 3 is 0.5"):
+        core_membership(VertexCoverGame(star(17)), {i: 0.5 if i == 3 else 0 for i in range(17)})
 
 
 def test_core_membership_takes_only_int_keys():

@@ -459,6 +459,29 @@ def test_preferences_from_scheme_refuses_a_misindexed_allocation():
     assert str(info.value) == "allocation for [0, 1] is not indexed by its members"
 
 
+def test_preferences_from_scheme_refuses_keys_and_payments_it_would_coerce():
+    # 1.0 == 1 and True == 1 would read as a unit payment and as edge 1
+    g = star(3)
+    game = VertexCoverGame(g)
+    ps = PreferenceSystem(g, {"hub": (0, 1, 2)})
+    bad = {"payment of edge 0 on coalition [0, 1, 2] is 1.0, not an int or Fraction":
+           lambda vec: {i: float(v) for i, v in vec.items()},
+           "edge key True on coalition [0, 1, 2] is not an int":
+           lambda vec: {True if i == 1 else i: v for i, v in vec.items()}}
+    for message, change in bad.items():
+        scheme = scheme_from_preferences(ps)
+        rule = scheme.allocation
+        scheme.allocation = lambda s, rule=rule, change=change: change(rule(s))
+        with pytest.raises(MalformedScheme) as info:
+            preferences_from_scheme(game, scheme)
+        assert str(info.value) == message
+    scheme = scheme_from_preferences(ps)
+    rule = scheme.allocation
+    scheme.allocation = lambda s: {**rule(s), 0: Fraction(1, 2)}
+    with pytest.raises(NotIntegralScheme):
+        preferences_from_scheme(game, scheme)
+
+
 def test_preferences_from_scheme_refuses_a_scheme_of_another_graph():
     scheme = scheme_from_preferences(p4_prefs())
     star3 = Graph.from_edges([("b", "a"), ("b", "c"), ("b", "d")])

@@ -1205,6 +1205,28 @@ def test_replaced_allocation_is_what_gets_verified():
         assert scheme.materialize()[raised][0] == rule(raised)[0] + 1
 
 
+def test_another_schemes_bound_allocation_is_what_gets_read():
+    # a stored table whose allocation is another scheme's bound method is read
+    # through that method, as any replaced allocation is: its own rows are not read
+    g = star(2)
+    game = VertexCoverGame(g)
+    table = construct_pmas(g).materialize()
+    own = AllocationScheme(g, table=table)
+    own.allocation = AllocationScheme(g, table={**table, frozenset({0}): {0: 2}}).allocation
+    assert own.allocation({0}) == {0: 2}
+    ok, violation = verify_pmas(game, own)
+    assert not ok and str(violation) == "efficiency violated on [0]: allocations sum to 2, cost is 1"
+    coalitions = all_coalitions(g.n_edges)[1:]
+    assert own.materialize() == {s: own.allocation(s) for s in coalitions}
+    # a rule table given another rule table's bound method likewise
+    rule = scheme_from_preferences(PreferenceSystem(g, {"hub": (0, 1)}))
+    other = scheme_from_preferences(PreferenceSystem(g, {"hub": (1, 0)}))
+    own_table = rule.materialize()
+    rule.allocation = other.allocation
+    assert rule.materialize() == other.materialize() != own_table
+    assert verify_pmas(game, rule) == (True, None)
+
+
 def test_schemes_read_through_allocation_take_only_int_keys():
     # a stored table's keys are checked when it is built; an allocation
     # overridden or replaced on the instance is checked as it is read
@@ -1389,11 +1411,16 @@ def test_verify_refuses_a_scheme_of_another_graph():
 
 
 def test_scheme_rejects_bad_coalitions():
-    scheme = construct_pmas(star(2))
-    with pytest.raises(ContractViolation):
-        scheme.allocation(frozenset())
-    with pytest.raises(ContractViolation):
-        scheme.allocation(frozenset({9}))
+    # a stored table may hold a row for the empty coalition, but allocation never returns it
+    g = star(2)
+    stored = AllocationScheme(g, table={**construct_pmas(g).materialize(), frozenset(): {}})
+    for scheme in (construct_pmas(g), stored):
+        for empty in (frozenset(), [], ()):
+            with pytest.raises(ContractViolation,
+                               match=re.escape("the empty coalition has no allocation")):
+                scheme.allocation(empty)
+        with pytest.raises(ContractViolation):
+            scheme.allocation(frozenset({9}))
 
 
 def test_materialize_cap():

@@ -287,6 +287,45 @@ def test_preference_and_cost_tables_are_read_in_one_place():
                      ("pmas.py", "check_dual_optimal", "game")]
 
 
+def innermost_reads(tree: ast.AST, names, owner=None):
+    """(function, name) for every load of one of names as a name or an attribute,
+    by the innermost function around it (None outside every function)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, FUNCTIONS):
+            yield from innermost_reads(node, names, node.name)
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
+            yield owner, node.id
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and node.attr in names):
+            yield owner, node.attr
+        yield from innermost_reads(node, names, owner)
+
+
+def test_scheme_rows_and_allocation_ownership_are_each_decided_once():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    # _payments checks the keys and payments of every scheme row and core allocation;
+    # only it and the dual checks' own profile (kept inline for speed) call _exact_payment
+    found = sorted((name, owner) for name, tree in trees.items()
+                   for owner in callers(tree, "_exact_payment"))
+    assert found == [("game.py", "_payments"), ("pmas.py", "_scaled_profile")]
+    assert not any("_require_int_keys" in path.read_text(encoding="utf-8") for path in SOURCES)
+    # one helper decides whether allocation() is a class's own
+    found = [(name, *read) for name, tree in trees.items()
+             for read in innermost_reads(tree, {"vars", "__func__"})]
+    assert found == [("pmas.py", "_answers_as", "vars")]
+
+
+def test_innermost_read_scan_sees_each_form():
+    text = ("x = vars(y)\n"
+            "def f(a):\n    return a.__func__\n"
+            "class C:\n    def h(self):\n"
+            "        def g():\n            return vars(self)\n"
+            "        return g, vars\n")
+    assert list(innermost_reads(ast.parse(text), {"vars", "__func__"})) == [
+        (None, "vars"), ("f", "__func__"), ("g", "vars"), ("h", "vars")]
+
+
 def test_each_subcommand_is_declared_once():
     # one table gives the parser and the dispatch each subcommand; a string equal to a
     # subcommand name elsewhere in cli.py (but as a key of a JSON document built inside

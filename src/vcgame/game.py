@@ -12,6 +12,7 @@ coalition's cost comes from a size-only cover search that builds no witness.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import ContractViolation, NotBalanced, OracleCapError
@@ -21,26 +22,31 @@ from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, _charged, _coalition, 
 DEFAULT_EDGE_CAP = 16
 
 
+def _on(coalition) -> str:
+    return "" if coalition is None else f" on coalition {sorted(coalition)}"
+
+
 def _exact_payment(value, error: type[Exception], edge, coalition) -> Fraction:
     """A payment that is not of type Fraction, as one: a Fraction subclass
     or an int is exact; anything else (a bool, a str, a binary floating-point
     number) raises error naming the edge and the coalition, unless None."""
     if isinstance(value, Fraction) or type(value) is int:
         return Fraction(value)
-    where = f"edge {edge}"
-    if coalition is not None:
-        where += f" on coalition {sorted(coalition)}"
-    raise error(f"payment of {where} is {value!r}, not an int or Fraction")
+    raise error(f"payment of edge {edge}{_on(coalition)} is {value!r}, not an int or Fraction")
 
 
-def _payments(row: dict, error: type[Exception], coalition) -> dict[int, Fraction]:
-    """row with every payment a Fraction.  Raises error naming the first edge key
-    that is not of type int (True and 0.0 would look up edges 1 and 0), else the
-    first payment that _exact_payment refuses, and the coalition unless None."""
+def _payments(row, error: type[Exception], coalition) -> dict[int, Fraction]:
+    """row as a new dict of Fraction payments: the one check of a scheme row or core
+    allocation.  Raises error, naming the coalition unless None, on the first of: a
+    non-mapping, an edge key not of type int (True and 0.0 would look up edges 1 and 0),
+    keys other than the coalition's members (if given), a payment _exact_payment refuses."""
+    if not isinstance(row, Mapping):
+        raise error(f"allocation{_on(coalition)} is {row!r}, not a mapping")
     for i in row:
         if type(i) is not int:
-            where = "" if coalition is None else f" on coalition {sorted(coalition)}"
-            raise error(f"edge key {i!r}{where} is not an int")
+            raise error(f"edge key {i!r}{_on(coalition)} is not an int")
+    if coalition is not None and row.keys() != coalition:
+        raise error(f"allocation for {sorted(coalition)} is not indexed by its members")
     return {i: v if type(v) is Fraction else _exact_payment(v, error, i, coalition)
             for i, v in row.items()}
 
@@ -184,9 +190,9 @@ def core_membership(game: VertexCoverGame, allocation):
     Coalition sums are integer numerators over one common denominator.
     """
     players = game.players()
-    if set(allocation) != set(players):
-        raise ContractViolation("allocation must be indexed by the full player set")
     nums, den = _numerators(_payments(allocation, ContractViolation, None))
+    if nums.keys() != players:
+        raise ContractViolation("allocation must be indexed by the full player set")
     table = game.cost_table()
     size = 1 << game.n
     sums = [0] * size

@@ -143,10 +143,9 @@ def scheme_from_preferences(ps: PreferenceSystem) -> AllocationScheme:
 def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
     """Recover the preference system of an integral scheme by iterated peeling:
     on each cover vertex's incident set, the unit-paying edge is the next most
-    preferred; remove it and repeat.  A scheme of another graph is refused;
-    an allocation not indexed by its coalition, or with a key that is not an
-    int or a payment that is not an int or Fraction, raises MalformedScheme
-    naming the coalition, and a payment other than 0 or 1 NotIntegralScheme."""
+    preferred; remove it and repeat.  A scheme of another graph is refused; an
+    allocation that _payments refuses raises MalformedScheme naming the
+    coalition, and a payment other than 0 or 1 NotIntegralScheme."""
     graph = game.graph
     _require_same_graph(graph, scheme.graph, "scheme")
     cover = CoverSystem(graph)
@@ -155,11 +154,7 @@ def preferences_from_scheme(game, scheme: AllocationScheme) -> PreferenceSystem:
         remaining = frozenset(graph.incident_edges(v))
         seq: list[int] = []
         while remaining:
-            alloc = scheme.allocation(remaining)
-            if alloc.keys() != remaining:
-                raise MalformedScheme(
-                    f"allocation for {sorted(remaining)} is not indexed by its members")
-            alloc = _payments(alloc, MalformedScheme, remaining)
+            alloc = _payments(scheme.allocation(remaining), MalformedScheme, remaining)
             units: list[int] = []
             for i in sorted(remaining):
                 value = alloc[i]

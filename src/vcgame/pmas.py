@@ -164,28 +164,30 @@ class CoverSystem:
 
 
 class AllocationScheme:
-    """Per-coalition payment vectors from a stored table.
-
-    Coalition keys pass the coalition gate, edge keys must be ints and
-    payments Fractions or ints; allocation() returns the stored vectors by
-    reference, so callers must treat them as read-only.
-    """
+    """Per-coalition payment vectors from a stored table, checked whole when
+    built: each coalition key must pass the coalition gate and be nonempty, and
+    each row must pass _payments, else MalformedScheme.  Rows are kept by
+    bitmask; allocation() returns them by reference, so callers must treat
+    them as read-only."""
 
     def __init__(self, graph: Graph, *, table) -> None:
         self.graph = graph
+        if not isinstance(table, Mapping):
+            raise MalformedScheme(f"scheme table is {type(table).__name__}, not a mapping")
         self._table = {}
         for s, vec in table.items():
             s = _coalition(graph, s)
-            self._table[s] = _payments(vec, MalformedScheme, s)
+            if not s:
+                raise MalformedScheme("the empty coalition has no allocation")
+            self._table[s._mask] = _payments(vec, MalformedScheme, s)
 
     def allocation(self, coalition) -> dict[int, Fraction]:
         s = _coalition(self.graph, coalition)
         if not s:
             raise ContractViolation("the empty coalition has no allocation")
-        hit = self._table.get(s)
+        hit = self._table.get(s._mask)
         if hit is None:
-            members = ",".join(str(i) for i in sorted(s))
-            raise MalformedScheme(f"scheme is missing coalition {{{members}}}")
+            raise MalformedScheme(f"scheme is missing coalition {{{coalition_key(s)}}}")
         return hit
 
     def _answers_as(self, cls) -> bool:
@@ -194,20 +196,16 @@ class AllocationScheme:
         return type(self).allocation is cls.allocation and "allocation" not in vars(self)
 
     def _rows(self):
-        """(coalition, allocation) for every nonempty coalition in ascending
-        bitmask order, from a stored table's own rows or else allocation()
-        (the caller checks the edge cap): a missing or misindexed coalition, or
-        a row read through allocation() that _payments refuses, raises
-        MalformedScheme when the scan reaches it.  Every payment is a Fraction."""
+        """(coalition, allocation) with Fraction payments for every nonempty
+        coalition in ascending bitmask order (the caller checks the edge cap):
+        a stored table's own rows, checked when it was built, else allocation()'s
+        through _payments; a missing coalition or a refused row raises
+        MalformedScheme when the scan reaches it."""
         allocation = self.allocation
-        # a stored table's rows were checked when it was built
-        stored = self._answers_as(AllocationScheme)
-        rows = self._table if stored else {}
+        rows = self._table if self._answers_as(AllocationScheme) else {}
         for s in all_coalitions(self.graph.n_edges)[1:]:
-            a = rows.get(s) or allocation(s)
-            if a.keys() != s:
-                raise MalformedScheme(f"allocation for {sorted(s)} is not indexed by its members")
-            yield s, a if stored else _payments(a, MalformedScheme, s)
+            row = rows.get(s._mask)
+            yield s, _payments(allocation(s), MalformedScheme, s) if row is None else row
 
     def materialize(self, *, max_edges: int = DEFAULT_EDGE_CAP):
         """Full table over every nonempty coalition (capped by edge count),
@@ -344,7 +342,7 @@ def verify_pmas(game: VertexCoverGame, scheme: AllocationScheme, *,
     Any other scheme is scanned through allocation(): efficiency in
     ascending coalition bitmask order, then monotonicity in ascending
     (superset, dropped edge) order, on integer numerators over one common
-    denominator; a missing or misindexed coalition raises MalformedScheme.
+    denominator; a missing coalition or a row _payments refuses raises MalformedScheme.
     """
     _require_same_graph(game.graph, scheme.graph, "scheme")
     n = game.n
@@ -393,16 +391,20 @@ def _scaled_profile(graph: Graph, coalition, x):
     Returns (loads, den, total, feasible, s) with loads[v]/den the true
     rational load at v, total/den the payment sum, feasible whether every
     payment is nonnegative and every load at most one, and s the coalition
-    as _coalition returns it, carrying its bitmask.  Raises when a member or
-    key is not an int, an index is not an edge or x is not indexed by the
-    coalition.  The last profile is returned again for the same graph object,
-    the same key and payment objects in order and a coalition of the same
-    bitmask; the caller's own object is remembered when it is a frozenset,
-    which cannot change, so the three dual checks of one allocation gate and
-    convert it once (False == 0 and 0.5 == Fraction(1, 2) must miss).
+    as _coalition returns it, carrying its bitmask.  Raises when x is not a
+    mapping, a member or key is not an int, an index is not an edge or x is
+    not indexed by the coalition.  The last profile is returned again for the
+    same graph object, the same key and payment objects in order and a
+    coalition of the same bitmask; the caller's own object is remembered when
+    it is a frozenset, which cannot change, so the three dual checks of one
+    allocation gate and convert it once (False == 0 and 0.5 == Fraction(1, 2)
+    must miss).
     """
     global _last_profile
-    entries = [*x, *x.values()]  # a list: freed tuples would stay on the tuple free lists
+    try:
+        entries = [*x, *x.values()]  # a list: freed tuples would stay on the tuple free lists
+    except (TypeError, AttributeError):
+        raise ContractViolation(f"allocation is {x!r}, not a mapping") from None
     last = _last_profile
     if last is not None and last[0] is graph and last[1] is coalition:
         s = last[3][4]  # it passed _coalition when it was stored

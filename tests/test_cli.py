@@ -203,6 +203,17 @@ def test_verify_incomplete_scheme_errors(graph_file, capsys, tmp_path):
     assert "missing coalition" in err
 
 
+def test_verify_refuses_a_misindexed_row_before_scanning(graph_file, capsys, tmp_path):
+    # the row for [1] is checked when the scheme is read, before [0]'s efficiency violation
+    gpath = graph_file("g.txt", STAR2)
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(json.dumps({"0": {"0": "2/1"}, "0,1": {"0": "1/1", "1": "0/1"},
+                                       "1": {"0": "1/1"}}))
+    code, out, err = run(capsys, "verify", "--input", gpath, str(scheme_path))
+    assert (code, out) == (2, "")
+    assert err == "error: allocation for [1] is not indexed by its members\n"
+
+
 def test_enumerate_star2(graph_file, capsys):
     code, out, _ = run(capsys, "enumerate", "--input", graph_file("g.txt", STAR2))
     assert code == 0

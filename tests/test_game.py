@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -382,6 +383,14 @@ def test_core_membership_takes_ints_and_refuses_other_payments():
     # the allocation is checked before the cost table is built, so above the edge cap too
     with pytest.raises(ContractViolation, match="payment of edge 3 is 0.5"):
         core_membership(VertexCoverGame(star(17)), {i: 0.5 if i == 3 else 0 for i in range(17)})
+
+
+def test_core_membership_refuses_an_allocation_that_is_not_a_mapping():
+    # a list of the players has their keys as its members
+    for allocation in ([0, 1], None):
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"allocation is {allocation!r}, not a mapping")):
+            core_membership(VertexCoverGame(star(2)), allocation)
 
 
 def test_core_membership_takes_only_int_keys():

@@ -943,9 +943,11 @@ def test_verify_matches_reference_scan():
             assert expected == (True, None)
             assert verify_pmas(game, scheme) == expected
             for table in corrupted_tables(rng, scheme.materialize()):
-                bad = AllocationScheme(g, table=table)
-                expected = outcome(reference_verify_pmas, game, bad)
-                assert outcome(verify_pmas, game, bad) == expected
+                # a misindexed row is refused when the stored scheme is built
+                def on_stored(check):
+                    return check(game, AllocationScheme(g, table=table))
+                expected = outcome(on_stored, reference_verify_pmas)
+                assert outcome(on_stored, verify_pmas) == expected
                 kinds.add(expected[1].kind if expected[0] is False else expected[0])
     assert kinds == {"efficiency", "monotonicity", MalformedScheme}
 
@@ -1411,16 +1413,68 @@ def test_verify_refuses_a_scheme_of_another_graph():
 
 
 def test_scheme_rejects_bad_coalitions():
-    # a stored table may hold a row for the empty coalition, but allocation never returns it
+    # a stored table refuses a row for the empty coalition, as scheme_from_json refuses ""
     g = star(2)
-    stored = AllocationScheme(g, table={**construct_pmas(g).materialize(), frozenset(): {}})
-    for scheme in (construct_pmas(g), stored):
+    table = construct_pmas(g).materialize()
+    for empty in (frozenset(), ()):
+        with pytest.raises(MalformedScheme,
+                           match=re.escape("the empty coalition has no allocation")):
+            AllocationScheme(g, table={**table, empty: {}})
+    for scheme in (construct_pmas(g), AllocationScheme(g, table=table)):
         for empty in (frozenset(), [], ()):
             with pytest.raises(ContractViolation,
                                match=re.escape("the empty coalition has no allocation")):
                 scheme.allocation(empty)
         with pytest.raises(ContractViolation):
             scheme.allocation(frozenset({9}))
+
+
+def test_stored_rows_are_checked_whole_when_built():
+    g = star(2)
+    # a row is checked for a mapping, int keys, its members, then exact payments
+    for row, message in (([0], "allocation on coalition [0, 1] is [0], not a mapping"),
+                         (None, "allocation on coalition [0, 1] is None, not a mapping"),
+                         ({0: 1, "1": 0}, "edge key '1' on coalition [0, 1] is not an int"),
+                         ({0: 1}, "allocation for [0, 1] is not indexed by its members"),
+                         ({0: 1, 2: 0.5}, "allocation for [0, 1] is not indexed by its members"),
+                         ({0: 1, 1: 0.5}, "payment of edge 1 on coalition [0, 1] is 0.5")):
+        with pytest.raises(MalformedScheme, match=re.escape(message)):
+            AllocationScheme(g, table={frozenset({0, 1}): row})
+    # whole: a later misindexed row is refused before an earlier efficiency violation
+    table = {frozenset({0}): {0: 2}, frozenset({0, 1}): {0: 1, 1: 0}, frozenset({1}): {0: 1}}
+    with pytest.raises(MalformedScheme,
+                       match=re.escape("allocation for [1] is not indexed by its members")):
+        AllocationScheme(g, table=table)
+    for table in ([(frozenset({0}), {0: 1})], None):
+        with pytest.raises(MalformedScheme, match="not a mapping"):
+            AllocationScheme(g, table=table)
+
+
+def test_scheme_readers_refuse_an_allocation_that_is_not_a_mapping():
+    g = star(2)
+    game = VertexCoverGame(g)
+    # the scans read coalition [0] first, the peeling the hub's edges [0, 1]
+    for read, first in ((lambda scheme: scheme.materialize(), [0]),
+                        (lambda scheme: verify_pmas(game, scheme), [0]),
+                        (lambda scheme: preferences_from_scheme(game, scheme), [0, 1])):
+        scheme = construct_pmas(g)
+        scheme.allocation = sorted
+        with pytest.raises(MalformedScheme, match=re.escape(
+                f"allocation on coalition {first} is {first}, not a mapping")):
+            read(scheme)
+
+
+def test_dual_checks_refuse_an_allocation_that_is_not_a_mapping():
+    g = star(2)
+    game = VertexCoverGame(g)
+    _, cover = classify_components(g)
+    for x in ([0, 1], None):
+        for call in (lambda: check_dual_feasible(g, {0, 1}, x),
+                     lambda: check_dual_optimal(game, {0, 1}, x),
+                     lambda: check_pi_star(g, {0, 1}, x, cover)):
+            with pytest.raises(ContractViolation,
+                               match=re.escape(f"allocation is {x!r}, not a mapping")):
+                call()
 
 
 def test_materialize_cap():

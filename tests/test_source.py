@@ -310,6 +310,15 @@ def test_scheme_rows_and_allocation_ownership_are_each_decided_once():
                    for owner in callers(tree, "_exact_payment"))
     assert found == [("game.py", "_payments"), ("pmas.py", "_scaled_profile")]
     assert not any("_require_int_keys" in path.read_text(encoding="utf-8") for path in SOURCES)
+    # _payments alone decides whether a row is indexed by its coalition's members, and
+    # the scheme readers leave that to it
+    phrase = "is not indexed by its members"
+    assert sum(path.read_text(encoding="utf-8").count(phrase) for path in SOURCES) == 1
+    found = [(name, func.name) for name, tree in trees.items() for func in ast.walk(tree)
+             if isinstance(func, FUNCTIONS) and phrase in ast.unparse(func)]
+    assert found == [("game.py", "_payments")]
+    found = {owner for tree in trees.values() for owner, _ in innermost_reads(tree, {"keys"})}
+    assert not found & {"_rows", "preferences_from_scheme"}
     # one helper decides whether allocation() is a class's own
     found = [(name, *read) for name, tree in trees.items()
              for read in innermost_reads(tree, {"vars", "__func__"})]

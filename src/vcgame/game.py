@@ -7,6 +7,10 @@ full cost table computed by a bitmask recursion over edge subsets; the table
 is only built below the configured edge cap.  Until it is built, a star/pisces
 forest's coalition costs the vertices its cover rule charges, and any other
 coalition's cost comes from a size-only cover search that builds no witness.
+Up to DEFAULT_EDGE_CAP edges the game keeps each size found in one byte per
+coalition (64 KiB at most, dropped with the cost table's build) and answers a
+coalition from its two residual subsets when both are known, so an ascending
+scan never searches.
 """
 
 from __future__ import annotations
@@ -88,16 +92,23 @@ class VertexCoverGame:
         self.max_vertices = _vertex_cap(max_vertices)
         self._players = graph.players()
         self._table: list[int] | None = None
+        self._known: bytearray | None = None
 
     def players(self) -> Coalition:
         return self._players
 
     def gamma(self, coalition) -> int:
+        """The coalition's cover number, by the routes the class names; up to
+        DEFAULT_EDGE_CAP edges the search route keeps each size it finds in one byte per
+        coalition (64 KiB at most), which _cover_size reads before it searches."""
         if self._table is not None:
             return self._table[_coalition(self.graph, coalition)._mask]
         if self.graph._structure is not None:
             return len(_charged(self.graph, _coalition(self.graph, coalition)))
-        return _cover_size(self.graph, coalition, self.max_vertices)
+        if self._known is None and self.n <= DEFAULT_EDGE_CAP:
+            self._known = bytearray(b"\xff" * (1 << self.n))
+            self._known[0] = 0
+        return _cover_size(self.graph, coalition, self.max_vertices, self._known)
 
     def cost_table(self, max_edges: int = DEFAULT_EDGE_CAP) -> list[int]:
         """Costs of all coalitions indexed by bitmask, as a new list on each call
@@ -111,6 +122,7 @@ class VertexCoverGame:
                 raise OracleCapError(
                     f"cost table over {self.n} edges exceeds the {max_edges}-edge cap")
             self._table = _full_cost_table(self.graph)
+            self._known = None  # gamma reads the table from now on
         return self._table.copy()
 
 

@@ -181,13 +181,20 @@ def _coalition(graph: Graph, coalition) -> Coalition:
     bitmask as _mask: a coalition that mask_coalition, all_coalitions or
     players() built is returned as is when its mask is within the graph's
     edges; anything else is checked and rebuilt as one, or raises
-    ContractViolation naming a member that is not an int, else the smallest
-    or largest index if it is not an edge, else the smallest index repeated
-    in a sequence or iterator."""
+    ContractViolation naming the value if it is not iterable, else a member
+    that is not an int, else the smallest or largest index if it is not an
+    edge, else the smallest index repeated in a sequence or iterator."""
     n = len(graph.edges)
     if type(coalition) is _MaskedCoalition and not coalition._mask >> n:
         return coalition
-    items = coalition if isinstance(coalition, (set, frozenset)) else tuple(coalition)
+    if isinstance(coalition, (set, frozenset)):
+        items = coalition
+    else:
+        try:
+            members = iter(coalition)
+        except TypeError:
+            raise ContractViolation(f"coalition {coalition!r} is not iterable") from None
+        items = tuple(members)
     s = frozenset(items)
     mask = 0
     for i in s:
@@ -539,12 +546,23 @@ def _oracle_input(graph: Graph, coalition, max_vertices: int):
     return s, (cover, tuple(order[j] for j in matching))
 
 
-def _cover_size(graph: Graph, coalition, max_vertices: int) -> int:
-    """vertex_cover_number's size alone; within the vertex cap the search builds no witness."""
+def _cover_size(graph: Graph, coalition, max_vertices: int, known: bytearray | None) -> int:
+    """vertex_cover_number's size alone; within the vertex cap the search builds no witness,
+    and known (one byte per coalition mask, 255 while unknown), unless None, keeps each size:
+    a coalition whose residual subsets at its lowest edge are known costs 1 plus the smaller."""
     s, witnesses = _oracle_input(graph, coalition, max_vertices)
-    if witnesses is None:
-        return _min_cover_size(graph._edge_masks, s._mask)
-    return len(witnesses[0])
+    if witnesses is not None:
+        return len(witnesses[0])
+    masks, m = graph._edge_masks, s._mask
+    if known is None:
+        return _min_cover_size(masks, m)
+    size = known[m]
+    if size == 255:
+        left_u, left_v, _, _, _ = masks[(m & -m).bit_length() - 1]
+        a, b = known[m & left_u], known[m & left_v]
+        size = 1 + (a if a < b else b) if a != 255 and b != 255 else _min_cover_size(masks, m)
+        known[m] = size
+    return size
 
 
 def vertex_cover_number(graph: Graph, coalition, *,

@@ -17,7 +17,7 @@ from vcgame.errors import ContractViolation, NotBalanced, OracleCapError
 from vcgame.game import (VertexCoverGame, core_element_from_matching, core_membership,
                          is_balanced, is_monotone_game, is_submodular_game, is_submodular_graph,
                          is_totally_balanced, mask_coalition)
-from vcgame.graph import Graph, vertex_cover_number
+from vcgame.graph import Graph, all_coalitions, vertex_cover_number
 from vcgame.pmas import (AllocationScheme, CoverSystem, construct_pmas,
                          recognize_population_monotonic, verify_pmas)
 
@@ -108,6 +108,78 @@ def test_gamma_builds_no_witness(monkeypatch):
     assert VertexCoverGame(pisces).gamma(pisces.players()) == 2
     assert VertexCoverGame(pisces, max_vertices=0).gamma(small) == 2
     assert VertexCoverGame(star(5)).gamma({0, 3}) == 1
+    # and when the answers come from the game's byte table: an ascending scan of p5 is
+    # answered from residual subsets, and a repeated query from the stored byte
+    game = VertexCoverGame(p5())
+    costs = [game.gamma(s) for s in all_coalitions(4)]
+    assert costs == VertexCoverGame(p5()).cost_table()
+    assert [game.gamma(s) for s in all_coalitions(4)] == costs
+
+
+def test_gamma_answers_every_scan_order():
+    # every coalition of the atlas graphs with at most 8 edges and of random general
+    # graphs up to 10 edges, asked of fresh games in ascending order (each answer from its
+    # residual subsets), descending order (each from the search) and shuffled order
+    rng = random.Random(3201)
+    graphs = list(atlas_graphs(max_edges=8)) + [random_graph(rng) for _ in range(30)]
+    for g in graphs:
+        coalitions = all_coalitions(g.n_edges)
+        table = VertexCoverGame(g).cost_table()
+        assert table == [vertex_cover_number(g, s)[0] for s in coalitions]
+        shuffled = list(coalitions)
+        rng.shuffle(shuffled)
+        for order in (coalitions, coalitions[::-1], shuffled):
+            game = VertexCoverGame(g)
+            assert [game.gamma(s) for s in order] == [table[s._mask] for s in order]
+
+
+def test_an_ascending_scan_runs_no_search(monkeypatch):
+    calls = []
+    search = vcgame.graph._min_cover_size
+    monkeypatch.setattr(vcgame.graph, "_min_cover_size",
+                        lambda masks, m: calls.append(m) or search(masks, m))
+    k5 = Graph.from_edges(itertools.combinations("abcde", 2))  # 10 edges, not star/pisces
+    game = VertexCoverGame(k5)
+    assert [game.gamma(s) for s in all_coalitions(10)] == VertexCoverGame(k5).cost_table()
+    assert calls == []  # the empty coalition is known from the start, and each later one
+    # from its two residual subsets; a fresh game's grand coalition has neither, so it searches
+    assert VertexCoverGame(k5).gamma(k5.players()) == 4
+    assert calls == [(1 << 10) - 1]
+
+
+def test_the_byte_table_is_bounded_and_dropped_with_the_cost_table():
+    def path(n: int) -> Graph:  # n edges, not star/pisces from n = 4 on
+        return Graph.from_edges((f"v{k}", f"v{k + 1}") for k in range(n))
+
+    game = VertexCoverGame(path(16))
+    assert game._known is None
+    assert game.gamma({0, 1, 2, 3}) == 2
+    assert type(game._known) is bytearray and len(game._known) == 1 << 16
+    # above DEFAULT_EDGE_CAP edges, and on a star/pisces graph, the game keeps none
+    for g in (path(17), star(5)):
+        other = VertexCoverGame(g)
+        assert other.gamma({0, 1, 2, 3}) == 2 - (g.n_edges == 5)
+        assert other._known is None
+    table = game.cost_table()
+    assert game._known is None
+    assert game.gamma({0, 1, 2, 3}) == table[0b1111] == 2
+
+
+def test_the_vertex_cap_holds_when_every_smaller_coalition_is_known():
+    g = c4()
+    game = VertexCoverGame(g, max_vertices=3)
+    # each proper sub-coalition is a path within the cap, or a forest above it
+    assert [game.gamma(s) for s in all_coalitions(4)[:-1]] == VertexCoverGame(g).cost_table()[:-1]
+    full = (1 << 4) - 1
+    left_u, left_v, _, _, _ = g._edge_masks[0]
+    assert game._known[full & left_u] == game._known[full & left_v] == 1
+    message = re.escape("instance too large for exact oracle: the coalition subgraph has 4"
+                        " vertices, above the 3-vertex cap, and is not a star/pisces forest")
+    for call in (lambda: game.gamma(g.players()), lambda: is_balanced(game),
+                 lambda: core_element_from_matching(game)):
+        with pytest.raises(OracleCapError, match=f"^{message}$"):
+            call()
+    assert game._known[full] == 255
 
 
 def test_gamma_counts_the_rule_cover_on_star_pisces_graphs():

@@ -250,6 +250,26 @@ def test_every_entry_point_names_the_same_out_of_range_index():
             call()
 
 
+def test_every_entry_point_refuses_a_coalition_that_is_not_iterable():
+    # by one message from the coalition gate, on each route of gamma, both oracles, both
+    # kinds of scheme and a stored table's key
+    g = p4()
+    scheme = construct_pmas(g)
+    stored = scheme_from_json(g, scheme_to_json(scheme))
+    tabled = VertexCoverGame(g)
+    tabled.cost_table()
+    games = [VertexCoverGame(g), tabled, VertexCoverGame(k3())]
+    for bad in (5, None, 1.5):
+        calls = [lambda: vertex_cover_number(g, bad), lambda: matching_number(g, bad),
+                 lambda: scheme.allocation(bad), lambda: stored.allocation(bad),
+                 lambda: AllocationScheme(g, table={bad: {0: 1}})]
+        calls += [lambda game=game: game.gamma(bad) for game in games]
+        for call in calls:
+            with pytest.raises(ContractViolation) as info:
+                call()
+            assert str(info.value) == f"coalition {bad!r} is not iterable"
+
+
 def test_one_graph_is_decomposed_once_by_every_entry_point(monkeypatch):
     # recognition, the cover system, the shape check, counting, enumeration and
     # preference recovery all read the structure the graph decomposed once

@@ -19,7 +19,6 @@ graph builds on first use, which the game's cost table reads too.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ContractViolation, GraphFormatError, OracleCapError
@@ -32,21 +31,49 @@ DEFAULT_VERTEX_CAP = 24
 PATTERNS = ("K3", "C4", "P4", "P5")
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """An immutable value: its fields, named in order by __match_args__, are set once by
+    the subclass's __init__ and decide its equality (within its own class only), hash and
+    repr.  Assigning or deleting any attribute raises AttributeError, while
+    cached_property, copy and pickle write the instance __dict__ directly."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Value):
     """Finite simple undirected graph; edge index (0-based file order) = player id."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    __match_args__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> None:
         labels = set()
-        for v in self.vertices:
+        for v in vertices:
             if v in labels:
                 raise GraphFormatError(f"duplicate vertex label {v}")
             labels.add(v)
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise GraphFormatError(f"self-loop at {u}")
             if u not in labels or v not in labels:
@@ -55,6 +82,7 @@ class Graph:
             if key in seen:
                 raise GraphFormatError(f"duplicate edge {u} {v}")
             seen.add(key)
+        self.__dict__.update(vertices=vertices, edges=edges)
 
     @classmethod
     def from_edges(cls, pairs, extra_vertices=()) -> "Graph":
@@ -63,6 +91,16 @@ class Graph:
         edges = tuple((u, v) for u, v in pairs)
         order = dict.fromkeys([w for edge in edges for w in edge] + list(extra_vertices))
         return cls(vertices=tuple(order), edges=edges)
+
+    def _subgraph(self, order) -> Graph:
+        """The graph of the edges indexed by order, in that order, with vertices by first
+        appearance, as from_edges builds it but without the label and edge checks, which
+        every subset of this graph's edges passes."""
+        edges = tuple(self.edges[i] for i in order)
+        sub = object.__new__(Graph)
+        sub.__dict__.update(vertices=tuple(dict.fromkeys([w for e in edges for w in e])),
+                            edges=edges)
+        return sub
 
     @property
     def n_vertices(self) -> int:
@@ -182,12 +220,15 @@ def _coalition(graph: Graph, coalition) -> Coalition:
     players() built is returned as is when its mask is within the graph's
     edges; anything else is checked and rebuilt as one, or raises
     ContractViolation naming the value if it is not iterable, else a member
-    that is not an int, else the smallest or largest index if it is not an
-    edge, else the smallest index repeated in a sequence or iterator."""
+    that is not an int (the first in a sequence or iterator, the one of
+    smallest repr in a set, so that no hash order picks it), else the smallest
+    or largest index if it is not an edge, else the smallest index repeated in
+    a sequence or iterator."""
     n = len(graph.edges)
     if type(coalition) is _MaskedCoalition and not coalition._mask >> n:
         return coalition
-    if isinstance(coalition, (set, frozenset)):
+    unordered = isinstance(coalition, (set, frozenset))
+    if unordered:
         items = coalition
     else:
         try:
@@ -195,13 +236,14 @@ def _coalition(graph: Graph, coalition) -> Coalition:
         except TypeError:
             raise ContractViolation(f"coalition {coalition!r} is not iterable") from None
         items = tuple(members)
-    s = frozenset(items)
     mask = 0
-    for i in s:
+    for i in items:  # before frozenset, which would raise TypeError on an unhashable member
         if type(i) is not int:
-            raise ContractViolation(f"edge key {i!r} is not an int")
+            bad = min(repr(j) for j in items if type(j) is not int) if unordered else repr(i)
+            raise ContractViolation(f"edge key {bad} is not an int")
         if 0 <= i < n:
             mask |= 1 << i
+    s = frozenset(items)
     if mask.bit_count() != len(s):
         low = min(s)
         raise ContractViolation(f"edge index out of range: {low if low < 0 else max(s)}")
@@ -220,20 +262,21 @@ def _incidence(graph: Graph, order) -> dict[str, list[int]]:
     return incident
 
 
-@dataclass(frozen=True)
-class ComponentClassification:
+class ComponentClassification(_Value):
     """Shape of one connected component of a star/pisces forest.
 
-    cover holds the single center of a star (or the designated endpoint of a
-    lone edge), or both bases of a pisces in label order; pendants maps each
-    cover vertex to its non-free-rider incident edges.
+    kind is "star", "pisces" or "single-edge"; cover holds the single center of
+    a star (or the designated endpoint of a lone edge), or both bases of a
+    pisces in label order; pendants maps each cover vertex to its
+    non-free-rider incident edges.
     """
 
-    kind: str  # "star" | "pisces" | "single-edge"
-    edges: Coalition
-    cover: tuple[str, ...]
-    free_rider: int | None
-    pendants: dict[str, tuple[int, ...]]
+    __match_args__ = ("kind", "edges", "cover", "free_rider", "pendants")
+
+    def __init__(self, kind: str, edges: Coalition, cover: tuple[str, ...],
+                 free_rider: int | None, pendants: dict[str, tuple[int, ...]]) -> None:
+        self.__dict__.update(kind=kind, edges=edges, cover=cover, free_rider=free_rider,
+                             pendants=pendants)
 
 
 _Structure = namedtuple("_Structure", "shapes cover watch select free_riders")
@@ -537,7 +580,7 @@ def _oracle_input(graph: Graph, coalition, max_vertices: int):
     if n <= max_vertices:
         return s, None
     order = sorted(s)
-    sub = Graph.from_edges(graph.edges[i] for i in order)
+    sub = graph._subgraph(order)
     if sub._structure is None:
         raise OracleCapError(
             f"instance too large for exact oracle: the coalition subgraph has {n} vertices,"

@@ -25,14 +25,13 @@ import json
 import math
 import operator
 from collections.abc import Mapping, Set
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (ContractViolation, MalformedScheme, NotPopulationMonotonic,
                      OracleCapError)
 from .game import DEFAULT_EDGE_CAP, VertexCoverGame, _exact_payment, _numerators, _payments
-from .graph import (Coalition, Graph, _charged, _coalition, _vertex_cap, all_coalitions,
-                    find_forbidden_subgraph)
+from .graph import (Coalition, ComponentClassification, Graph, _charged, _coalition, _Value,
+                    _vertex_cap, all_coalitions, find_forbidden_subgraph)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -120,7 +119,8 @@ class CoverSystem:
         if structure is None:
             raise NotPopulationMonotonic(*recognize_population_monotonic(graph)[1])
         self.graph = graph
-        self.components = [replace(c, pendants=dict(c.pendants)) for c in structure.shapes]
+        self.components = [ComponentClassification(c.kind, c.edges, c.cover, c.free_rider,
+                                                   dict(c.pendants)) for c in structure.shapes]
         self.cover, self.watch, self.select = structure.cover, structure.watch, structure.select
         self.free_riders = structure.free_riders
         widest = max((len(es) for c in structure.shapes for es in c.pendants.values()), default=1)
@@ -297,16 +297,16 @@ def _require_same_graph(graph: Graph, other: Graph, what: str) -> None:
         raise ContractViolation(f"the {what} belongs to another graph")
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First failed scheme constraint, with both sides of the comparison."""
+class Violation(_Value):
+    """First failed scheme constraint, of kind "efficiency" or "monotonicity", with both
+    sides of the comparison."""
 
-    kind: str  # "efficiency" | "monotonicity"
-    coalition: Coalition
-    superset: Coalition | None
-    edge: int | None
-    lhs: Fraction
-    rhs: Fraction
+    __match_args__ = ("kind", "coalition", "superset", "edge", "lhs", "rhs")
+
+    def __init__(self, kind: str, coalition: Coalition, superset: Coalition | None,
+                 edge: int | None, lhs: Fraction, rhs: Fraction) -> None:
+        self.__dict__.update(kind=kind, coalition=coalition, superset=superset, edge=edge,
+                             lhs=lhs, rhs=rhs)
 
     def __str__(self) -> str:
         members = sorted(self.coalition)

@@ -1,7 +1,10 @@
 """Graph parsing, components, and the exact cover/matching/pattern oracles."""
 
+import copy
 import gc
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,9 +12,9 @@ import vcgame.game
 import vcgame.graph
 from vcgame.errors import ContractViolation, GraphFormatError, OracleCapError
 from vcgame.game import VertexCoverGame, core_element_from_matching, is_balanced
-from vcgame.graph import (PATTERNS, Graph, _incidence, _two_color, components, diameter, find_forbidden_subgraph, is_bipartite, mask_coalition,
+from vcgame.graph import (PATTERNS, ComponentClassification, Graph, _incidence, _two_color, components, diameter, find_forbidden_subgraph, is_bipartite, mask_coalition,
                           matching_number, parse_graph, vertex_cover_number)
-from vcgame.pmas import CoverSystem, recognize_population_monotonic
+from vcgame.pmas import CoverSystem, Violation, recognize_population_monotonic
 
 from oracles import (all_pm_graphs_up_to, atlas_graphs, brute_cover_number,
                      brute_matching_number, flipped, large_star_pisces_forests,
@@ -79,6 +82,124 @@ def test_from_edges_reads_its_pairs_once():
     g = Graph.from_edges(pairs, extra_vertices=("z", "a"))
     assert g == Graph.from_edges(iter(pairs), extra_vertices=iter(("z", "a")))
     assert g == Graph(vertices=("a", "b", "c", "z"), edges=(("a", "b"), ("b", "c")))
+
+
+# --- value classes -------------------------------------------------------------------
+
+
+def value_cases():
+    """(value, an equal value built separately, values that differ in one field, repr):
+    the repr strings are those the frozen dataclasses printed before these classes were
+    written out."""
+    g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
+    (shape,) = CoverSystem(g).components
+    half, one = Fraction(1, 2), Fraction(1)
+    return [
+        (g, Graph(vertices=("a", "b", "c", "d"), edges=(("a", "b"), ("b", "c"), ("c", "d"))),
+         [Graph(("a", "b", "c", "d", "e"), g.edges), Graph(g.vertices, g.edges[:2])],
+         "Graph(vertices=('a', 'b', 'c', 'd'), edges=(('a', 'b'), ('b', 'c'), ('c', 'd')))"),
+        (shape, ComponentClassification("pisces", frozenset({0, 1, 2}), ("b", "c"), 1,
+                                        {"b": (0,), "c": (2,)}),
+         [ComponentClassification("pisces", frozenset({0, 1, 2}), ("b", "c"), None,
+                                  {"b": (0,), "c": (2,)}),
+          ComponentClassification("pisces", frozenset({0, 1, 2}), ("b", "c"), 1,
+                                  {"b": (0,), "c": (1, 2)})],
+         "ComponentClassification(kind='pisces', edges=frozenset({0, 1, 2}), cover=('b', 'c'),"
+         " free_rider=1, pendants={'b': (0,), 'c': (2,)})"),
+        (Violation("efficiency", frozenset({0, 1}), None, None, half, one),
+         Violation(kind="efficiency", coalition=frozenset({0, 1}), superset=None, edge=None,
+                   lhs=half, rhs=one),
+         [Violation("efficiency", frozenset({0, 1}), None, None, one, one),
+          Violation("monotonicity", frozenset({0, 1}), None, None, half, one)],
+         "Violation(kind='efficiency', coalition=frozenset({0, 1}), superset=None, edge=None,"
+         " lhs=Fraction(1, 2), rhs=Fraction(1, 1))"),
+        (Violation("monotonicity", mask_coalition(1), mask_coalition(3), 0, one, half),
+         Violation("monotonicity", frozenset({0}), frozenset({0, 1}), 0, one, half),
+         [Violation("monotonicity", mask_coalition(1), mask_coalition(3), 1, one, half)],
+         "Violation(kind='monotonicity', coalition=_MaskedCoalition({0}),"
+         " superset=_MaskedCoalition({0, 1}), edge=0, lhs=Fraction(1, 1), rhs=Fraction(1, 2))"),
+    ]
+
+
+def test_value_classes_compare_and_show_by_their_fields():
+    for value, equal, others, text in value_cases():
+        cls, fields = type(value), value.__match_args__
+        values = tuple(getattr(value, name) for name in fields)
+        assert value == equal and not value != equal and value is not equal
+        assert all(value != other for other in others)
+        # equal only within the class: not to a tuple of its fields, nor to a subclass
+        assert cls.__eq__(value, values) is NotImplemented and value != values
+        subclass = type("Sub", (cls,), {})
+        assert value != subclass(*values) and subclass(*values) == subclass(*values)
+        assert repr(value) == text
+        # positional patterns read the fields in constructor order
+        match value:
+            case cls(first, second):
+                assert (first, second) == values[:2]
+            case _:
+                raise AssertionError("no positional match")
+        assert cls(*values) == cls(**dict(zip(fields, values))) == value
+
+
+def test_value_classes_hash_by_their_fields():
+    for value, equal, _, _ in value_cases():
+        values = tuple(getattr(value, name) for name in value.__match_args__)
+        if isinstance(value, ComponentClassification):
+            # pendants is a dict, so a classification has no hash, as before
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(value)
+        else:
+            assert hash(value) == hash(equal) == hash(values)
+            assert {value: 1}[equal] == 1
+
+
+def test_value_classes_refuse_assignment_deletion_and_wrong_arguments():
+    for value, _, _, _ in value_cases():
+        cls, fields = type(value), value.__match_args__
+        values = tuple(getattr(value, name) for name in fields)
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, None)
+        for name in fields:
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
+        assert tuple(getattr(value, name) for name in fields) == values
+        with pytest.raises(TypeError, match="missing 1 required positional argument"):
+            cls(*values[:-1])
+        with pytest.raises(TypeError, match="positional arguments but"):
+            cls(*values, None)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+            cls(*values, extra=None)
+
+
+def test_graph_checks_its_labels_then_each_edge_in_order():
+    # the first failed check names itself: labels, then per edge a self-loop, an unknown
+    # endpoint, a repeat in either direction
+    for vertices, edges, message in (
+            (("a", "b", "a"), (("a", "a"), ("a", "z")), "duplicate vertex label a"),
+            (("a", "b"), (("a", "b"), ("b", "b"), ("a", "z")), "self-loop at b"),
+            (("a", "b"), (("a", "z"), ("b", "b")), "edge endpoint not in vertex list: a z"),
+            (("a", "b", "c"), (("a", "b"), ("b", "c"), ("b", "a"), ("c", "c")),
+             "duplicate edge b a")):
+        with pytest.raises(GraphFormatError) as info:
+            Graph(vertices, edges)
+        assert str(info.value) == message
+    assert Graph(("a", "b", "z"), (("a", "b"),)).n_vertices == 3
+
+
+def test_value_classes_copy_and_pickle_with_what_a_graph_built():
+    for value, _, _, _ in value_cases():
+        if isinstance(value, Graph):
+            assert value._structure is not None and value._edge_masks
+            built = {name: vars(value)[name] for name in ("_structure", "_edge_masks")}
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value) and copied == value
+            assert repr(copied) == repr(value)
+            if isinstance(value, Graph):
+                # the cached structure and masks travel with the graph, not rebuilt
+                assert {name: vars(copied)[name] for name in built} == built
+                with pytest.raises(AttributeError):
+                    copied.edges = ()
 
 
 # --- components and diameter -------------------------------------------------------
@@ -630,6 +751,39 @@ def test_oracles_above_the_cap_on_a_large_graph_build_no_edge_masks():
         cover, matching = reference_above_cap(g, s, 24)
         assert oracle_outcomes(g, s, 24) == (cover, matching, cover[0])
     assert "_edge_masks" not in vars(g)
+
+
+def test_the_unchecked_coalition_subgraph_answers_as_a_checked_one(monkeypatch):
+    # above the cap the coalition subgraph is built without re-checking the graph's own
+    # edges: built through from_edges instead, every atlas graph and 40 random graphs of up
+    # to 12 edges give the same answers, witnesses and cap error texts under caps 0, 2, 4
+    rng = random.Random(3301)
+    graphs = [g for g in atlas_graphs() if g.n_edges]
+    graphs += [random_graph(rng, max_edges=12, max_vertices=9) for _ in range(40)]
+    cases = []
+    for g in graphs:
+        coalitions = [g.players()] + [frozenset(i for i in range(g.n_edges) if rng.random() < p)
+                                      for p in (0.3, 0.7)]
+        for s in coalitions:
+            order = sorted(s)
+            sub = g._subgraph(order)
+            assert sub == Graph.from_edges(g.edges[i] for i in order)
+            assert sub.__dict__.keys() == {"vertices", "edges"}
+            cases += [(g, s, cap) for cap in (0, 2, 4)]
+    built = []
+    subgraph = Graph._subgraph
+    monkeypatch.setattr(Graph, "_subgraph",
+                        lambda self, order: built.append(order) or subgraph(self, order))
+    unchecked, routes = [], {"structure": 0, "error": 0}
+    for g, s, cap in cases:
+        built.clear()
+        unchecked.append(oracle_outcomes(g, s, cap))
+        if built:
+            routes["error" if isinstance(unchecked[-1][0], str) else "structure"] += 1
+    assert min(routes.values()) >= 500
+    monkeypatch.setattr(Graph, "_subgraph",
+                        lambda self, order: Graph.from_edges(self.edges[i] for i in order))
+    assert [oracle_outcomes(g, s, cap) for g, s, cap in cases] == unchecked
 
 
 def test_cap_error_on_long_path():

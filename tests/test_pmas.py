@@ -4,12 +4,16 @@ verifier, and the dual-side certificates."""
 import copy
 import gc
 import json
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +272,49 @@ def test_every_entry_point_refuses_a_coalition_that_is_not_iterable():
             with pytest.raises(ContractViolation) as info:
                 call()
             assert str(info.value) == f"coalition {bad!r} is not iterable"
+
+
+def test_every_entry_point_names_the_first_member_that_is_not_an_int():
+    # in the caller's order, before any member is hashed, so that an unhashable member is
+    # named too, and before any index is checked for repeats ([1, True] holds 1 twice)
+    g = p4()
+    scheme = construct_pmas(g)
+    stored = scheme_from_json(g, scheme_to_json(scheme))
+    tabled = VertexCoverGame(g)
+    tabled.cost_table()
+    games = [VertexCoverGame(g), tabled, VertexCoverGame(k3())]
+    for members, bad in (([[1]], "[1]"), ([{0}], "{0}"), ((0, {}, "a"), "{}"),
+                         ([2, "b", [0]], "'b'"), ([1, True], "True"), ((5, 1.5), "1.5")):
+        calls = [lambda s: vertex_cover_number(g, s), lambda s: matching_number(g, s),
+                 lambda s: diameter(g, s), lambda s: check_dual_feasible(g, s, {}),
+                 scheme.allocation, stored.allocation]
+        calls += [game.gamma for game in games]
+        for call in calls:
+            for coalition in (members, iter(members)):
+                with pytest.raises(ContractViolation) as info:
+                    call(coalition)
+                assert str(info.value) == f"edge key {bad} is not an int"
+
+
+def test_the_gate_names_the_same_member_under_every_hash_seed():
+    # str members hash by the seed, so a set's iteration order changes from run to run:
+    # a set names its member of smallest repr, a sequence or iterator its first
+    code = ("from vcgame import Graph, ContractViolation, vertex_cover_number\n"
+            "g = Graph.from_edges([('a', 'b'), ('b', 'c')])\n"
+            "for s in (['x', 'y', 'z'], ('z', 'y', 'x'), iter(['y', 'x']), {'x', 'y', 'z'},\n"
+            "          frozenset({'zz', 'y', None, 'x'}), {0, 'b', b'a', 'a'}, {2.5, None, 1.5}):\n"
+            "    try:\n"
+            "        vertex_cover_number(g, s)\n"
+            "    except ContractViolation as error:\n"
+            "        print(error)\n")
+    src = str(Path(vcgame.graph.__file__).parents[1])
+    expected = "".join(f"edge key {bad} is not an int\n"
+                       for bad in ("'x'", "'z'", "'y'", "'x'", "'x'", "'a'", "1.5"))
+    for seed in range(4):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)})
+        assert out.stdout == expected
 
 
 def test_one_graph_is_decomposed_once_by_every_entry_point(monkeypatch):

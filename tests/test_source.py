@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from types import ModuleType
@@ -72,6 +75,17 @@ def test_library_source_parses_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # a fresh interpreter without site, whose own start-up loads neither: the library and
+    # its command line import no module that only a value class's code generation needs
+    src = str(Path(vcgame.__file__).parents[1])
+    for module in ("vcgame", "vcgame.cli"):
+        code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "[]\n", module
 
 
 def test_public_surface_is_exactly_all():

@@ -2,15 +2,13 @@
 number of its induced subgraph.
 
 Cost allocations are plain dicts mapping edge index to an exact Fraction.
-Exhaustive verdicts (monotonicity, submodularity, core membership) run off a
-full cost table computed by a bitmask recursion over edge subsets; the table
-is only built below the configured edge cap.  Until it is built, a star/pisces
-forest's coalition costs the vertices its cover rule charges, and any other
-coalition's cost comes from a size-only cover search that builds no witness.
-Up to DEFAULT_EDGE_CAP edges the game keeps each size found in one byte per
-coalition (64 KiB at most, dropped with the cost table's build) and answers a
-coalition from its two residual subsets when both are known, so an ascending
-scan never searches.
+Up to DEFAULT_EDGE_CAP edges a game keeps one byte per coalition (64 KiB at
+most), filled on first use by a memoized recursion over edge subsets: gamma
+asks it for one coalition, after the vertex cap, and cost_table() completes
+it as the full cost table, which exhaustive verdicts (monotonicity,
+submodularity, core membership) read.  A star/pisces forest's coalition costs
+the vertices its cover rule charges until that table is built, and above
+DEFAULT_EDGE_CAP edges a coalition's cost comes from a size-only cover search.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import ContractViolation, NotBalanced, OracleCapError
-from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, _charged, _coalition, _cover_size,
-                    _vertex_cap, is_bipartite, mask_coalition, matching_number)
+from .graph import (DEFAULT_VERTEX_CAP, Coalition, Graph, _charged, _coalition, _min_cover_size,
+                    _oracle_input, _vertex_cap, is_bipartite, mask_coalition, matching_number)
 
 DEFAULT_EDGE_CAP = 16
 
@@ -62,68 +60,78 @@ def _numerators(payments: dict[int, Fraction]) -> tuple[dict, int]:
     return {i: v.numerator * (den // v.denominator) for i, v in payments.items()}, den
 
 
-def _full_cost_table(graph: Graph) -> list[int]:
-    """Cover number of every edge subset, indexed by bitmask.
-
-    Recursion: any cover of a subset containing edge e=(u,v) uses u or v, so
-    the cost is 1 plus the cheaper of the two residual subsets, which the
-    graph's per-edge masks give (the edges left after covering u or v).
-    """
-    n = graph.n_edges
-    masks = graph._edge_masks
-    table = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        edge = masks[(m & -m).bit_length() - 1]
-        a = table[m & edge[0]]
-        b = table[m & edge[1]]
-        table[m] = 1 + (a if a < b else b)
-    return table
+def _cover_number(known: bytearray, masks, m: int) -> int:
+    """The cover number of the edges in m, memoized in known, one byte per coalition mask
+    (255 while unknown).  Any cover of edges holding their lowest edge (u, v) uses u or
+    v, so it costs 1 plus the cheaper of the edges left after covering u and after
+    covering v, which the graph's per-edge masks give; only an unknown one recurses, at
+    most popcount(m) deep."""
+    size = known[m]
+    if size == 255:
+        left_u, left_v, _, _, _ = masks[(m & -m).bit_length() - 1]
+        a, b = known[m & left_u], known[m & left_v]
+        if a == 255:
+            a = _cover_number(known, masks, m & left_u)
+        if b == 255:
+            b = _cover_number(known, masks, m & left_v)
+        size = known[m] = 1 + (a if a < b else b)
+    return size
 
 
 class VertexCoverGame:
     """Characteristic function wrapper: coalition costs are read from the cost
     table once it is built, else counted from the graph's star/pisces structure,
-    else asked of the size-only cover search under the game's vertex cap, a
-    nonnegative int checked once, when the game is built."""
+    else, under the game's vertex cap (a nonnegative int checked once, when the
+    game is built), found by _cover_number up to DEFAULT_EDGE_CAP edges and by
+    the size-only cover search above."""
 
     def __init__(self, graph: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
         self.graph = graph
         self.n = graph.n_edges
         self.max_vertices = _vertex_cap(max_vertices)
         self._players = graph.players()
-        self._table: list[int] | None = None
-        self._known: bytearray | None = None
+        self._table: bytearray | None = None  # the cost table, once built
+        self._known: bytearray | None = None  # the bytes _cover_number fills until then
 
     def players(self) -> Coalition:
         return self._players
 
+    def _bytes(self) -> bytearray:
+        if self._known is None:
+            self._known = bytearray(b"\0" + b"\xff" * ((1 << self.n) - 1))
+        return self._known
+
     def gamma(self, coalition) -> int:
-        """The coalition's cover number, by the routes the class names; up to
-        DEFAULT_EDGE_CAP edges the search route keeps each size it finds in one byte per
-        coalition (64 KiB at most), which _cover_size reads before it searches."""
+        """The coalition's cover number, by the routes the class names.  The vertex cap is
+        checked, and the above-cap structural answer given, before any byte is read."""
         if self._table is not None:
             return self._table[_coalition(self.graph, coalition)._mask]
         if self.graph._structure is not None:
             return len(_charged(self.graph, _coalition(self.graph, coalition)))
-        if self._known is None and self.n <= DEFAULT_EDGE_CAP:
-            self._known = bytearray(b"\xff" * (1 << self.n))
-            self._known[0] = 0
-        return _cover_size(self.graph, coalition, self.max_vertices, self._known)
+        s, witnesses = _oracle_input(self.graph, coalition, self.max_vertices)
+        if witnesses is not None:
+            return len(witnesses[0])
+        if self.n > DEFAULT_EDGE_CAP:
+            return _min_cover_size(self.graph._edge_masks, s._mask)
+        return _cover_number(self._bytes(), self.graph._edge_masks, s._mask)
 
     def cost_table(self, max_edges: int = DEFAULT_EDGE_CAP) -> list[int]:
-        """Costs of all coalitions indexed by bitmask, as a new list on each call
-        (the game keeps its own, built on first use, which no caller can change).
-        max_edges limits only the build: a table already built is returned at any
-        cap, which is how is_monotone_game, is_submodular_game and core_membership,
-        reading it at the default cap, get past that cap."""
+        """Costs of all coalitions indexed by bitmask, as a new list on each call: the
+        game completes the bytes gamma filled, in ascending mask order, and keeps them as
+        its own table, one byte per coalition, which no caller can change.  max_edges
+        limits only the build: a table already built is returned at any cap, which is how
+        is_monotone_game, is_submodular_game and core_membership, reading it at the
+        default cap, get past that cap."""
         _vertex_cap(max_edges, "edge cap")
         if self._table is None:
             if self.n > max_edges:
                 raise OracleCapError(
                     f"cost table over {self.n} edges exceeds the {max_edges}-edge cap")
-            self._table = _full_cost_table(self.graph)
-            self._known = None  # gamma reads the table from now on
-        return self._table.copy()
+            known, masks = self._bytes(), self.graph._edge_masks
+            for m in range(1 << self.n):
+                _cover_number(known, masks, m)
+            self._table, self._known = known, None  # gamma reads the table from now on
+        return list(self._table)
 
 
 def is_monotone_game(game: VertexCoverGame):

@@ -13,7 +13,7 @@ a bipartite coalition (König), with a branch and bound for the matching
 number of any other; above the cap a coalition subgraph, built as a graph,
 that is a star/pisces forest is answered from its own structure.  Both
 searches run on coalition bitmasks over a per-edge mask table that the
-graph builds on first use, which the game's cost table reads too.
+graph builds on first use, which the game's cover-number recursion reads too.
 """
 
 from __future__ import annotations
@@ -62,17 +62,20 @@ class _Value:
 
 
 class Graph(_Value):
-    """Finite simple undirected graph; edge index (0-based file order) = player id."""
+    """Finite simple undirected graph; edge index (0-based file order) = player id.  The
+    labels and (u, v) pairs, from any iterables read once, are kept as tuples."""
 
     __match_args__ = ("vertices", "edges")
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> None:
+        vertices = tuple(vertices)
         labels = set()
         for v in vertices:
             if v in labels:
                 raise GraphFormatError(f"duplicate vertex label {v}")
             labels.add(v)
         seen = set()
+        pairs = []
         for u, v in edges:
             if u == v:
                 raise GraphFormatError(f"self-loop at {u}")
@@ -82,7 +85,8 @@ class Graph(_Value):
             if key in seen:
                 raise GraphFormatError(f"duplicate edge {u} {v}")
             seen.add(key)
-        self.__dict__.update(vertices=vertices, edges=edges)
+            pairs.append((u, v))
+        self.__dict__.update(vertices=vertices, edges=tuple(pairs))
 
     @classmethod
     def from_edges(cls, pairs, extra_vertices=()) -> "Graph":
@@ -565,7 +569,7 @@ def _vertex_cap(cap, name: str = "vertex cap") -> int:
 
 
 def _oracle_input(graph: Graph, coalition, max_vertices: int):
-    """The head of both exact oracles and the size-only search: the gated coalition with
+    """The head of both exact oracles and of the game's gamma: the gated coalition with
     its (cover, matching) witnesses when a structure answers it, else with None within the
     vertex cap.  A star/pisces graph answers from its own structure; on any other graph a
     coalition subgraph above the cap answers from the subgraph's own structure, whose edge
@@ -587,25 +591,6 @@ def _oracle_input(graph: Graph, coalition, max_vertices: int):
             f" above the {max_vertices}-vertex cap, and is not a star/pisces forest")
     cover, matching = _structural_witnesses(sub, sub.players())
     return s, (cover, tuple(order[j] for j in matching))
-
-
-def _cover_size(graph: Graph, coalition, max_vertices: int, known: bytearray | None) -> int:
-    """vertex_cover_number's size alone; within the vertex cap the search builds no witness,
-    and known (one byte per coalition mask, 255 while unknown), unless None, keeps each size:
-    a coalition whose residual subsets at its lowest edge are known costs 1 plus the smaller."""
-    s, witnesses = _oracle_input(graph, coalition, max_vertices)
-    if witnesses is not None:
-        return len(witnesses[0])
-    masks, m = graph._edge_masks, s._mask
-    if known is None:
-        return _min_cover_size(masks, m)
-    size = known[m]
-    if size == 255:
-        left_u, left_v, _, _, _ = masks[(m & -m).bit_length() - 1]
-        a, b = known[m & left_u], known[m & left_v]
-        size = 1 + (a if a < b else b) if a != 255 and b != 255 else _min_cover_size(masks, m)
-        known[m] = size
-    return size
 
 
 def vertex_cover_number(graph: Graph, coalition, *,

@@ -23,7 +23,7 @@ from vcgame.pmas import (AllocationScheme, CoverSystem, construct_pmas,
 
 from oracles import (atlas_graphs, flipped, large_star_pisces_forests, random_forest,
                      random_graph, random_star_pisces_forest, reference_core_membership,
-                     reference_is_submodular_graph)
+                     reference_cover_size, reference_is_submodular_graph)
 
 
 def k3() -> Graph:
@@ -65,7 +65,7 @@ def test_gamma_rejects_unknown_players():
 
 def test_gamma_and_table_agree_with_oracle():
     # every coalition of the atlas graphs with at most 8 edges and of random
-    # general graphs, read from the size-only search and from the cost table
+    # general graphs, read from the cover-number recursion and from the cost table
     rng = random.Random(21)
     graphs = list(atlas_graphs(max_edges=8)) + [random_graph(rng, max_edges=7) for _ in range(20)]
     for g in graphs:
@@ -119,7 +119,8 @@ def test_gamma_builds_no_witness(monkeypatch):
 def test_gamma_answers_every_scan_order():
     # every coalition of the atlas graphs with at most 8 edges and of random general
     # graphs up to 10 edges, asked of fresh games in ascending order (each answer from its
-    # residual subsets), descending order (each from the search) and shuffled order
+    # residual subsets), descending order (each recursing into unknown residual subsets)
+    # and shuffled order
     rng = random.Random(3201)
     graphs = list(atlas_graphs(max_edges=8)) + [random_graph(rng) for _ in range(30)]
     for g in graphs:
@@ -136,15 +137,16 @@ def test_gamma_answers_every_scan_order():
 def test_an_ascending_scan_runs_no_search(monkeypatch):
     calls = []
     search = vcgame.graph._min_cover_size
-    monkeypatch.setattr(vcgame.graph, "_min_cover_size",
-                        lambda masks, m: calls.append(m) or search(masks, m))
+    for module in (vcgame.graph, vcgame.game):
+        monkeypatch.setattr(module, "_min_cover_size",
+                            lambda masks, m: calls.append(m) or search(masks, m))
     k5 = Graph.from_edges(itertools.combinations("abcde", 2))  # 10 edges, not star/pisces
     game = VertexCoverGame(k5)
     assert [game.gamma(s) for s in all_coalitions(10)] == VertexCoverGame(k5).cost_table()
     assert calls == []  # the empty coalition is known from the start, and each later one
-    # from its two residual subsets; a fresh game's grand coalition has neither, so it searches
+    # from its two residual subsets; a fresh game's grand coalition recurses into them
     assert VertexCoverGame(k5).gamma(k5.players()) == 4
-    assert calls == [(1 << 10) - 1]
+    assert calls == []
 
 
 def test_the_byte_table_is_bounded_and_dropped_with_the_cost_table():
@@ -182,6 +184,100 @@ def test_the_vertex_cap_holds_when_every_smaller_coalition_is_known():
     assert game._known[full] == 255
 
 
+def dense_graph(rng: random.Random, n_edges: int) -> Graph:
+    """n_edges random edges on 9 or 10 vertices, not a star/pisces forest from 11 edges on
+    (a forest on at most 10 vertices has at most 9 edges)."""
+    labels = [f"v{k}" for k in range(rng.randint(9, 10))]
+    return Graph.from_edges(rng.sample(list(itertools.combinations(labels, 2)), n_edges))
+
+
+def scan_orders(rng: random.Random, n: int):
+    coalitions = all_coalitions(n)
+    shuffled = list(coalitions)
+    rng.shuffle(shuffled)
+    return coalitions, coalitions[::-1], shuffled
+
+
+def test_the_recursion_in_every_scan_order_matches_the_reference_search():
+    # fresh games asked in ascending, descending and shuffled order, against the pair-list
+    # search of tests/oracles.py: every coalition of the atlas graphs with at most 8 edges,
+    # and 150 seeded coalitions of random graphs of 11 to 16 edges
+    rng = random.Random(3401)
+    for g in atlas_graphs(max_edges=8):
+        expected = [reference_cover_size(g, s) for s in all_coalitions(g.n_edges)]
+        for order in scan_orders(rng, g.n_edges):
+            game = VertexCoverGame(g)
+            assert [game.gamma(s) for s in order] == [expected[s._mask] for s in order]
+    for n_edges in (11, 13, 16):
+        g = dense_graph(rng, n_edges)
+        sample = rng.sample(all_coalitions(n_edges), 150)
+        expected = {s._mask: reference_cover_size(g, s) for s in sample}
+        for order in scan_orders(rng, n_edges):
+            game = VertexCoverGame(g)
+            answers = [game.gamma(s) for s in order]
+            assert {s._mask: answers[k] for k, s in enumerate(order)
+                    if s._mask in expected} == expected
+
+
+def test_within_sixteen_edges_gamma_never_runs_the_branch_and_bound(monkeypatch):
+    calls = []
+    search = vcgame.graph._min_cover_size
+    for module in (vcgame.graph, vcgame.game):
+        monkeypatch.setattr(module, "_min_cover_size",
+                            lambda masks, m: calls.append(m) or search(masks, m))
+    rng = random.Random(3402)
+    g = dense_graph(rng, 16)
+    table = VertexCoverGame(g).cost_table()
+    for order in scan_orders(rng, 16):
+        game = VertexCoverGame(g)
+        assert [game.gamma(s) for s in order] == [table[s._mask] for s in order]
+    assert calls == []
+    # a 17-edge path is not star/pisces, and above the edge cap gamma searches
+    path = Graph.from_edges((f"v{k}", f"v{k + 1}") for k in range(17))
+    assert VertexCoverGame(path).gamma({0, 1, 2, 3}) == 2
+    assert calls == [0b1111]
+
+
+def test_cost_table_completes_the_bytes_gamma_filled():
+    rng = random.Random(3403)
+    graphs = [k3(), c4(), p5(), star(4)] + [dense_graph(rng, n) for n in (11, 14)]
+    for g in graphs:
+        fresh = VertexCoverGame(g).cost_table()
+        for share in (0.1, 0.5):
+            game = VertexCoverGame(g)
+            partial = [s for s in all_coalitions(g.n_edges) if rng.random() < share]
+            rng.shuffle(partial)
+            asked = [game.gamma(s) for s in partial]
+            table = game.cost_table()
+            assert table == fresh and asked == [fresh[s._mask] for s in partial]
+            # the game keeps one byte per coalition, and hands out a new list of ints
+            assert type(game._table) is bytearray and len(game._table) == 1 << g.n_edges
+            assert game._known is None
+            again = game.cost_table()
+            assert again == table and again is not table
+            assert type(again) is list and {type(c) for c in again} == {int}
+
+
+def test_a_raised_edge_cap_builds_the_table_that_gamma_then_reads(monkeypatch):
+    rng = random.Random(3404)
+    g = dense_graph(rng, 17)
+    assert g._structure is None
+    game = VertexCoverGame(g)
+    table = game.cost_table(17)
+    assert type(game._table) is bytearray and len(table) == 1 << 17
+    sample = [mask_coalition(rng.randrange(1 << 17)) for _ in range(200)]
+    expected = [vertex_cover_number(g, s)[0] for s in sample]
+    assert [table[s._mask] for s in sample] == expected
+
+    def refuse(*args):
+        raise AssertionError("gamma did not read the table")
+
+    for name in ("_oracle_input", "_min_cover_size", "_cover_number"):
+        monkeypatch.setattr(vcgame.game, name, refuse)
+    assert [game.gamma(s) for s in sample] == expected
+    assert game.gamma(g.players()) == table[-1]
+
+
 def test_gamma_counts_the_rule_cover_on_star_pisces_graphs():
     # every coalition of every population-monotonic atlas graph, under the default
     # vertex cap and none: the vertices the rule charges, as cover_for lists them
@@ -203,11 +299,11 @@ def test_gamma_counts_the_rule_cover_on_star_pisces_graphs():
 
 def test_gamma_on_star_pisces_graphs_reaches_neither_search_nor_shapes(monkeypatch):
     calls = []
-    cover_size, shapes = vcgame.game._cover_size, vcgame.graph._shapes
-    monkeypatch.setattr(vcgame.game, "_cover_size",
-                        lambda *args: calls.append("search") or cover_size(*args))
-    monkeypatch.setattr(vcgame.graph, "_shapes",
-                        lambda *args: calls.append("shapes") or shapes(*args))
+    for module, name in ((vcgame.game, "_oracle_input"), (vcgame.game, "_cover_number"),
+                         (vcgame.graph, "_shapes")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
     rng = random.Random(2104)
     for g in [p4(), star(5)] + large_star_pisces_forests(rng, 3):
         games = [VertexCoverGame(g, max_vertices=cap) for cap in (0, 24, g.n_vertices)]
@@ -217,9 +313,10 @@ def test_gamma_on_star_pisces_graphs_reaches_neither_search_nor_shapes(monkeypat
             s = frozenset(i for i in range(g.n_edges) if rng.random() < 0.5)
             assert len({game.gamma(s) for game in games}) == 1
         assert calls == []
-    # any other graph still asks the size-only search, under its vertex cap
+    # any other graph still asks the oracles' head, which checks the vertex cap, and then
+    # the recursion
     assert VertexCoverGame(c4()).gamma({0, 1, 2}) == 2
-    assert calls == ["shapes", "search"]
+    assert list(dict.fromkeys(calls)) == ["_shapes", "_oracle_input", "_cover_number"]
 
 
 def test_mask_coalition_takes_only_nonnegative_ints():

@@ -187,6 +187,27 @@ def test_graph_checks_its_labels_then_each_edge_in_order():
     assert Graph(("a", "b", "z"), (("a", "b"),)).n_vertices == 3
 
 
+def test_a_graph_keeps_tuples_of_what_it_was_given():
+    # lists, a list pair and a generator make the graph the tuples make: it hashes,
+    # prints and compares as that graph, and reads a generator once
+    built = Graph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    vertices, edges = ["a", "b", "c"], [("a", "b"), ["b", "c"]]
+    g = Graph(vertices, edges)
+    assert type(g.vertices) is type(g.edges) is tuple and g.edges[1] == ("b", "c")
+    assert g == built and hash(g) == hash(built) and repr(g) == repr(built)
+    once = Graph(("a", "b"), (e for e in [("a", "b")]))
+    assert once.n_edges == 1 and once == Graph(("a", "b"), (("a", "b"),))
+    # a later change to the caller's lists leaves the graph, and its built structure, as
+    # they were: a third edge index is refused by the gate, not by an IndexError
+    assert vertex_cover_number(g, [0, 1]) == (1, ("b",))
+    vertices.append("d")
+    edges.append(("a", "c"))
+    assert g == built and g.n_edges == 2
+    with pytest.raises(ContractViolation, match="^edge index out of range: 2$"):
+        vertex_cover_number(g, [0, 1, 2])
+    assert vertex_cover_number(g, [0, 1]) == (1, ("b",))
+
+
 def test_value_classes_copy_and_pickle_with_what_a_graph_built():
     for value, _, _, _ in value_cases():
         if isinstance(value, Graph):

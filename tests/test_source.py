@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -220,20 +221,37 @@ def test_only_the_graph_builds_the_per_edge_masks():
              for item in (top.body if isinstance(top, ast.ClassDef) else [top])
              if isinstance(item, FUNCTIONS) and item.name == "_edge_masks"]
     assert found == [("graph.py", "Graph", "_edge_masks")]
-    # only the cost table, the cover search and the matching search read it; the oracles'
-    # head never does
+    # only the game (for its cover-number recursion and, above 16 edges, the cover search),
+    # the cover search and the matching search read it; the oracles' head never does
     found = sorted({(name, owner) for name, tree in trees.items()
                     for owner in referrers(tree, "_edge_masks")}, key=str)
-    assert found == [("game.py", "_full_cost_table"), ("graph.py", "_cover_size"),
+    assert found == [("game.py", "VertexCoverGame"),
                      ("graph.py", "_lex_min_cover"), ("graph.py", "matching_number"),
                      ("graph.py", "vertex_cover_number")]
     # and none of them rebuilds masks from the edge list: only the witness reads labels
-    readers = {"_full_cost_table", "_greedy_disjoint_edges", "_cover_feasible",
-               "_min_cover_size", "_cover_size", "_matching_branch"}
+    readers = {"_cover_number", "_greedy_disjoint_edges", "_cover_feasible",
+               "_min_cover_size", "_matching_branch"}
     found = [(name, top.name) for name, tree in trees.items() for top in tree.body
              if isinstance(top, FUNCTIONS) and top.name in readers
              and {"edges", "vertices", "_incident"} & set(reads(top))]
     assert found == []
+
+
+def test_the_game_writes_the_cover_number_recursion_once():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    # game._cover_number is the one residual recursion: the list-filling cost table and the
+    # graph's byte-reading size search that each wrote it again are gone
+    gone = re.compile(r"\b(_cover_size|_full_cost_table)\b")
+    assert [path.name for path in SOURCES if gone.search(path.read_text(encoding="utf-8"))] == []
+    found = [(name, top.name) for name, tree in trees.items() for top in tree.body
+             if isinstance(top, FUNCTIONS) and top.name == "_cover_number"]
+    assert found == [("game.py", "_cover_number")]
+    # only the game (gamma and cost_table) and the recursion itself call it
+    found = {(name, owner) for name, tree in trees.items()
+             for owner in callers(tree, "_cover_number")}
+    assert found == {("game.py", "VertexCoverGame"), ("game.py", "_cover_number")}
+    # and in game.py the branch and bound is reached only from the game, above 16 edges
+    assert set(callers(trees["game.py"], "_min_cover_size")) == {"VertexCoverGame"}
 
 
 def test_caller_scan_sees_each_form():
